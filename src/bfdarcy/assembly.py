@@ -25,10 +25,6 @@ import scipy.sparse as sp
 from . import elements as el
 from .mesh import GAMMA_B_TAGS, GAMMA_D_TAGS, build_interface
 
-# Penalty variant of the pressure gauge: eliminating the bordered scalar
-# with this diagonal reproduces an added 1e-8 * (p,1)(q,1) exactly.
-PRESSURE_PENALTY = 1.0e-8
-
 # Below this speed the Forchheimer weights |w|^(p-2) and |w|^(p-4) are
 # continuously extended by zero; for p < 4 the latter is singular at 0.
 SPEED_FLOOR = 1.0e-12
@@ -334,8 +330,7 @@ class Workspace:
         self.p_dof_D = dofmap.off_p + td
 
         self._build_interface_tables()
-        self._kinv_B = None
-        self._kinv_D = None
+        self._kinv = {}
 
     def _build_interface_tables(self):
         iface, mesh, dof = self.interface, self.mesh, self.dofmap
@@ -377,19 +372,20 @@ class Workspace:
         self.shat = np.stack([1.0 - frac, frac], axis=2)  # (ns, nqe, 2)
         self.snodes = dof.off_lam + np.stack([macro, macro + 1], axis=1)
 
+    def _inverse_permeability(self, region, K, qpts):
+        # Keyed on the permeability object, so a workspace shared between
+        # parameter sets never returns another set's tensors.
+        cached = self._kinv.get(region)
+        if cached is None or cached[0] is not K:
+            kinv = inverse_tensor_field(K, qpts.reshape(-1, 2)).reshape(*qpts.shape[:2], 2, 2)
+            cached = self._kinv[region] = (K, kinv)
+        return cached[1]
+
     def kinv_B(self, params):
-        if self._kinv_B is None:
-            self._kinv_B = inverse_tensor_field(
-                params.K_B, self.qpts_B.reshape(-1, 2)
-            ).reshape(self.qpts_B.shape[0], self.qpts_B.shape[1], 2, 2)
-        return self._kinv_B
+        return self._inverse_permeability("B", params.K_B, self.qpts_B)
 
     def kinv_D(self, params):
-        if self._kinv_D is None:
-            self._kinv_D = inverse_tensor_field(
-                params.K_D, self.qpts_D.reshape(-1, 2)
-            ).reshape(self.qpts_D.shape[0], self.qpts_D.shape[1], 2, 2)
-        return self._kinv_D
+        return self._inverse_permeability("D", params.K_D, self.qpts_D)
 
 
 def _index_of(sorted_ids, query):
@@ -661,41 +657,14 @@ def _ensure_workspace(mesh, interface, dofmap, workspace, data):
     return Workspace(mesh, interface, dofmap)
 
 
-def assemble_system(w, params, data, mesh, interface=None, dofmap=None, workspace=None):
-    """Full linearized saddle system at iterate ``w`` (before constraints)."""
-    ws = _ensure_workspace(mesh, interface, dofmap, workspace, data)
-    system = SparseSystem(ws.dofmap.n_total)
-    rows, cols, vals = assemble_da(w, params, mesh, workspace=ws)
-    system.add(rows, cols, vals)
-    _add_b_triplets(system, ws)
-    system.rhs[:] = assemble_rhs(data, params, mesh, workspace=ws, w=w)
-    return system
-
-
-def apply_constraints(system, dofmap, pressure_mode="constraint", mesh=None):
-    """Impose the pressure gauge and eliminate essential DOFs symmetrically.
-
-    In gauge mode the bordered scalar couples to every pressure DOF with
-    the triangle area; 'constraint' keeps the bordered row exact,
-    'penalty' puts -PRESSURE_PENALTY on its diagonal, the sparse
-    equivalent of adding the strong penalty (p, 1)(q, 1)/PRESSURE_PENALTY,
-    so the pressure mean still vanishes to solver accuracy.
+def apply_constraints(system, dofmap):
+    """Eliminate essential DOFs symmetrically.
 
     Returns (A, rhs) with constrained rows/columns replaced by the
-    identity and their values moved to the right-hand side.
+    identity and their values moved to the right-hand side.  The
+    pressure gauge, if any, is not added here: its row and column stay
+    empty and ``solver.sparse_lu_solve`` applies the border.
     """
-    if pressure_mode not in ("constraint", "penalty"):
-        raise ValueError(f"pressure mode must be constraint|penalty, got {pressure_mode!r}")
-    if dofmap.gauge_dof >= 0:
-        if mesh is None:
-            raise ValueError("gauge mode needs the mesh for triangle areas")
-        p_dofs = dofmap.off_p + np.arange(dofmap.n_p)
-        g = np.full(dofmap.n_p, dofmap.gauge_dof)
-        system.add(g, p_dofs, mesh.areas)
-        system.add(p_dofs, g, mesh.areas)
-        if pressure_mode == "penalty":
-            system.add([dofmap.gauge_dof], [dofmap.gauge_dof], [-PRESSURE_PENALTY])
-
     A = system.to_csr()
     b = system.rhs.copy()
     c = dofmap.constrained

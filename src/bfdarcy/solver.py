@@ -31,6 +31,11 @@ class SingularSystemError(SolverError):
 # style: ||Ax-b||_inf / (||A||_inf ||x||_inf + ||b||_inf)).
 LU_RESIDUAL_TOL = 1.0e-10
 
+# Penalty variant of the pressure gauge: eliminating the bordered scalar
+# with -PRESSURE_PENALTY on its diagonal adds (p, 1)(q, 1)/PRESSURE_PENALTY
+# exactly, so the pressure mean still vanishes to solver accuracy.
+PRESSURE_PENALTY = 1.0e-8
+
 
 def _normalized_residual(A, x, b):
     num = np.abs(A @ x - b).max() if b.size else 0.0
@@ -42,28 +47,107 @@ def _normalized_residual(A, x, b):
     return num / den if den > 0.0 else num
 
 
-def sparse_lu_solve(A, b):
-    """Solve A x = b by sparse LU with partial pivoting.
+@dataclass(frozen=True)
+class GaugeBorder:
+    """The pressure-gauge border of a system matrix A.
 
-    Raises SingularSystemError on an exactly singular pivot and
-    SolverError if the normalized residual stays above LU_RESIDUAL_TOL
-    even after one step of iterative refinement.
+    The bordered operator is K = A + c e_s^T + e_s c^T - delta e_s e_s^T,
+    where s is ``slot`` (an empty row and column of A), c is ``coupling``
+    (the triangle areas on the pressure DOFs, zero elsewhere) and delta
+    is ``diagonal``: 0 keeps the gauge row exact, PRESSURE_PENALTY makes
+    it a penalty.
+    """
+
+    slot: int
+    coupling: np.ndarray
+    diagonal: float = 0.0
+
+    def bordered(self, A):
+        """K as a CSR matrix."""
+        n = A.shape[0]
+        idx = np.flatnonzero(self.coupling)
+        s = np.full(idx.size, self.slot)
+        rows = np.concatenate([s, idx, [self.slot]])
+        cols = np.concatenate([idx, s, [self.slot]])
+        vals = np.concatenate([self.coupling[idx], self.coupling[idx], [-self.diagonal]])
+        return (A + sp.csr_matrix((vals, (rows, cols)), shape=(n, n))).tocsr()
+
+
+def gauge_border(dofmap, mesh, pressure_mode):
+    """The mean-zero pressure gauge of ``dofmap``, or None without one."""
+    if dofmap.gauge_dof < 0:
+        return None
+    c = np.zeros(dofmap.n_total)
+    c[dofmap.off_p : dofmap.off_p + dofmap.n_p] = mesh.areas
+    delta = PRESSURE_PENALTY if pressure_mode == "penalty" else 0.0
+    return GaugeBorder(dofmap.gauge_dof, c, delta)
+
+
+def sparse_lu_solve(A, b, border=None, full_output=False):
+    """Solve A x = b, or the bordered K x = b, by sparse LU with partial pivoting.
+
+    With a GaugeBorder the dense border row and column are not factored.
+    A is singular only along the constant (p, lambda) mode, so
+    M = A + e_j e_j^T + e_s e_s^T, with j the first pressure DOF, is
+    nonsingular and has the sparsity of A.  Each right-hand side then
+    costs one solve with M plus a 2x2 system for (x_j, x_s):
+
+        x = y0 + x_j y1 - x_s y2,  y0 = M^-1 b_x, y1 = M^-1 e_j, y2 = M^-1 c
+
+    where b_x is b with its gauge entry zeroed; y1 and y2 come from one
+    two-column solve per factorization.
+
+    The residual check and the refinement step act on K itself.  Raises
+    SingularSystemError on an exactly singular pivot and SolverError if
+    the normalized residual stays above LU_RESIDUAL_TOL even after one
+    step of iterative refinement.  With ``full_output`` returns
+    (x, normalized residual, nnz(L+U)).
     """
     A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
+    M, K = A, A
+    if border is not None:
+        c, s = border.coupling, border.slot
+        j = int(np.flatnonzero(c)[0])
+        M = (A + sp.csc_matrix(([1.0, 1.0], ([j, s], [j, s])), shape=A.shape)).tocsc()
+        K = border.bordered(A)
     try:
-        lu = splu(A)
+        lu = splu(M)
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
-    x = lu.solve(b)
+
+    if border is None:
+        solve = lu.solve
+    else:
+        e_j = np.zeros(A.shape[0])
+        e_j[j] = 1.0
+        Y = lu.solve(np.column_stack([e_j, c]))
+        y1, y2 = Y[:, 0], Y[:, 1]
+        G = np.array([[y1[j] - 1.0, -y2[j]], [c @ y1, -(c @ y2) - border.diagonal]])
+
+        def solve(rhs):
+            rhs_x = rhs.copy()
+            rhs_x[s] = 0.0
+            y0 = lu.solve(rhs_x)
+            try:
+                xj, xs = np.linalg.solve(G, [-y0[j], rhs[s] - c @ y0])
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(f"singular gauge border: {exc}") from exc
+            x = y0 + xj * y1 - xs * y2
+            x[s] = xs
+            return x
+
+    x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("sparse LU produced non-finite values")
-    res = _normalized_residual(A, x, b)
+    res = _normalized_residual(K, x, b)
     if res > LU_RESIDUAL_TOL:
-        x = x + lu.solve(b - A @ x)
-        res = _normalized_residual(A, x, b)
+        x = x + solve(b - K @ x)
+        res = _normalized_residual(K, x, b)
         if res > LU_RESIDUAL_TOL:
             raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
+    if full_output:
+        return x, res, int(lu.nnz)
     return x
 
 
@@ -109,6 +193,7 @@ class SolveReport:
     iterations: int
     increments: list
     linear_residuals: list
+    lu_nnz: list
     converged: bool
     dof: int
     tol: float
@@ -134,6 +219,7 @@ def newton_solve(mesh, params, data, options=None):
     interface = build_interface(mesh)
     dofmap = asm.build_dofmap(mesh, interface, data)
     ws = asm.Workspace(mesh, interface, dofmap, degree=opts.quad_degree)
+    border = gauge_border(dofmap, mesh, opts.pressure_mode)
 
     x = np.zeros(dofmap.n_total)
     init = np.asarray(opts.initial, dtype=float)
@@ -156,6 +242,7 @@ def newton_solve(mesh, params, data, options=None):
     nv = dofmap.n_uB + dofmap.n_uD
     increments = []
     residuals = []
+    lu_nnz = []
     converged = False
 
     max_iter = 1 if affine else opts.max_iter
@@ -171,12 +258,13 @@ def newton_solve(mesh, params, data, options=None):
             rhs = asm.assemble_rhs(data, params, mesh, workspace=ws, w=x)
         system.rhs[:] = rhs
 
-        A, b = asm.apply_constraints(system, dofmap, opts.pressure_mode, mesh)
+        A, b = asm.apply_constraints(system, dofmap)
         try:
-            x_new = sparse_lu_solve(A, b)
+            x_new, res, nnz = sparse_lu_solve(A, b, border, full_output=True)
         except SolverError as exc:
             raise SolverError(f"linear solve failed at Newton iteration {it}: {exc}") from exc
-        residuals.append(_normalized_residual(A, x_new, b))
+        residuals.append(res)
+        lu_nnz.append(nnz)
 
         if affine:
             increments.append(0.0)
@@ -198,6 +286,7 @@ def newton_solve(mesh, params, data, options=None):
         iterations=len(increments),
         increments=increments,
         linear_residuals=residuals,
+        lu_nnz=lu_nnz,
         converged=converged,
         dof=dofmap.n_free,
         tol=opts.tol,

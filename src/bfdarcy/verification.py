@@ -270,6 +270,10 @@ def _brinkman_trace_coeffs(fields):
     coefficient minus (|e|/2) n . (c_left + c_right).  Returns
     (c_left.n, c_right.n, amplitude, lengths) with the endpoint order
     following increasing x.
+
+    Edge-bubble and RT0 coefficients are fluxes along the global edge
+    normal, which points out of whichever triangle comes first in the
+    mesh; ``_interface_signs`` turns them into fluxes along n.
     """
     mesh, dofmap, iface = fields.mesh, fields.dofmap, fields.interface
     u_B = fields.u_B
@@ -283,9 +287,15 @@ def _brinkman_trace_coeffs(fields):
     cn = cx * n[0] + cy * n[1]  # (ns, 2) endpoint velocity . n
     swap = mesh.vertices[vb[:, 0], 0] > mesh.vertices[vb[:, 1], 0]
     cn[swap] = cn[swap][:, ::-1]
-    bub = u_B[2 * nv + dofmap.br.edge_local[iface.edge_ids]]
+    bub = _interface_signs(fields) * u_B[2 * nv + dofmap.br.edge_local[iface.edge_ids]]
     amp = bub - 0.5 * lens * cn.sum(axis=1)
     return cn[:, 0], cn[:, 1], amp, lens
+
+
+def _interface_signs(fields):
+    """+1 where an interface edge's global normal is the interface normal n, else -1."""
+    mesh, iface = fields.mesh, fields.interface
+    return mesh.outward_normals()[iface.edge_ids] @ iface.normal
 
 
 def interface_normal_trace(fields, samples_per_edge=11):
@@ -315,7 +325,7 @@ def interface_flux_residual(fields, edge_points=6):
     """
     mesh, dofmap, iface = fields.mesh, fields.dofmap, fields.interface
     cl, cr, amp, lens = _brinkman_trace_coeffs(fields)
-    mean_D = fields.u_D[dofmap.rt.edge_local[iface.edge_ids]] / lens
+    mean_D = _interface_signs(fields) * fields.u_D[dofmap.rt.edge_local[iface.edge_ids]] / lens
 
     s, w = el.edge_rule(edge_points)
     gap = (

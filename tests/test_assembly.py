@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,7 +24,13 @@ from bfdarcy import (
     manufactured_problem,
     newton_solve,
 )
-from bfdarcy.assembly import check_permeabilities, tensor_field, zero_scalar, zero_vector
+from bfdarcy.assembly import (
+    Workspace,
+    check_permeabilities,
+    tensor_field,
+    zero_scalar,
+    zero_vector,
+)
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
@@ -337,6 +345,21 @@ def test_nonlinear_action_is_linear_when_forchheimer_vanishes():
     a_v = assemble_a_nonlinear(v, params, mesh, iface, dofmap)
     a_uv = assemble_a_nonlinear(u + 2.0 * v, params, mesh, iface, dofmap)
     np.testing.assert_allclose(a_uv, a_u + 2.0 * a_v, atol=1e-10)
+
+
+def test_workspace_follows_the_permeability_of_each_call():
+    mesh, iface, data, dofmap = setup()
+    params = PhysicalParams(mu=1.0, forchheimer=10.0, power=3.0, K_B=0.1, K_D=0.1)
+    u = np.random.default_rng(5).normal(size=dofmap.n_total)
+    shared = Workspace(mesh, iface, dofmap)
+    assemble_a_nonlinear(u, params, mesh, workspace=shared)
+
+    for changed in (replace(params, K_B=1.0), replace(params, K_D=1.0)):
+        fresh = Workspace(mesh, iface, dofmap)
+        np.testing.assert_array_equal(
+            assemble_a_nonlinear(u, changed, mesh, workspace=shared),
+            assemble_a_nonlinear(u, changed, mesh, workspace=fresh),
+        )
 
 
 def test_forchheimer_energy_on_a_constant_field():

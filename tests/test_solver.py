@@ -5,17 +5,31 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu, spsolve
 
 from bfdarcy import (
     PhysicalParams,
     SingularSystemError,
     SolverError,
+    SparseSystem,
+    apply_constraints,
+    assemble_b,
+    assemble_da,
+    assemble_rhs,
     generate_stacked_rect,
     manufactured_problem,
     newton_solve,
+    pressure_mean,
     sparse_lu_solve,
 )
-from bfdarcy.solver import NewtonOptions, nonlinear_residual
+from bfdarcy import solver
+from bfdarcy.solver import (
+    LU_RESIDUAL_TOL,
+    PRESSURE_PENALTY,
+    GaugeBorder,
+    NewtonOptions,
+    nonlinear_residual,
+)
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
@@ -71,8 +85,93 @@ def test_lu_rejects_singular_matrices():
         sparse_lu_solve(A.tocsr(), np.ones(3))
 
 
+class CountingLU:
+    """SuperLU wrapper that counts triangular solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+        self.nnz = lu.nnz
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+def test_lu_solves_a_gauge_border_on_a_singular_block(delta, monkeypatch):
+    # A graph Laplacian is singular along the constant vector only; the
+    # last row and column are the empty slot of the gauge scalar.
+    rng = np.random.default_rng(8)
+    n = 30
+    W = np.triu(rng.uniform(0.5, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.2), 1)
+    W += np.diag(np.ones(n - 1), 1)  # keep the graph connected
+    W = W + W.T
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = np.diag(W.sum(axis=1)) - W
+    c = np.zeros(n + 1)
+    c[10:n] = rng.uniform(0.1, 1.0, size=n - 10)
+    K = A + np.outer(c, np.eye(n + 1)[n]) + np.outer(np.eye(n + 1)[n], c)
+    K[n, n] = -delta
+    b = rng.normal(size=n + 1)
+
+    factors = []
+
+    def counting_splu(M):
+        factors.append(CountingLU(splu(M)))
+        return factors[-1]
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+
+    x, res, nnz = sparse_lu_solve(
+        sp.csr_matrix(A), b, GaugeBorder(n, c, delta), full_output=True
+    )
+    np.testing.assert_allclose(x, np.linalg.solve(K, b), rtol=1e-10, atol=1e-12)
+    assert res <= LU_RESIDUAL_TOL
+    # one factor of the unbordered block, one two-column solve for the
+    # border, one solve for b: the recovery is exact, so no refinement
+    assert len(factors) == 1 and factors[0].solves == 2
+    assert nnz == factors[0].nnz > 0
+
+
 def test_lu_error_is_a_solver_error():
     assert issubclass(SingularSystemError, SolverError)
+
+
+@pytest.mark.parametrize("mode", ["constraint", "penalty"])
+def test_gauge_solve_matches_the_factored_bordered_system(mode):
+    # F = 0 makes the problem affine: newton_solve performs exactly one
+    # linear solve, so its result is the solution of the bordered system.
+    mesh, params, data = manufactured(nx=8, forchheimer=0.0)
+    fields, report = newton_solve(mesh, params, data, NewtonOptions(pressure_mode=mode))
+    dofmap = fields.dofmap
+    assert dofmap.gauge_dof >= 0
+
+    system = SparseSystem(dofmap.n_total)
+    system.add(*assemble_da(fields.x, params, mesh, dofmap=dofmap))
+    system.add(*assemble_b(mesh, dofmap=dofmap))
+    system.rhs[:] = assemble_rhs(data, params, mesh, dofmap=dofmap)
+    A, b = apply_constraints(system, dofmap)
+    p_dofs = dofmap.off_p + np.arange(dofmap.n_p)
+    g = np.full(dofmap.n_p, dofmap.gauge_dof)
+    delta = PRESSURE_PENALTY if mode == "penalty" else 0.0
+    border = sp.coo_matrix(
+        (
+            np.concatenate([mesh.areas, mesh.areas, [-delta]]),
+            (np.concatenate([g, p_dofs, [dofmap.gauge_dof]]),
+             np.concatenate([p_dofs, g, [dofmap.gauge_dof]])),
+        ),
+        shape=A.shape,
+    )
+    K = sp.csc_matrix(A + border)
+    x_ref = spsolve(K, b)
+
+    x = fields.x
+    assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
+    assert abs(pressure_mean(fields)) <= 1e-12
+    res = np.abs(K @ x - b).max() / (abs(K).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+    assert res <= LU_RESIDUAL_TOL
+    assert report.linear_residuals[0] <= LU_RESIDUAL_TOL
 
 
 # ---------------------------------------------------------------- Newton
@@ -134,6 +233,13 @@ def test_newton_solution_is_initial_guess_independent():
     nv = f1.dofmap.n_uB + f1.dofmap.n_uD
     # both runs end in the same basin: velocities agree to solver tolerance
     assert np.abs(f1.x[:nv] - f2.x[:nv]).max() < 1e-7
+
+
+def test_report_records_lu_fill_per_iteration():
+    mesh, params, data = manufactured(forchheimer=10.0)
+    _, report = newton_solve(mesh, params, data)
+    assert len(report.lu_nnz) == report.iterations == len(report.linear_residuals)
+    assert all(isinstance(n, int) and n > 0 for n in report.lu_nnz)
 
 
 def test_report_dof_counts_free_field_unknowns():

@@ -21,10 +21,12 @@ from bfdarcy import (
     heterogeneous_flow_problem,
     interface_flux_residual,
     interface_normal_trace,
+    load_mesh,
     manufactured_problem,
     newton_solve,
     pointwise_property_suite,
     pressure_mean,
+    save_mesh,
 )
 from bfdarcy.verification import CSV_HEADER, compute_errors
 
@@ -301,6 +303,30 @@ def test_interface_normal_trace_matches_the_flux():
     dofmap = fields.dofmap
     rt_flux = -fields.u_D[dofmap.rt.edge_local[iface.edge_ids]].sum()
     assert total == pytest.approx(rt_flux, abs=1e-3)
+
+
+def test_interface_checks_do_not_depend_on_triangle_order(tmp_path):
+    # The global edge normal points out of whichever triangle comes first,
+    # so listing the D triangles first flips every interface edge normal.
+    params, data, (rect_B, rect_D) = heterogeneous_flow_problem(10.0)
+    mesh = generate_stacked_rect(rect_B, rect_D, 8, 4, 4)
+    save_mesh(mesh, tmp_path / "b_first.mesh")
+    lines = (tmp_path / "b_first.mesh").read_text().splitlines()
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    tris = lines[2 + nv : 2 + nv + nt]
+    d_first = [t for t in tris if t.endswith(" D")] + [t for t in tris if t.endswith(" B")]
+    lines[2 + nv : 2 + nv + nt] = d_first
+    (tmp_path / "d_first.mesh").write_text("\n".join(lines) + "\n")
+    reordered = load_mesh(tmp_path / "d_first.mesh")
+    assert reordered.subdomain[0] == "D"
+
+    fields_b, _ = newton_solve(mesh, params, data)
+    fields_d, _ = newton_solve(reordered, params, data)
+    assert interface_flux_residual(fields_b) <= 1e-8
+    assert interface_flux_residual(fields_d) <= 1e-8
+    peak_b = np.abs(interface_normal_trace(fields_b)[1]).max()
+    peak_d = np.abs(interface_normal_trace(fields_d)[1]).max()
+    assert peak_d == pytest.approx(peak_b, rel=1e-9)
 
 
 # --------------------------------------------------------- pointwise suite
