@@ -31,7 +31,6 @@ from .assembly import (
     PhysicalParams,
     ProblemData,
     DofMap,
-    SparseSystem,
     build_dofmap,
     assemble_a_nonlinear,
     assemble_da,
@@ -80,7 +79,6 @@ __all__ = [
     "PhysicalParams",
     "ProblemData",
     "DofMap",
-    "SparseSystem",
     "build_dofmap",
     "assemble_a_nonlinear",
     "assemble_da",

@@ -15,15 +15,18 @@ and its Gateaux derivative at w adds the rank-one Forchheimer coupling
 F (p-2) (|w|^(p-4) (w . u) w, v).  The linearized step solves for the new
 iterate directly, with the correction F (p-2) (|w|^(p-2) w, v) on the
 right-hand side.
+
+Every matrix lives on the one CSR pattern a ``Workspace`` builds per
+mesh, and ``apply_constraints`` restricts it to the free DOFs by index.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import elements as el
-from .mesh import GAMMA_B_TAGS, GAMMA_D_TAGS, build_interface
+from .mesh import GAMMA_B_TAGS, GAMMA_D_TAGS
 
 # Below this speed the Forchheimer weights |w|^(p-2) and |w|^(p-4) are
 # continuously extended by zero; for p < 4 the latter is singular at 0.
@@ -165,8 +168,10 @@ class DofMap:
 
     ``constrained`` lists essential DOFs (Dirichlet vertex/bubble values
     on the Brinkman boundary, prescribed fluxes on the Darcy boundary) in
-    increasing order with their values; they stay in the system and are
-    eliminated symmetrically by ``apply_constraints``.
+    increasing order with their values.  They are not unknowns of the
+    linear solve: ``apply_constraints`` keeps only the free rows and
+    columns and moves the constrained columns, times these values, to the
+    right-hand side.
     """
 
     br: el.BRSpace
@@ -293,10 +298,17 @@ def build_dofmap(mesh, interface, data):
 
 
 class Workspace:
-    """Per-mesh cache of quadrature points and basis tables.
+    """Per-mesh assembly context: basis tables, the operator's CSR pattern
+    and the restriction to free DOFs.
 
-    Building these tables once per solve keeps the Newton loop down to
-    re-weighting existing arrays.
+    The spaces on a fixed mesh give an operator whose sparsity never
+    changes, so the pattern is built once here.  Each local block has a
+    slot array (``slots_B``, ``slots_D``, ``slots_b``) mapping its element
+    entries to positions in the CSR ``data``; assembling is one
+    ``np.bincount`` per block.  ``free`` lists the unconstrained DOFs (the
+    gauge scalar included), and ``apply_constraints`` gathers the
+    free-free submatrix and lifts the constrained columns with index
+    arrays built here.
     """
 
     def __init__(self, mesh, interface, dofmap, degree=6, edge_points=4):
@@ -330,38 +342,33 @@ class Workspace:
         self.p_dof_D = dofmap.off_p + td
 
         self._build_interface_tables()
+        self._build_pattern()
         self._kinv = {}
 
     def _build_interface_tables(self):
         iface, mesh, dof = self.interface, self.mesh, self.dofmap
         ns = iface.num_edges
         t, w = el.edge_rule(self.edge_points)
-        nqe = t.size
         eids = iface.edge_ids
         a = mesh.vertices[iface.edge_verts[:, 0]]
         b = mesh.vertices[iface.edge_verts[:, 1]]
         self.spts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
         self.swts = mesh.edge_lengths[eids][:, None] * w[None, :]
 
-        # Brinkman traces: barycentric coordinates of the edge points in
-        # the incident B triangle, then the nine basis functions there.
-        tri_b = mesh.triangles[iface.tri_B]
-        locL = np.argmax(tri_b == iface.edge_verts[:, :1], axis=1)
-        locR = np.argmax(tri_b == iface.edge_verts[:, 1:2], axis=1)
-        bary = np.zeros((ns, nqe, 3))
-        bary[np.arange(ns)[:, None], np.arange(nqe)[None, :], locL[:, None]] = 1.0 - t[None, :]
-        bary[np.arange(ns)[:, None], np.arange(nqe)[None, :], locR[:, None]] = t[None, :]
+        # Brinkman traces: the nine basis functions of the incident B
+        # triangle at the edge points.
+        bary = _edge_bary(mesh, iface.edge_verts, iface.tri_B, self.edge_points)
         self.sphi, _ = el.br_basis(
-            mesh.vertices[tri_b], mesh.tri_edge_signs[iface.tri_B], bary
+            mesh.vertices[mesh.triangles[iface.tri_B]], mesh.tri_edge_signs[iface.tri_B], bary
         )
-        self.sl2g_B = dof.br.l2g[_index_of(dof.br.tri_ids, iface.tri_B)]
+        self.sl2g_B = dof.br.l2g[np.searchsorted(dof.br.tri_ids, iface.tri_B)]
 
         self.spsi, _ = el.rt0_basis(
             mesh.vertices[mesh.triangles[iface.tri_D]],
             mesh.tri_edge_signs[iface.tri_D],
             self.spts,
         )
-        self.sl2g_D = dof.off_uD + dof.rt.l2g[_index_of(dof.rt.tri_ids, iface.tri_D)]
+        self.sl2g_D = dof.off_uD + dof.rt.l2g[np.searchsorted(dof.rt.tri_ids, iface.tri_D)]
 
         # Multiplier hats: each interface edge lies in macro edge k // 2
         # and sees exactly the two hats of that macro edge's ends.
@@ -371,6 +378,63 @@ class Workspace:
         frac = (self.spts[..., 0] - xl[:, None]) / (xr - xl)[:, None]
         self.shat = np.stack([1.0 - frac, frac], axis=2)  # (ns, nqe, 2)
         self.snodes = dof.off_lam + np.stack([macro, macro + 1], axis=1)
+
+    def _build_pattern(self):
+        dof = self.dofmap
+        n = dof.n_total
+        l2g_B = dof.br.l2g
+        l2g_D = dof.off_uD + dof.rt.l2g
+        # Coupling entries in the order of _coupling_entries: pressure
+        # rows against both velocities, then multiplier rows against both
+        # interface traces; the transposed entries follow.
+        coupling = [
+            np.broadcast_arrays(self.p_dof_B[:, None], l2g_B),
+            np.broadcast_arrays(self.p_dof_D[:, None], l2g_D),
+            np.broadcast_arrays(self.snodes[:, None, :], self.sl2g_B[:, :, None]),
+            np.broadcast_arrays(self.snodes[:, None, :], self.sl2g_D[:, :, None]),
+        ]
+        rows_b = np.concatenate([r.ravel() for r, _ in coupling])
+        cols_b = np.concatenate([c.ravel() for _, c in coupling])
+        blocks = [
+            np.broadcast_arrays(l2g_B[:, :, None], l2g_B[:, None, :]),
+            np.broadcast_arrays(l2g_D[:, :, None], l2g_D[:, None, :]),
+            (np.concatenate([rows_b, cols_b]), np.concatenate([cols_b, rows_b])),
+        ]
+        keys = np.concatenate([r.ravel() * n + c.ravel() for r, c in blocks])
+        keys, slots = np.unique(keys, return_inverse=True)
+        rows, cols = np.divmod(keys, n)
+        self.nnz = keys.size
+        self.indices = cols
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        sizes = np.cumsum([r.size for r, _ in blocks])
+        self.slots_B, self.slots_D, self.slots_b = np.split(slots, sizes[:-1])
+
+        is_free = np.ones(n, dtype=bool)
+        is_free[dof.constrained] = False
+        self.free = np.flatnonzero(is_free)
+        reduced = np.full(n, -1)
+        reduced[self.free] = np.arange(self.free.size)
+        ff = is_free[rows] & is_free[cols]
+        self.ff_pos = np.flatnonzero(ff)
+        self.ff_indices = reduced[cols[ff]]
+        self.ff_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(reduced[rows[ff]], minlength=self.free.size))]
+        )
+        lift = is_free[rows] & ~is_free[cols]
+        self.lift_pos = np.flatnonzero(lift)
+        self.lift_rows = reduced[rows[lift]]
+        x_c = np.zeros(n)
+        x_c[dof.constrained] = dof.constrained_values
+        self.lift_values = x_c[cols[lift]]
+
+    def scatter(self, slots, local):
+        """CSR data holding the local entries ``local`` summed into ``slots``."""
+        return np.bincount(slots, local.ravel(), minlength=self.nnz)
+
+    def csr(self, data):
+        """The n_total x n_total CSR matrix with ``data`` on this pattern."""
+        n = self.dofmap.n_total
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
     def _inverse_permeability(self, region, K, qpts):
         # Keyed on the permeability object, so a workspace shared between
@@ -388,56 +452,37 @@ class Workspace:
         return self._inverse_permeability("D", params.K_D, self.qpts_D)
 
 
-def _index_of(sorted_ids, query):
-    pos = np.searchsorted(sorted_ids, query)
-    return pos
+def _edge_bary(mesh, edge_verts, tri, npts):
+    """Barycentric coordinates, in triangle ``tri``, of the edge rule's
+    points (1 - t) a + t b on the edge with endpoints ``edge_verts`` (a, b)."""
+    t, _ = el.edge_rule(npts)
+    tverts = mesh.triangles[tri]
+    loc0 = np.argmax(tverts == edge_verts[:, :1], axis=1)
+    loc1 = np.argmax(tverts == edge_verts[:, 1:2], axis=1)
+    ns, nqe = tri.size, t.size
+    bary = np.zeros((ns, nqe, 3))
+    bary[np.arange(ns)[:, None], np.arange(nqe)[None, :], loc0[:, None]] = 1.0 - t[None, :]
+    bary[np.arange(ns)[:, None], np.arange(nqe)[None, :], loc1[:, None]] = t[None, :]
+    return bary
 
 
-class SparseSystem:
-    """COO triplet accumulator with a dense right-hand side."""
-
-    def __init__(self, n):
-        self.n = n
-        self.rhs = np.zeros(n)
-        self._rows = []
-        self._cols = []
-        self._vals = []
-
-    def add(self, rows, cols, vals):
-        self._rows.append(np.asarray(rows).ravel())
-        self._cols.append(np.asarray(cols).ravel())
-        self._vals.append(np.asarray(vals, dtype=float).ravel())
-
-    def add_rhs(self, dofs, vals):
-        np.add.at(self.rhs, np.asarray(dofs).ravel(), np.asarray(vals, dtype=float).ravel())
-
-    @property
-    def triplets(self):
-        if self._rows:
-            return (
-                np.concatenate(self._rows),
-                np.concatenate(self._cols),
-                np.concatenate(self._vals),
-            )
-        return np.empty(0, int), np.empty(0, int), np.empty(0)
-
-    def to_csr(self):
-        rows, cols, vals = self.triplets
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
-        A.sum_duplicates()
-        return A
-
-
-def _forchheimer_weights(w_uB, params, ws):
-    """Speed-dependent weights |w|^(p-2), |w|^(p-4) and w at quadrature points."""
-    cw = w_uB[ws.dofmap.br.l2g]
-    wfield = np.einsum("ma,maqd->mqd", cw, ws.phi)
-    speed = np.linalg.norm(wfield, axis=2)
+def _speed_weights(field, power):
+    """|field|^(p-2) and |field|^(p-4) at quadrature points, continued by
+    zero below SPEED_FLOOR."""
+    speed = np.linalg.norm(field, axis=2)
     small = speed < SPEED_FLOOR
     safe = np.where(small, 1.0, speed)
-    s_p2 = np.where(small, 0.0, safe ** (params.power - 2.0))
-    s_p4 = np.where(small, 0.0, safe ** (params.power - 4.0))
-    return wfield, s_p2, s_p4
+    return (
+        np.where(small, 0.0, safe ** (power - 2.0)),
+        np.where(small, 0.0, safe ** (power - 4.0)),
+    )
+
+
+def _forchheimer_weights(w, params, ws):
+    """The Brinkman field w and its weights |w|^(p-2), |w|^(p-4) at quadrature points."""
+    cw = w[: ws.dofmap.n_uB][ws.dofmap.br.l2g]
+    wfield = np.einsum("ma,maqd->mqd", cw, ws.phi)
+    return (wfield, *_speed_weights(wfield, params.power))
 
 
 def _velocity_linear_local(params, ws):
@@ -451,86 +496,58 @@ def _velocity_linear_local(params, ws):
     return stiff + mass_B, mass_D
 
 
-def _forchheimer_local(w_uB, params, ws, derivative=True):
+def _forchheimer_local(w, params, ws):
     F, p = params.forchheimer, params.power
-    wfield, s_p2, s_p4 = _forchheimer_weights(w_uB, params, ws)
+    wfield, s_p2, s_p4 = _forchheimer_weights(w, params, ws)
     loc = F * np.einsum("mq,maqd,mbqd,mq->mab", s_p2, ws.phi, ws.phi, ws.wq_B)
-    if derivative:
-        dots = np.einsum("mqd,maqd->maq", wfield, ws.phi)
-        loc += F * (p - 2.0) * np.einsum("mq,maq,mbq,mq->mab", s_p4, dots, dots, ws.wq_B)
+    dots = np.einsum("mqd,maqd->maq", wfield, ws.phi)
+    loc += F * (p - 2.0) * np.einsum("mq,maq,mbq,mq->mab", s_p4, dots, dots, ws.wq_B)
     return loc
 
 
-def _scatter_square(system, l2g, local):
-    rows = np.broadcast_to(l2g[:, :, None], local.shape)
-    cols = np.broadcast_to(l2g[:, None, :], local.shape)
-    system.add(rows, cols, local)
+def forchheimer_data(w, params, ws):
+    """CSR data, on the workspace pattern, of the Forchheimer block of Da(w)."""
+    return ws.scatter(ws.slots_B, _forchheimer_local(w, params, ws))
 
 
-def assemble_da(w, params, mesh, interface=None, dofmap=None, workspace=None, data=None):
-    """Triplets of the Gateaux derivative Da(w) on the velocity blocks.
+def assemble_da(w, params, ws):
+    """Gateaux derivative Da(w) on the velocity blocks, as a CSR matrix on
+    the workspace pattern.
 
     ``w`` is a full solution vector (only its u_B block matters).
-    Returns (rows, cols, vals).
     """
-    ws = _ensure_workspace(mesh, interface, dofmap, workspace, data)
-    system = SparseSystem(ws.dofmap.n_total)
     loc_B, loc_D = _velocity_linear_local(params, ws)
+    data = ws.scatter(ws.slots_B, loc_B) + ws.scatter(ws.slots_D, loc_D)
     if params.forchheimer > 0.0:
-        loc_B = loc_B + _forchheimer_local(w[: ws.dofmap.n_uB], params, ws)
-    _scatter_square(system, ws.dofmap.br.l2g, loc_B)
-    _scatter_square(system, ws.dofmap.off_uD + ws.dofmap.rt.l2g, loc_D)
-    return system.triplets
+        data += forchheimer_data(w, params, ws)
+    return ws.csr(data)
 
 
-def assemble_b(mesh, interface=None, dofmap=None, workspace=None, data=None):
-    """Triplets of the velocity/(pressure, multiplier) coupling, both sides.
+def assemble_b(ws):
+    """Velocity/(pressure, multiplier) coupling, both sides, as a CSR
+    matrix on the workspace pattern.
 
     Contains -(q, div v_B) - (q, div v_D) on the pressure rows,
     <v_B . n - v_D . n, xi> on the multiplier rows, and the transposes on
     the velocity rows.
     """
-    ws = _ensure_workspace(mesh, interface, dofmap, workspace, data)
-    system = SparseSystem(ws.dofmap.n_total)
-    _add_b_triplets(system, ws)
-    return system.triplets
+    return ws.csr(ws.scatter(ws.slots_b, _coupling_entries(ws)))
 
 
-def _add_b_triplets(system, ws):
-    dof = ws.dofmap
-    ent_B = -np.einsum("maq,mq->ma", ws.div_phi, ws.wq_B)
-    rows = np.broadcast_to(ws.p_dof_B[:, None], ent_B.shape)
-    system.add(rows, dof.br.l2g, ent_B)
-    system.add(dof.br.l2g, rows, ent_B)
-
-    ent_D = -ws.div_psi * ws.area_D[:, None]
-    rows = np.broadcast_to(ws.p_dof_D[:, None], ent_D.shape)
-    system.add(rows, dof.off_uD + dof.rt.l2g, ent_D)
-    system.add(dof.off_uD + dof.rt.l2g, rows, ent_D)
-
+def _coupling_entries(ws):
     n = ws.interface.normal
+    ent_pB = -np.einsum("maq,mq->ma", ws.div_phi, ws.wq_B)
+    ent_pD = -ws.div_psi * ws.area_D[:, None]
     tr_B = np.einsum("maqd,d->maq", ws.sphi, n)
-    ent = np.einsum("maq,mqj,mq->maj", tr_B, ws.shat, ws.swts)  # (ns, 9, 2)
-    rows = np.broadcast_to(ws.snodes[:, None, :], ent.shape)
-    cols = np.broadcast_to(ws.sl2g_B[:, :, None], ent.shape)
-    system.add(rows, cols, ent)
-    system.add(cols, rows, ent)
-
+    ent_sB = np.einsum("maq,mqj,mq->maj", tr_B, ws.shat, ws.swts)  # (ns, 9, 2)
     tr_D = np.einsum("maqd,d->maq", ws.spsi, n)
-    ent = -np.einsum("maq,mqj,mq->maj", tr_D, ws.shat, ws.swts)  # (ns, 3, 2)
-    rows = np.broadcast_to(ws.snodes[:, None, :], ent.shape)
-    cols = np.broadcast_to(ws.sl2g_D[:, :, None], ent.shape)
-    system.add(rows, cols, ent)
-    system.add(cols, rows, ent)
+    ent_sD = -np.einsum("maq,mqj,mq->maj", tr_D, ws.shat, ws.swts)  # (ns, 3, 2)
+    ent = np.concatenate([e.ravel() for e in (ent_pB, ent_pD, ent_sB, ent_sD)])
+    return np.concatenate([ent, ent])
 
 
-def assemble_rhs(data, params, mesh, interface=None, dofmap=None, workspace=None, w=None):
-    """Right-hand side vector: loads, boundary and interface data.
-
-    With ``w`` given, the Newton correction F (p-2) (|w|^(p-2) w, v_B) is
-    included; without it the vector is the plain load functional.
-    """
-    ws = _ensure_workspace(mesh, interface, dofmap, workspace, data)
+def assemble_rhs(data, ws):
+    """Right-hand side vector: loads, boundary and interface data."""
     dof = ws.dofmap
     rhs = np.zeros(dof.n_total)
 
@@ -552,14 +569,16 @@ def assemble_rhs(data, params, mesh, interface=None, dofmap=None, workspace=None
         )
 
     _add_natural_bc(rhs, data, ws)
-
-    if w is not None and params.forchheimer > 0.0:
-        wfield, s_p2, _ = _forchheimer_weights(w[: dof.n_uB], params, ws)
-        corr = params.forchheimer * (params.power - 2.0) * np.einsum(
-            "mq,mqd,maqd,mq->ma", s_p2, wfield, ws.phi, ws.wq_B
-        )
-        np.add.at(rhs, dof.br.l2g, corr)
     return rhs
+
+
+def forchheimer_rhs(w, params, ws):
+    """The Newton right-hand-side correction F (p-2) (|w|^(p-2) w, v_B)."""
+    wfield, s_p2, _ = _forchheimer_weights(w, params, ws)
+    corr = params.forchheimer * (params.power - 2.0) * np.einsum(
+        "mq,mqd,maqd,mq->ma", s_p2, wfield, ws.phi, ws.wq_B
+    )
+    return np.bincount(ws.dofmap.br.l2g.ravel(), corr.ravel(), minlength=ws.dofmap.n_total)
 
 
 def _add_natural_bc(rhs, data, ws):
@@ -573,13 +592,13 @@ def _add_natural_bc(rhs, data, ws):
             continue
         pts, wts = _edge_points(mesh, eids, ws.edge_points)
         tri = mesh.edge_tris[eids, 0]
-        bary = _edge_bary(mesh, eids, tri, ws.edge_points)
+        bary = _edge_bary(mesh, mesh.edges[eids], tri, ws.edge_points)
         phi, _ = el.br_basis(
             mesh.vertices[mesh.triangles[tri]], mesh.tri_edge_signs[tri], bary
         )
         nrm = np.repeat(normals[eids][:, None, :], pts.shape[1], axis=1)
         tv = np.asarray(fn(pts.reshape(-1, 2), nrm.reshape(-1, 2))).reshape(pts.shape)
-        l2g = dof.br.l2g[_index_of(dof.br.tri_ids, tri)]
+        l2g = dof.br.l2g[np.searchsorted(dof.br.tri_ids, tri)]
         np.add.at(rhs, l2g, np.einsum("mqd,maqd,mq->ma", tv, phi, wts))
 
     for tag, (kind, fn) in data.darcy_bc.items():
@@ -595,30 +614,15 @@ def _add_natural_bc(rhs, data, ws):
         )
         pv = np.asarray(fn(pts.reshape(-1, 2))).reshape(wts.shape)
         tr = np.einsum("maqd,mqd->maq", psi, np.repeat(normals[eids][:, None, :], pts.shape[1], axis=1))
-        l2g = dof.off_uD + dof.rt.l2g[_index_of(dof.rt.tri_ids, tri)]
+        l2g = dof.off_uD + dof.rt.l2g[np.searchsorted(dof.rt.tri_ids, tri)]
         np.add.at(rhs, l2g, -np.einsum("mq,maq,mq->ma", pv, tr, wts))
 
 
-def _edge_bary(mesh, eids, tri, npts):
-    t, _ = el.edge_rule(npts)
-    tverts = mesh.triangles[tri]
-    v0 = mesh.edges[eids, 0]
-    v1 = mesh.edges[eids, 1]
-    loc0 = np.argmax(tverts == v0[:, None], axis=1)
-    loc1 = np.argmax(tverts == v1[:, None], axis=1)
-    ns, nqe = eids.size, t.size
-    bary = np.zeros((ns, nqe, 3))
-    bary[np.arange(ns)[:, None], np.arange(nqe)[None, :], loc0[:, None]] = 1.0 - t[None, :]
-    bary[np.arange(ns)[:, None], np.arange(nqe)[None, :], loc1[:, None]] = t[None, :]
-    return bary
-
-
-def assemble_a_nonlinear(u, params, mesh, interface=None, dofmap=None, workspace=None, data=None):
+def assemble_a_nonlinear(u, params, ws):
     """Action [a(u), v] for every velocity test function, as a full vector.
 
     Entries outside the velocity blocks are zero.
     """
-    ws = _ensure_workspace(mesh, interface, dofmap, workspace, data)
     dof = ws.dofmap
     out = np.zeros(dof.n_total)
 
@@ -630,9 +634,7 @@ def assemble_a_nonlinear(u, params, mesh, interface=None, dofmap=None, workspace
         "mqij,mqj,maqi,mq->ma", ws.kinv_B(params), ufield, ws.phi, ws.wq_B
     )
     if params.forchheimer > 0.0:
-        speed = np.linalg.norm(ufield, axis=2)
-        small = speed < SPEED_FLOOR
-        s_p2 = np.where(small, 0.0, np.where(small, 1.0, speed) ** (params.power - 2.0))
+        s_p2, _ = _speed_weights(ufield, params.power)
         ent += params.forchheimer * np.einsum(
             "mq,mqd,maqd,mq->ma", s_p2, ufield, ws.phi, ws.wq_B
         )
@@ -645,37 +647,17 @@ def assemble_a_nonlinear(u, params, mesh, interface=None, dofmap=None, workspace
     return out
 
 
-def _ensure_workspace(mesh, interface, dofmap, workspace, data):
-    if workspace is not None:
-        return workspace
-    if interface is None:
-        interface = build_interface(mesh)
-    if dofmap is None:
-        if data is None:
-            data = ProblemData()
-        dofmap = build_dofmap(mesh, interface, data)
-    return Workspace(mesh, interface, dofmap)
+def apply_constraints(ws, data, rhs):
+    """Restrict the system (CSR ``data`` on the workspace pattern, load
+    vector ``rhs``) to the free DOFs.
 
-
-def apply_constraints(system, dofmap):
-    """Eliminate essential DOFs symmetrically.
-
-    Returns (A, rhs) with constrained rows/columns replaced by the
-    identity and their values moved to the right-hand side.  The
-    pressure gauge, if any, is not added here: its row and column stay
-    empty and ``solver.sparse_lu_solve`` applies the border.
+    Returns (A_ff, b_f): A_ff = A[free, free] as a CSR matrix whose
+    structure is the same on every call, and b_f = rhs[free] - A_fc x_c
+    with x_c the prescribed values of the constrained DOFs.  The pressure
+    gauge, if any, is a free DOF whose row and column stay empty;
+    ``solver.sparse_lu_solve`` applies the border.
     """
-    A = system.to_csr()
-    b = system.rhs.copy()
-    c = dofmap.constrained
-    if c.size:
-        xc = np.zeros(dofmap.n_total)
-        xc[c] = dofmap.constrained_values
-        b -= A @ xc
-        keep = np.ones(dofmap.n_total)
-        keep[c] = 0.0
-        Dk = sp.diags(keep)
-        A = (Dk @ A @ Dk).tocsr()
-        A = A + sp.diags(1.0 - keep)
-        b[c] = dofmap.constrained_values
-    return A.tocsr(), b
+    n = ws.free.size
+    A = sp.csr_matrix((data[ws.ff_pos], ws.ff_indices, ws.ff_indptr), shape=(n, n))
+    lift = np.bincount(ws.lift_rows, data[ws.lift_pos] * ws.lift_values, minlength=n)
+    return A, rhs[ws.free] - lift

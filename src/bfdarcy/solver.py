@@ -8,7 +8,7 @@ vector drops to the tolerance; with a vanishing Forchheimer coefficient
 the operator is affine and a single solve is the exact discrete solution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,14 +73,16 @@ class GaugeBorder:
         return (A + sp.csr_matrix((vals, (rows, cols)), shape=(n, n))).tocsr()
 
 
-def gauge_border(dofmap, mesh, pressure_mode):
-    """The mean-zero pressure gauge of ``dofmap``, or None without one."""
+def gauge_border(ws, pressure_mode):
+    """The mean-zero pressure gauge in the free-DOF numbering of
+    ``apply_constraints``, or None without one."""
+    dofmap = ws.dofmap
     if dofmap.gauge_dof < 0:
         return None
     c = np.zeros(dofmap.n_total)
-    c[dofmap.off_p : dofmap.off_p + dofmap.n_p] = mesh.areas
+    c[dofmap.off_p : dofmap.off_p + dofmap.n_p] = ws.mesh.areas
     delta = PRESSURE_PENALTY if pressure_mode == "penalty" else 0.0
-    return GaugeBorder(dofmap.gauge_dof, c, delta)
+    return GaugeBorder(int(np.searchsorted(ws.free, dofmap.gauge_dof)), c[ws.free], delta)
 
 
 def sparse_lu_solve(A, b, border=None, full_output=False):
@@ -101,7 +103,7 @@ def sparse_lu_solve(A, b, border=None, full_output=False):
     SingularSystemError on an exactly singular pivot and SolverError if
     the normalized residual stays above LU_RESIDUAL_TOL even after one
     step of iterative refinement.  With ``full_output`` returns
-    (x, normalized residual, nnz(L+U)).
+    (x, normalized residual, nnz(L+U), whether the refinement step ran).
     """
     A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -141,13 +143,14 @@ def sparse_lu_solve(A, b, border=None, full_output=False):
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("sparse LU produced non-finite values")
     res = _normalized_residual(K, x, b)
-    if res > LU_RESIDUAL_TOL:
+    refined = bool(res > LU_RESIDUAL_TOL)
+    if refined:
         x = x + solve(b - K @ x)
         res = _normalized_residual(K, x, b)
         if res > LU_RESIDUAL_TOL:
             raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
     if full_output:
-        return x, res, int(lu.nnz)
+        return x, res, int(lu.nnz), refined
     return x
 
 
@@ -194,6 +197,7 @@ class SolveReport:
     increments: list
     linear_residuals: list
     lu_nnz: list
+    refinements: list
     converged: bool
     dof: int
     tol: float
@@ -219,7 +223,7 @@ def newton_solve(mesh, params, data, options=None):
     interface = build_interface(mesh)
     dofmap = asm.build_dofmap(mesh, interface, data)
     ws = asm.Workspace(mesh, interface, dofmap, degree=opts.quad_degree)
-    border = gauge_border(dofmap, mesh, opts.pressure_mode)
+    border = gauge_border(ws, opts.pressure_mode)
 
     x = np.zeros(dofmap.n_total)
     init = np.asarray(opts.initial, dtype=float)
@@ -229,12 +233,13 @@ def newton_solve(mesh, params, data, options=None):
     if dofmap.constrained.size:
         x[dofmap.constrained] = dofmap.constrained_values
 
-    static = asm.SparseSystem(dofmap.n_total)
-    loc_B, loc_D = asm._velocity_linear_local(params, ws)
-    asm._scatter_square(static, dofmap.br.l2g, loc_B)
-    asm._scatter_square(static, dofmap.off_uD + dofmap.rt.l2g, loc_D)
-    asm._add_b_triplets(static, ws)
-    base_rhs = asm.assemble_rhs(data, params, mesh, workspace=ws)
+    # The operator is Da(x) + b on the workspace's fixed pattern.  Da at
+    # F = 0 is its linear part; only the Forchheimer block changes with x.
+    static = (
+        asm.assemble_da(x, replace(params, forchheimer=0.0), ws).data
+        + asm.assemble_b(ws).data
+    )
+    base_rhs = asm.assemble_rhs(data, ws)
 
     affine = params.forchheimer == 0.0
     # The Newton map feeds back only through the velocity iterate, so the
@@ -243,28 +248,27 @@ def newton_solve(mesh, params, data, options=None):
     increments = []
     residuals = []
     lu_nnz = []
+    refinements = []
     converged = False
 
     max_iter = 1 if affine else opts.max_iter
     for it in range(1, max_iter + 1):
-        system = asm.SparseSystem(dofmap.n_total)
-        system._rows = list(static._rows)
-        system._cols = list(static._cols)
-        system._vals = list(static._vals)
-        rhs = base_rhs
+        values, rhs = static, base_rhs
         if not affine:
-            loc_F = asm._forchheimer_local(x[: dofmap.n_uB], params, ws)
-            asm._scatter_square(system, dofmap.br.l2g, loc_F)
-            rhs = asm.assemble_rhs(data, params, mesh, workspace=ws, w=x)
-        system.rhs[:] = rhs
+            values = static + asm.forchheimer_data(x, params, ws)
+            rhs = base_rhs + asm.forchheimer_rhs(x, params, ws)
 
-        A, b = asm.apply_constraints(system, dofmap)
+        A, b = asm.apply_constraints(ws, values, rhs)
         try:
-            x_new, res, nnz = sparse_lu_solve(A, b, border, full_output=True)
+            x_free, res, nnz, refined = sparse_lu_solve(A, b, border, full_output=True)
         except SolverError as exc:
             raise SolverError(f"linear solve failed at Newton iteration {it}: {exc}") from exc
         residuals.append(res)
         lu_nnz.append(nnz)
+        refinements.append(refined)
+        # Constrained entries keep their prescribed values exactly.
+        x_new = x.copy()
+        x_new[ws.free] = x_free
 
         if affine:
             increments.append(0.0)
@@ -287,6 +291,7 @@ def newton_solve(mesh, params, data, options=None):
         increments=increments,
         linear_residuals=residuals,
         lu_nnz=lu_nnz,
+        refinements=refinements,
         converged=converged,
         dof=dofmap.n_free,
         tol=opts.tol,
@@ -302,12 +307,8 @@ def nonlinear_residual(fields, params, data, workspace=None):
     """
     dofmap, mesh = fields.dofmap, fields.mesh
     ws = workspace or asm.Workspace(mesh, fields.interface, dofmap)
-    act = asm.assemble_a_nonlinear(fields.x, params, mesh, workspace=ws)
-    bsys = asm.SparseSystem(dofmap.n_total)
-    asm._add_b_triplets(bsys, ws)
-    act += bsys.to_csr() @ fields.x
-    act -= asm.assemble_rhs(data, params, mesh, workspace=ws)
-    vel = np.zeros(dofmap.n_total, dtype=bool)
-    vel[: dofmap.n_uB + dofmap.n_uD] = True
-    vel[dofmap.constrained] = False
-    return np.abs(act[vel]).max()
+    act = asm.assemble_a_nonlinear(fields.x, params, ws)
+    act += asm.assemble_b(ws) @ fields.x
+    act -= asm.assemble_rhs(data, ws)
+    free = ws.free
+    return np.abs(act[free[free < dofmap.n_uB + dofmap.n_uD]]).max()

@@ -11,7 +11,6 @@ import scipy.sparse as sp
 from bfdarcy import (
     PhysicalParams,
     ProblemData,
-    SparseSystem,
     assemble_a_nonlinear,
     assemble_b,
     assemble_da,
@@ -19,6 +18,7 @@ from bfdarcy import (
     build_dofmap,
     build_interface,
     generate_stacked_rect,
+    heterogeneous_flow_problem,
     interpolate_br,
     interpolate_rt0,
     manufactured_problem,
@@ -26,6 +26,9 @@ from bfdarcy import (
 )
 from bfdarcy.assembly import (
     Workspace,
+    _forchheimer_local,
+    _velocity_linear_local,
+    apply_constraints,
     check_permeabilities,
     tensor_field,
     zero_scalar,
@@ -42,11 +45,6 @@ def setup(nx=4, ny_B=2, ny_D=2):
     data = ProblemData()
     dofmap = build_dofmap(mesh, iface, data)
     return mesh, iface, data, dofmap
-
-
-def csr_of(triplets, n):
-    rows, cols, vals = triplets
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 # ------------------------------------------------------------- parameters
@@ -194,7 +192,7 @@ def test_pressure_rows_match_the_divergence_theorem():
     its vertex columns.
     """
     mesh, iface, data, dofmap = setup()
-    B = csr_of(assemble_b(mesh, iface, dofmap), dofmap.n_total)
+    B = assemble_b(Workspace(mesh, iface, dofmap))
 
     br, rt = dofmap.br, dofmap.rt
     n_vB = br.vertex_ids.size
@@ -217,7 +215,7 @@ def test_pressure_rows_match_the_divergence_theorem():
 
 def test_coupling_block_is_symmetric():
     mesh, iface, data, dofmap = setup()
-    B = csr_of(assemble_b(mesh, iface, dofmap), dofmap.n_total)
+    B = assemble_b(Workspace(mesh, iface, dofmap))
     assert abs(B - B.T).max() < 1e-13
 
 
@@ -228,7 +226,7 @@ def test_interface_rows_integrate_constant_normal_velocity():
     integral of its hat function: half the adjacent macro widths.
     """
     mesh, iface, data, dofmap = setup(nx=6)
-    B = csr_of(assemble_b(mesh, iface, dofmap), dofmap.n_total)
+    B = assemble_b(Workspace(mesh, iface, dofmap))
 
     def down(pts):
         return np.broadcast_to([0.0, -1.0], (len(pts), 2)).copy()
@@ -265,7 +263,7 @@ def test_interface_rows_match_reconstructed_traces():
     quadrature must reproduce the assembled rows exactly.
     """
     mesh, iface, data, dofmap = setup(nx=6)
-    B = csr_of(assemble_b(mesh, iface, dofmap), dofmap.n_total)
+    B = assemble_b(Workspace(mesh, iface, dofmap))
 
     def field(pts):
         x, y = pts[:, 0], pts[:, 1]
@@ -306,6 +304,70 @@ def test_interface_rows_match_reconstructed_traces():
         assert rows_D[k] == pytest.approx(-expect_D, abs=1e-13)
 
 
+# ------------------------------------------------------ fixed pattern
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["gauge", "mixed"])
+def test_operator_matches_a_coo_sum_of_element_matrices(mixed):
+    """assemble_da and assemble_b on the workspace pattern against COO sums
+    of the element matrices, and the free-DOF restriction against slicing."""
+    if mixed:
+        params, data, (rect_B, rect_D) = heterogeneous_flow_problem(10.0)
+    else:
+        params = PhysicalParams(mu=2.0, forchheimer=10.0, power=3.5, K_B=0.5, K_D=0.1)
+        _, data = manufactured_problem(params)
+        rect_B, rect_D = RECT_B, RECT_D
+    mesh = generate_stacked_rect(rect_B, rect_D, 6, 2, 2)
+    iface = build_interface(mesh)
+    dofmap = build_dofmap(mesh, iface, data)
+    assert (dofmap.gauge_dof < 0) == mixed
+    ws = Workspace(mesh, iface, dofmap)
+    n = dofmap.n_total
+    w = np.random.default_rng(2).normal(size=n)
+
+    def coo(blocks):
+        rows, cols, vals = zip(*(np.broadcast_arrays(*blk) for blk in blocks))
+        return sp.coo_matrix(
+            (np.concatenate([v.ravel() for v in vals]),
+             (np.concatenate([r.ravel() for r in rows]), np.concatenate([c.ravel() for c in cols]))),
+            shape=(n, n),
+        ).tocsr()
+
+    l2g_B, l2g_D = dofmap.br.l2g, dofmap.off_uD + dofmap.rt.l2g
+    loc_B, loc_D = _velocity_linear_local(params, ws)
+    loc_B = loc_B + _forchheimer_local(w, params, ws)
+    da_ref = coo([
+        (l2g_B[:, :, None], l2g_B[:, None, :], loc_B),
+        (l2g_D[:, :, None], l2g_D[:, None, :], loc_D),
+    ])
+    nrm = iface.normal
+    half = [
+        (ws.p_dof_B[:, None], l2g_B, -np.einsum("maq,mq->ma", ws.div_phi, ws.wq_B)),
+        (ws.p_dof_D[:, None], l2g_D, -ws.div_psi * ws.area_D[:, None]),
+        (ws.snodes[:, None, :], ws.sl2g_B[:, :, None],
+         np.einsum("maqd,d,mqj,mq->maj", ws.sphi, nrm, ws.shat, ws.swts)),
+        (ws.snodes[:, None, :], ws.sl2g_D[:, :, None],
+         -np.einsum("maqd,d,mqj,mq->maj", ws.spsi, nrm, ws.shat, ws.swts)),
+    ]
+    b_ref = coo(half + [(c, r, v) for r, c, v in half])
+
+    Da, B = assemble_da(w, params, ws), assemble_b(ws)
+    assert Da.has_canonical_format and B.has_canonical_format
+    np.testing.assert_array_equal(Da.indices, B.indices)
+    assert abs(Da - da_ref).max() <= 1e-13 * abs(da_ref).max()
+    assert abs(B - b_ref).max() <= 1e-13 * abs(b_ref).max()
+
+    rhs = np.random.default_rng(4).normal(size=n)
+    A_ff, b_f = apply_constraints(ws, Da.data + B.data, rhs)
+    K = (da_ref + b_ref).tocsr()
+    c, free = dofmap.constrained, ws.free
+    assert free.size == dofmap.n_free + (0 if mixed else 1)
+    assert np.intersect1d(free, c).size == 0
+    assert abs(A_ff - K[free][:, free]).max() <= 1e-13 * abs(K).max()
+    b_expect = rhs[free] - K[free][:, c] @ dofmap.constrained_values
+    np.testing.assert_allclose(b_f, b_expect, rtol=0, atol=1e-12 * np.abs(b_expect).max())
+
+
 # ------------------------------------------------------- nonlinear blocks
 
 
@@ -314,7 +376,7 @@ def test_velocity_jacobian_is_symmetric():
     params = PhysicalParams(mu=2.0, forchheimer=10.0, power=3.5, K_B=0.5, K_D=0.1)
     rng = np.random.default_rng(7)
     w = rng.normal(size=dofmap.n_total)
-    A = csr_of(assemble_da(w, params, mesh, iface, dofmap), dofmap.n_total)
+    A = assemble_da(w, params, Workspace(mesh, iface, dofmap))
     assert abs(A - A.T).max() < 1e-12
 
 
@@ -326,11 +388,12 @@ def test_jacobian_consistent_with_nonlinear_action():
     w = 0.5 * rng.normal(size=dofmap.n_total)
     delta = rng.normal(size=dofmap.n_total)
 
-    A = csr_of(assemble_da(w, params, mesh, iface, dofmap), dofmap.n_total)
+    ws = Workspace(mesh, iface, dofmap)
+    A = assemble_da(w, params, ws)
     eps = 1e-6
     fd = (
-        assemble_a_nonlinear(w + eps * delta, params, mesh, iface, dofmap)
-        - assemble_a_nonlinear(w, params, mesh, iface, dofmap)
+        assemble_a_nonlinear(w + eps * delta, params, ws)
+        - assemble_a_nonlinear(w, params, ws)
     ) / eps
     err = np.abs(fd - A @ delta).max()
     assert err < 1e-4 * max(1.0, np.abs(A @ delta).max())
@@ -341,9 +404,10 @@ def test_nonlinear_action_is_linear_when_forchheimer_vanishes():
     params = PhysicalParams(forchheimer=0.0)
     rng = np.random.default_rng(11)
     u, v = rng.normal(size=(2, dofmap.n_total))
-    a_u = assemble_a_nonlinear(u, params, mesh, iface, dofmap)
-    a_v = assemble_a_nonlinear(v, params, mesh, iface, dofmap)
-    a_uv = assemble_a_nonlinear(u + 2.0 * v, params, mesh, iface, dofmap)
+    ws = Workspace(mesh, iface, dofmap)
+    a_u = assemble_a_nonlinear(u, params, ws)
+    a_v = assemble_a_nonlinear(v, params, ws)
+    a_uv = assemble_a_nonlinear(u + 2.0 * v, params, ws)
     np.testing.assert_allclose(a_uv, a_u + 2.0 * a_v, atol=1e-10)
 
 
@@ -352,13 +416,13 @@ def test_workspace_follows_the_permeability_of_each_call():
     params = PhysicalParams(mu=1.0, forchheimer=10.0, power=3.0, K_B=0.1, K_D=0.1)
     u = np.random.default_rng(5).normal(size=dofmap.n_total)
     shared = Workspace(mesh, iface, dofmap)
-    assemble_a_nonlinear(u, params, mesh, workspace=shared)
+    assemble_a_nonlinear(u, params, shared)
 
     for changed in (replace(params, K_B=1.0), replace(params, K_D=1.0)):
         fresh = Workspace(mesh, iface, dofmap)
         np.testing.assert_array_equal(
-            assemble_a_nonlinear(u, changed, mesh, workspace=shared),
-            assemble_a_nonlinear(u, changed, mesh, workspace=fresh),
+            assemble_a_nonlinear(u, changed, shared),
+            assemble_a_nonlinear(u, changed, fresh),
         )
 
 
@@ -375,8 +439,9 @@ def test_forchheimer_energy_on_a_constant_field():
 
     p0 = PhysicalParams(mu=1.0, forchheimer=0.0, power=3.0)
     p1 = PhysicalParams(mu=1.0, forchheimer=5.0, power=3.0)
-    e0 = np.dot(assemble_a_nonlinear(x, p0, mesh, iface, dofmap), x)
-    e1 = np.dot(assemble_a_nonlinear(x, p1, mesh, iface, dofmap), x)
+    ws = Workspace(mesh, iface, dofmap)
+    e0 = np.dot(assemble_a_nonlinear(x, p0, ws), x)
+    e1 = np.dot(assemble_a_nonlinear(x, p1, ws), x)
     area_B = mesh.areas[mesh.subdomain == "B"].sum()
     assert e1 - e0 == pytest.approx(5.0 * c**3 * area_B, rel=1e-12)
 
@@ -393,8 +458,8 @@ def test_rhs_sources_act_on_the_right_blocks():
     def g_D(pts):
         return np.full(len(pts), 2.0)
 
-    params = PhysicalParams()
-    rhs = assemble_rhs(ProblemData(f_B=f_B), params, mesh, iface, dofmap)
+    ws = Workspace(mesh, iface, dofmap)
+    rhs = assemble_rhs(ProblemData(f_B=f_B), ws)
     # (f_B, v) loads only Brinkman velocity rows
     assert np.abs(rhs[dofmap.n_uB :]).max() == 0.0
     # pairing with the interpolated constant (1, 0) integrates f_B . (1, 0)
@@ -406,7 +471,7 @@ def test_rhs_sources_act_on_the_right_blocks():
     area_B = mesh.areas[mesh.subdomain == "B"].sum()
     assert np.dot(c, rhs) == pytest.approx(area_B, rel=1e-12)
 
-    rhs = assemble_rhs(ProblemData(g_D=g_D), params, mesh, iface, dofmap)
+    rhs = assemble_rhs(ProblemData(g_D=g_D), ws)
     # -(g, q) loads only Darcy pressure rows
     p_rows = rhs[dofmap.off_p : dofmap.off_p + dofmap.n_p]
     is_d = mesh.subdomain == "D"
@@ -416,14 +481,13 @@ def test_rhs_sources_act_on_the_right_blocks():
 
 def test_rhs_traction_loads_only_the_traction_boundary():
     mesh, iface, _, _ = setup()
-    params = PhysicalParams()
 
     def pull(pts, normals):
         return np.broadcast_to([0.5, 0.0], (len(pts), 2)).copy()
 
     data = ProblemData(velocity_bc={"GB_RIGHT": ("traction", pull)})
     dofmap = build_dofmap(mesh, iface, data)
-    rhs = assemble_rhs(data, params, mesh, iface, dofmap)
+    rhs = assemble_rhs(data, Workspace(mesh, iface, dofmap))
 
     # <t, v> with v the interpolated constant (1, 0) gives t_x * |GB_RIGHT|,
     # since the interpolant's trace on the side is exactly (1, 0)
@@ -454,11 +518,12 @@ def test_interface_traction_loads_interface_velocity_rows():
     iface = build_interface(mesh)
     dofmap = build_dofmap(mesh, iface, data)
 
-    with_t = assemble_rhs(data, params, mesh, iface, dofmap)
+    ws = Workspace(mesh, iface, dofmap)
+    with_t = assemble_rhs(data, ws)
     import dataclasses
 
     without = dataclasses.replace(data, interface_traction=None)
-    base = assemble_rhs(without, params, mesh, iface, dofmap)
+    base = assemble_rhs(without, ws)
     diff = with_t - base
     # only Brinkman dofs supported on the interface change
     iface_verts = np.unique(iface.edge_verts)

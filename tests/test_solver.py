@@ -11,18 +11,19 @@ from bfdarcy import (
     PhysicalParams,
     SingularSystemError,
     SolverError,
-    SparseSystem,
     apply_constraints,
     assemble_b,
     assemble_da,
     assemble_rhs,
     generate_stacked_rect,
+    heterogeneous_flow_problem,
     manufactured_problem,
     newton_solve,
     pressure_mean,
     sparse_lu_solve,
 )
 from bfdarcy import solver
+from bfdarcy.assembly import Workspace
 from bfdarcy.solver import (
     LU_RESIDUAL_TOL,
     PRESSURE_PENALTY,
@@ -41,6 +42,12 @@ def manufactured(nx=4, forchheimer=10.0, power=3.0):
     )
     exact, data = manufactured_problem(params)
     mesh = generate_stacked_rect(RECT_B, RECT_D, nx, nx, nx)
+    return mesh, params, data
+
+
+def channel(nx=8, forchheimer=10.0):
+    params, data, (rect_B, rect_D) = heterogeneous_flow_problem(forchheimer)
+    mesh = generate_stacked_rect(rect_B, rect_D, nx, nx // 2, nx // 2)
     return mesh, params, data
 
 
@@ -123,7 +130,7 @@ def test_lu_solves_a_gauge_border_on_a_singular_block(delta, monkeypatch):
 
     monkeypatch.setattr(solver, "splu", counting_splu)
 
-    x, res, nnz = sparse_lu_solve(
+    x, res, nnz, refined = sparse_lu_solve(
         sp.csr_matrix(A), b, GaugeBorder(n, c, delta), full_output=True
     )
     np.testing.assert_allclose(x, np.linalg.solve(K, b), rtol=1e-10, atol=1e-12)
@@ -132,6 +139,22 @@ def test_lu_solves_a_gauge_border_on_a_singular_block(delta, monkeypatch):
     # border, one solve for b: the recovery is exact, so no refinement
     assert len(factors) == 1 and factors[0].solves == 2
     assert nnz == factors[0].nnz > 0
+    assert refined is False
+
+
+def test_lu_reports_whether_refinement_ran(monkeypatch):
+    # A factor of 1.000001 A leaves a first residual far above the bound;
+    # one refinement step with it brings the residual below.
+    rng = np.random.default_rng(4)
+    A = sp.csr_matrix(rng.normal(size=(40, 40)) + 40.0 * np.eye(40))
+    b = rng.normal(size=40)
+    x, res, _, refined = sparse_lu_solve(A, b, full_output=True)
+    assert refined is False and res <= LU_RESIDUAL_TOL
+
+    monkeypatch.setattr(solver, "splu", lambda M: splu(sp.csc_matrix(M * (1.0 + 1e-6))))
+    x, res, _, refined = sparse_lu_solve(A, b, full_output=True)
+    assert refined is True and res <= LU_RESIDUAL_TOL
+    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-10)
 
 
 def test_lu_error_is_a_solver_error():
@@ -147,26 +170,26 @@ def test_gauge_solve_matches_the_factored_bordered_system(mode):
     dofmap = fields.dofmap
     assert dofmap.gauge_dof >= 0
 
-    system = SparseSystem(dofmap.n_total)
-    system.add(*assemble_da(fields.x, params, mesh, dofmap=dofmap))
-    system.add(*assemble_b(mesh, dofmap=dofmap))
-    system.rhs[:] = assemble_rhs(data, params, mesh, dofmap=dofmap)
-    A, b = apply_constraints(system, dofmap)
-    p_dofs = dofmap.off_p + np.arange(dofmap.n_p)
-    g = np.full(dofmap.n_p, dofmap.gauge_dof)
+    ws = Workspace(mesh, fields.interface, dofmap)
+    values = assemble_da(fields.x, params, ws).data + assemble_b(ws).data
+    A, b = apply_constraints(ws, values, assemble_rhs(data, ws))
+    # The border in the numbering of the free DOFs, the gauge included.
+    p_dofs = np.searchsorted(ws.free, dofmap.off_p + np.arange(dofmap.n_p))
+    gauge = np.searchsorted(ws.free, dofmap.gauge_dof)
+    g = np.full(dofmap.n_p, gauge)
     delta = PRESSURE_PENALTY if mode == "penalty" else 0.0
     border = sp.coo_matrix(
         (
             np.concatenate([mesh.areas, mesh.areas, [-delta]]),
-            (np.concatenate([g, p_dofs, [dofmap.gauge_dof]]),
-             np.concatenate([p_dofs, g, [dofmap.gauge_dof]])),
+            (np.concatenate([g, p_dofs, [gauge]]),
+             np.concatenate([p_dofs, g, [gauge]])),
         ),
         shape=A.shape,
     )
     K = sp.csc_matrix(A + border)
     x_ref = spsolve(K, b)
 
-    x = fields.x
+    x = fields.x[ws.free]
     assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
     assert abs(pressure_mean(fields)) <= 1e-12
     res = np.abs(K @ x - b).max() / (abs(K).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
@@ -240,6 +263,36 @@ def test_report_records_lu_fill_per_iteration():
     _, report = newton_solve(mesh, params, data)
     assert len(report.lu_nnz) == report.iterations == len(report.linear_residuals)
     assert all(isinstance(n, int) and n > 0 for n in report.lu_nnz)
+    assert report.refinements == [False] * report.iterations
+
+
+@pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
+def test_newton_factors_only_the_free_dofs_on_one_pattern(problem, monkeypatch):
+    mesh, params, data = problem()
+    seen = []
+    lu_solve = solver.sparse_lu_solve
+
+    def spy(A, b, border=None, full_output=False):
+        seen.append(A)
+        return lu_solve(A, b, border, full_output)
+
+    monkeypatch.setattr(solver, "sparse_lu_solve", spy)
+    fields, report = newton_solve(mesh, params, data)
+    dofmap = fields.dofmap
+    n = dofmap.n_free + (1 if dofmap.gauge_dof >= 0 else 0)
+    assert report.iterations >= 3 and len(seen) == report.iterations
+    for A in seen:
+        assert A.shape == (n, n)
+        np.testing.assert_array_equal(A.indptr, seen[0].indptr)
+        np.testing.assert_array_equal(A.indices, seen[0].indices)
+
+
+@pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
+def test_constrained_dofs_keep_their_prescribed_values_exactly(problem):
+    fields, _ = newton_solve(*problem())
+    dofmap = fields.dofmap
+    assert dofmap.constrained.size > 0
+    np.testing.assert_array_equal(fields.x[dofmap.constrained], dofmap.constrained_values)
 
 
 def test_report_dof_counts_free_field_unknowns():
