@@ -478,30 +478,53 @@ def _speed_weights(field, power):
     )
 
 
+def _field(coeffs, basis):
+    """The field sum_a coeffs[m, a] basis[m, a, ...] of each element,
+    (m, nb) x (m, nb, nq, ...) -> (m, nq, ...)."""
+    m, nb = basis.shape[:2]
+    return (coeffs[:, None, :] @ basis.reshape(m, nb, -1)).reshape((m,) + basis.shape[2:])
+
+
+def _load(basis, g):
+    """Element loads sum_q,... basis[m, a, q, ...] g[m, q, ...], with the
+    quadrature weights already folded into g: (m, nb, nq, ...) -> (m, nb)."""
+    m, nb = basis.shape[:2]
+    return (basis.reshape(m, nb, -1) @ g.reshape(m, -1, 1))[..., 0]
+
+
+def _gram(left, right):
+    """Element matrices sum_q,... left[m, a, q, ...] right[m, b, q, ...],
+    with the quadrature weights already folded into ``left``."""
+    m = left.shape[0]
+    right = right.reshape(m, right.shape[1], -1)
+    return left.reshape(m, left.shape[1], -1) @ right.transpose(0, 2, 1)
+
+
+def _apply_tensor(T, basis):
+    """T applied pointwise to every vector basis function,
+    (m, nq, 2, 2) x (m, nb, nq, 2) -> (m, nb, nq, 2)."""
+    return (basis.transpose(0, 2, 1, 3) @ T.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3)
+
+
 def _forchheimer_weights(w, params, ws):
     """The Brinkman field w and its weights |w|^(p-2), |w|^(p-4) at quadrature points."""
-    cw = w[: ws.dofmap.n_uB][ws.dofmap.br.l2g]
-    wfield = np.einsum("ma,maqd->mqd", cw, ws.phi)
+    wfield = _field(w[: ws.dofmap.n_uB][ws.dofmap.br.l2g], ws.phi)
     return (wfield, *_speed_weights(wfield, params.power))
 
 
 def _velocity_linear_local(params, ws):
-    stiff = params.mu * np.einsum("maqij,mbqij,mq->mab", ws.gphi, ws.gphi, ws.wq_B)
-    mass_B = np.einsum(
-        "mqij,maqj,mbqi,mq->mab", ws.kinv_B(params), ws.phi, ws.phi, ws.wq_B
-    )
-    mass_D = np.einsum(
-        "mqij,maqj,mbqi,mq->mab", ws.kinv_D(params), ws.psi, ws.psi, ws.wq_D
-    )
-    return stiff + mass_B, mass_D
+    kphi = _apply_tensor(ws.wq_B[..., None, None] * ws.kinv_B(params), ws.phi)
+    kpsi = _apply_tensor(ws.wq_D[..., None, None] * ws.kinv_D(params), ws.psi)
+    stiff = _gram(params.mu * ws.wq_B[:, None, :, None, None] * ws.gphi, ws.gphi)
+    return stiff + _gram(kphi, ws.phi), _gram(kpsi, ws.psi)
 
 
 def _forchheimer_local(w, params, ws):
     F, p = params.forchheimer, params.power
     wfield, s_p2, s_p4 = _forchheimer_weights(w, params, ws)
-    loc = F * np.einsum("mq,maqd,mbqd,mq->mab", s_p2, ws.phi, ws.phi, ws.wq_B)
-    dots = np.einsum("mqd,maqd->maq", wfield, ws.phi)
-    loc += F * (p - 2.0) * np.einsum("mq,maq,mbq,mq->mab", s_p4, dots, dots, ws.wq_B)
+    loc = _gram((F * s_p2 * ws.wq_B)[:, None, :, None] * ws.phi, ws.phi)
+    dots = ws.phi[..., 0] * wfield[:, None, :, 0] + ws.phi[..., 1] * wfield[:, None, :, 1]
+    loc += _gram((F * (p - 2.0) * s_p4 * ws.wq_B)[:, None, :] * dots, dots)
     return loc
 
 
@@ -539,9 +562,10 @@ def _coupling_entries(ws):
     ent_pB = -np.einsum("maq,mq->ma", ws.div_phi, ws.wq_B)
     ent_pD = -ws.div_psi * ws.area_D[:, None]
     tr_B = np.einsum("maqd,d->maq", ws.sphi, n)
-    ent_sB = np.einsum("maq,mqj,mq->maj", tr_B, ws.shat, ws.swts)  # (ns, 9, 2)
+    hat = ws.swts[..., None] * ws.shat
+    ent_sB = tr_B @ hat  # (ns, 9, 2)
     tr_D = np.einsum("maqd,d->maq", ws.spsi, n)
-    ent_sD = -np.einsum("maq,mqj,mq->maj", tr_D, ws.shat, ws.swts)  # (ns, 3, 2)
+    ent_sD = -tr_D @ hat  # (ns, 3, 2)
     ent = np.concatenate([e.ravel() for e in (ent_pB, ent_pD, ent_sB, ent_sD)])
     return np.concatenate([ent, ent])
 
@@ -552,21 +576,15 @@ def assemble_rhs(data, ws):
     rhs = np.zeros(dof.n_total)
 
     fB = np.asarray(data.f_B(ws.qpts_B.reshape(-1, 2))).reshape(ws.qpts_B.shape)
-    np.add.at(
-        rhs, dof.br.l2g, np.einsum("mqd,maqd,mq->ma", fB, ws.phi, ws.wq_B)
-    )
+    np.add.at(rhs, dof.br.l2g, _load(ws.phi, ws.wq_B[..., None] * fB))
     fD = np.asarray(data.f_D(ws.qpts_D.reshape(-1, 2))).reshape(ws.qpts_D.shape)
-    np.add.at(
-        rhs, dof.off_uD + dof.rt.l2g, np.einsum("mqd,maqd,mq->ma", fD, ws.psi, ws.wq_D)
-    )
+    np.add.at(rhs, dof.off_uD + dof.rt.l2g, _load(ws.psi, ws.wq_D[..., None] * fD))
     gD = np.asarray(data.g_D(ws.qpts_D.reshape(-1, 2))).reshape(ws.wq_D.shape)
     np.add.at(rhs, ws.p_dof_D, -np.einsum("mq,mq->m", gD, ws.wq_D))
 
     if data.interface_traction is not None:
         tv = np.asarray(data.interface_traction(ws.spts.reshape(-1, 2))).reshape(ws.spts.shape)
-        np.add.at(
-            rhs, ws.sl2g_B, np.einsum("mqd,maqd,mq->ma", tv, ws.sphi, ws.swts)
-        )
+        np.add.at(rhs, ws.sl2g_B, _load(ws.sphi, ws.swts[..., None] * tv))
 
     _add_natural_bc(rhs, data, ws)
     return rhs
@@ -575,9 +593,8 @@ def assemble_rhs(data, ws):
 def forchheimer_rhs(w, params, ws):
     """The Newton right-hand-side correction F (p-2) (|w|^(p-2) w, v_B)."""
     wfield, s_p2, _ = _forchheimer_weights(w, params, ws)
-    corr = params.forchheimer * (params.power - 2.0) * np.einsum(
-        "mq,mqd,maqd,mq->ma", s_p2, wfield, ws.phi, ws.wq_B
-    )
+    scale = params.forchheimer * (params.power - 2.0) * s_p2 * ws.wq_B
+    corr = _load(ws.phi, scale[..., None] * wfield)
     return np.bincount(ws.dofmap.br.l2g.ravel(), corr.ravel(), minlength=ws.dofmap.n_total)
 
 
@@ -599,7 +616,7 @@ def _add_natural_bc(rhs, data, ws):
         nrm = np.repeat(normals[eids][:, None, :], pts.shape[1], axis=1)
         tv = np.asarray(fn(pts.reshape(-1, 2), nrm.reshape(-1, 2))).reshape(pts.shape)
         l2g = dof.br.l2g[np.searchsorted(dof.br.tri_ids, tri)]
-        np.add.at(rhs, l2g, np.einsum("mqd,maqd,mq->ma", tv, phi, wts))
+        np.add.at(rhs, l2g, _load(phi, wts[..., None] * tv))
 
     for tag, (kind, fn) in data.darcy_bc.items():
         if kind != "pressure":
@@ -615,7 +632,7 @@ def _add_natural_bc(rhs, data, ws):
         pv = np.asarray(fn(pts.reshape(-1, 2))).reshape(wts.shape)
         tr = np.einsum("maqd,mqd->maq", psi, np.repeat(normals[eids][:, None, :], pts.shape[1], axis=1))
         l2g = dof.off_uD + dof.rt.l2g[np.searchsorted(dof.rt.tri_ids, tri)]
-        np.add.at(rhs, l2g, -np.einsum("mq,maq,mq->ma", pv, tr, wts))
+        np.add.at(rhs, l2g, -_load(tr, pv * wts))
 
 
 def assemble_a_nonlinear(u, params, ws):
@@ -627,23 +644,19 @@ def assemble_a_nonlinear(u, params, ws):
     out = np.zeros(dof.n_total)
 
     cu = u[: dof.n_uB][dof.br.l2g]
-    ufield = np.einsum("ma,maqd->mqd", cu, ws.phi)
-    ugrad = np.einsum("ma,maqij->mqij", cu, ws.gphi)
-    ent = params.mu * np.einsum("mqij,maqij,mq->ma", ugrad, ws.gphi, ws.wq_B)
-    ent += np.einsum(
-        "mqij,mqj,maqi,mq->ma", ws.kinv_B(params), ufield, ws.phi, ws.wq_B
-    )
+    ufield = _field(cu, ws.phi)
+    ugrad = _field(cu, ws.gphi)
+    force = (ws.kinv_B(params) @ ufield[..., None])[..., 0]
     if params.forchheimer > 0.0:
         s_p2, _ = _speed_weights(ufield, params.power)
-        ent += params.forchheimer * np.einsum(
-            "mq,mqd,maqd,mq->ma", s_p2, ufield, ws.phi, ws.wq_B
-        )
+        force += params.forchheimer * s_p2[..., None] * ufield
+    wq = ws.wq_B[..., None]
+    ent = _load(ws.gphi, params.mu * wq[..., None] * ugrad) + _load(ws.phi, wq * force)
     np.add.at(out, dof.br.l2g, ent)
 
-    cd = u[dof.off_uD : dof.off_uD + dof.n_uD][dof.rt.l2g]
-    dfield = np.einsum("ma,maqd->mqd", cd, ws.psi)
-    ent = np.einsum("mqij,mqj,maqi,mq->ma", ws.kinv_D(params), dfield, ws.psi, ws.wq_D)
-    np.add.at(out, dof.off_uD + dof.rt.l2g, ent)
+    dfield = _field(u[dof.off_uD : dof.off_uD + dof.n_uD][dof.rt.l2g], ws.psi)
+    force = (ws.kinv_D(params) @ dfield[..., None])[..., 0]
+    np.add.at(out, dof.off_uD + dof.rt.l2g, _load(ws.psi, ws.wq_D[..., None] * force))
     return out
 
 

@@ -24,10 +24,11 @@ from scipy.special import roots_jacobi
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Symmetric quadrature on the reference triangle {x>=0, y>=0, x+y<=1}.
+    """Quadrature on the reference triangle {x>=0, y>=0, x+y<=1}.
 
-    Weights sum to the reference area 1/2.  ``bary`` holds barycentric
-    coordinates of the points, one row per point.
+    Degrees 1-6 are symmetric tables, degrees 7-10 plain conical product
+    rules.  Weights sum to the reference area 1/2.  ``bary`` holds
+    barycentric coordinates of the points, one row per point.
     """
 
     degree: int
@@ -71,7 +72,9 @@ def _table_rule(degree, groups):
 
 
 def _conical_rule(degree):
-    """Conical product Gauss rule symmetrized over barycentric permutations."""
+    """Conical product Gauss rule: n Gauss-Legendre points along x times n
+    Gauss-Jacobi(1, 0) points along y, n = (degree + 2) // 2, exact to
+    degree 2n - 1 with n^2 points.  It is not symmetric."""
     n = (degree + 2) // 2
     s, ws = leggauss(n)
     xi, wxi = 0.5 * (s + 1.0), 0.5 * ws
@@ -80,14 +83,7 @@ def _conical_rule(degree):
     X = np.outer(xi, 1.0 - eta).ravel()
     Y = np.tile(eta, n)
     W = np.outer(wxi, weta).ravel()
-    lam = np.stack([1.0 - X - Y, X, Y], axis=1)
-    pts, wts = [], []
-    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)):
-        pts.append(lam[:, perm][:, 1:])
-        wts.append(W / 6.0)
-    return QuadratureRule(
-        degree=degree, points=np.vstack(pts), weights=np.concatenate(wts)
-    )
+    return QuadratureRule(degree=degree, points=np.stack([X, Y], axis=1), weights=W)
 
 
 def _build_rules():
@@ -125,9 +121,10 @@ def _build_rules():
 _RULES = _build_rules()
 
 
-@lru_cache(maxsize=None)
 def quad_rule(degree):
-    """Return a symmetric triangle rule exact to the given total degree."""
+    """Return a triangle rule exact to the given total degree: a symmetric
+    table for degrees 1-6, a plain conical product rule (16, 25, 25 and 36
+    points) for degrees 7-10."""
     if degree not in _RULES:
         raise ValueError(f"quadrature degree must be in 1..10, got {degree}")
     return _RULES[degree]

@@ -165,12 +165,17 @@ class NewtonOptions:
 
 @dataclass
 class SolutionFields:
-    """Solution vector together with its layout and mesh context."""
+    """Solution vector together with its layout and mesh context.
+
+    ``quad_degree`` is the degree of the quadrature rule the solve
+    assembled on; checks of the discrete equations must use the same one.
+    """
 
     x: np.ndarray
     dofmap: asm.DofMap
     mesh: object
     interface: object
+    quad_degree: int
 
     @property
     def u_B(self):
@@ -285,7 +290,9 @@ def newton_solve(mesh, params, data, options=None):
             converged = True
             break
 
-    fields = SolutionFields(x=x, dofmap=dofmap, mesh=mesh, interface=interface)
+    fields = SolutionFields(
+        x=x, dofmap=dofmap, mesh=mesh, interface=interface, quad_degree=opts.quad_degree
+    )
     report = SolveReport(
         iterations=len(increments),
         increments=increments,
@@ -303,10 +310,11 @@ def nonlinear_residual(fields, params, data, workspace=None):
     """Max-norm of the nonlinear first-row residual on free velocity DOFs.
 
     Evaluates [a(u), v] + [b(v), (p, lam)] - [rhs, v] for every
-    unconstrained velocity test function of the converged solution.
+    unconstrained velocity test function of the converged solution, on
+    the quadrature the solve assembled on.
     """
     dofmap, mesh = fields.dofmap, fields.mesh
-    ws = workspace or asm.Workspace(mesh, fields.interface, dofmap)
+    ws = workspace or asm.Workspace(mesh, fields.interface, dofmap, degree=fields.quad_degree)
     act = asm.assemble_a_nonlinear(fields.x, params, ws)
     act += asm.assemble_b(ws) @ fields.x
     act -= asm.assemble_rhs(data, ws)

@@ -129,9 +129,7 @@ def channel_energies(run):
     the Forchheimer part, whose derivative is the drag term of a(u).
     """
     fields, params = run.fields, run.params
-    ws = asm.Workspace(
-        fields.mesh, fields.interface, fields.dofmap, degree=NewtonOptions().quad_degree
-    )
+    ws = asm.Workspace(fields.mesh, fields.interface, fields.dofmap, degree=fields.quad_degree)
     a0 = assemble_a_nonlinear(fields.x, replace(params, forchheimer=0.0), ws)
     a1 = assemble_a_nonlinear(fields.x, replace(params, forchheimer=1.0), ws)
     return 0.5 * float(fields.x @ a0), float(fields.x @ (a1 - a0)) / params.power

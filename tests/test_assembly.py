@@ -25,11 +25,14 @@ from bfdarcy import (
     newton_solve,
 )
 from bfdarcy.assembly import (
+    SPEED_FLOOR,
     Workspace,
     _forchheimer_local,
     _velocity_linear_local,
     apply_constraints,
     check_permeabilities,
+    forchheimer_data,
+    forchheimer_rhs,
     tensor_field,
     zero_scalar,
     zero_vector,
@@ -409,6 +412,81 @@ def test_nonlinear_action_is_linear_when_forchheimer_vanishes():
     a_v = assemble_a_nonlinear(v, params, ws)
     a_uv = assemble_a_nonlinear(u + 2.0 * v, params, ws)
     np.testing.assert_allclose(a_uv, a_u + 2.0 * a_v, atol=1e-10)
+
+
+def einsum_kernels(w, params, ws):
+    """The element kernels of the velocity blocks written as plain einsums:
+    linear and Forchheimer parts of the Da element matrices on B, the Da
+    element matrices on D, the Newton rhs correction on B, the nonlinear
+    action on B and D, and where the iterate is below SPEED_FLOOR."""
+    F, p = params.forchheimer, params.power
+    phi, gphi, psi, wq_B, wq_D = ws.phi, ws.gphi, ws.psi, ws.wq_B, ws.wq_D
+    kinv_B, kinv_D = ws.kinv_B(params), ws.kinv_D(params)
+    cw = w[: ws.dofmap.n_uB][ws.dofmap.br.l2g]
+    cd = w[ws.dofmap.off_uD : ws.dofmap.off_uD + ws.dofmap.n_uD][ws.dofmap.rt.l2g]
+    wfield = np.einsum("ma,maqd->mqd", cw, phi)
+    speed = np.linalg.norm(wfield, axis=2)
+    small = speed < SPEED_FLOOR
+    safe = np.where(small, 1.0, speed)
+    s_p2 = np.where(small, 0.0, safe ** (p - 2.0))
+    s_p4 = np.where(small, 0.0, safe ** (p - 4.0))
+    dots = np.einsum("mqd,maqd->maq", wfield, phi)
+
+    lin_B = params.mu * np.einsum("maqij,mbqij,mq->mab", gphi, gphi, wq_B)
+    lin_B += np.einsum("mqij,maqj,mbqi,mq->mab", kinv_B, phi, phi, wq_B)
+    forch_B = F * np.einsum("mq,maqd,mbqd,mq->mab", s_p2, phi, phi, wq_B)
+    forch_B += F * (p - 2.0) * np.einsum("mq,maq,mbq,mq->mab", s_p4, dots, dots, wq_B)
+    da_D = np.einsum("mqij,maqj,mbqi,mq->mab", kinv_D, psi, psi, wq_D)
+    rhs_B = F * (p - 2.0) * np.einsum("mq,mqd,maqd,mq->ma", s_p2, wfield, phi, wq_B)
+
+    ugrad = np.einsum("ma,maqij->mqij", cw, gphi)
+    act_B = params.mu * np.einsum("mqij,maqij,mq->ma", ugrad, gphi, wq_B)
+    act_B += np.einsum("mqij,mqj,maqi,mq->ma", kinv_B, wfield, phi, wq_B)
+    act_B += F * np.einsum("mq,mqd,maqd,mq->ma", s_p2, wfield, phi, wq_B)
+    dfield = np.einsum("ma,maqd->mqd", cd, psi)
+    act_D = np.einsum("mqij,mqj,maqi,mq->ma", kinv_D, dfield, psi, wq_D)
+    return lin_B, forch_B, da_D, rhs_B, act_B, act_D, small
+
+
+@pytest.mark.parametrize("power", [3.0, 4.0])
+def test_velocity_kernels_match_the_einsum_formulas(power):
+    # Non-symmetric permeabilities tell K from K^T; a zero iterate on a
+    # few Brinkman triangles runs the SPEED_FLOOR branch.
+    def K_B(pts):
+        K = np.empty((len(pts), 2, 2))
+        K[:, 0, 0] = 1.0 + pts[:, 0] ** 2
+        K[:, 0, 1] = 0.3 + 0.1 * pts[:, 1]
+        K[:, 1, 0] = -0.2
+        K[:, 1, 1] = 2.0 + pts[:, 1]
+        return K
+
+    mesh, iface, data, dofmap = setup(nx=6, ny_B=3, ny_D=3)
+    params = PhysicalParams(
+        mu=1.5, forchheimer=7.0, power=power, K_B=K_B, K_D=np.array([[0.5, 0.1], [-0.05, 0.2]])
+    )
+    ws = Workspace(mesh, iface, dofmap)
+    w = np.random.default_rng(13).normal(size=dofmap.n_total)
+    w[dofmap.br.l2g[::5]] = 0.0
+    lin_B, forch_B, da_D, rhs_B, act_B, act_D, small = einsum_kernels(w, params, ws)
+    assert small.all(axis=1).sum() >= 5 and not small.all()
+
+    def close(got, ref):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    l2g_B, l2g_D = dofmap.br.l2g, dofmap.off_uD + dofmap.rt.l2g
+    close(forchheimer_data(w, params, ws), ws.scatter(ws.slots_B, forch_B))
+    close(
+        forchheimer_rhs(w, params, ws),
+        np.bincount(l2g_B.ravel(), rhs_B.ravel(), minlength=dofmap.n_total),
+    )
+    close(
+        assemble_da(w, params, ws).data,
+        ws.scatter(ws.slots_B, lin_B + forch_B) + ws.scatter(ws.slots_D, da_D),
+    )
+    act = np.zeros(dofmap.n_total)
+    np.add.at(act, l2g_B, act_B)
+    np.add.at(act, l2g_D, act_D)
+    close(assemble_a_nonlinear(w, params, ws), act)
 
 
 def test_workspace_follows_the_permeability_of_each_call():

@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bfdarcy
 from bfdarcy import load_mesh
+
+# The subprocess imports the same bfdarcy as the tests, also when pytest
+# found it through its own ``pythonpath`` setting rather than PYTHONPATH.
+PACKAGE_ROOT = str(Path(bfdarcy.__file__).resolve().parents[1])
 
 
 def run_cli(*argv, cwd=None):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "bfdarcy.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
         timeout=300,
     )
 

@@ -53,6 +53,11 @@ def test_triangle_rule_is_a_proper_rule(degree):
     np.testing.assert_allclose(rule.bary.sum(axis=1), 1.0, atol=1e-14)
 
 
+def test_high_degree_rules_are_plain_conical_products():
+    # n x n Gauss points, n = (degree + 2) // 2, exact to degree 2n - 1
+    assert [len(quad_rule(d)) for d in range(7, 11)] == [16, 25, 25, 36]
+
+
 def test_triangle_rule_rejects_unsupported_degree():
     with pytest.raises(ValueError):
         quad_rule(0)

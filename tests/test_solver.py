@@ -248,6 +248,15 @@ def test_newton_solution_zeroes_the_nonlinear_residual():
     assert nonlinear_residual(fields, params, data) < 1e-10
 
 
+@pytest.mark.parametrize("degree", [4, 8])
+def test_nonlinear_residual_uses_the_quadrature_of_the_solve(degree):
+    mesh, params, data = channel(nx=8, forchheimer=10.0)
+    fields, report = newton_solve(mesh, params, data, NewtonOptions(quad_degree=degree))
+    assert report.converged
+    assert nonlinear_residual(fields, params, data) < 1e-10
+    assert fields.quad_degree == degree
+
+
 def test_newton_solution_is_initial_guess_independent():
     mesh, params, data = manufactured(forchheimer=100.0)
     f1, r1 = newton_solve(mesh, params, data, NewtonOptions(initial=(0.1, 0.0)))

@@ -219,6 +219,14 @@ def test_compute_errors_report_content():
     assert err.e_lam_l2 < err.e_lam < err.e_lam_h1
 
 
+def test_error_norms_do_not_depend_on_the_rule_beyond_degree_8():
+    fields, report, exact, _ = solve_manufactured(4)
+    err8 = compute_errors(fields, exact, report, degree=8)
+    err10 = compute_errors(fields, exact, report, degree=10)
+    for name in ("e_uB", "e_pB", "e_uD", "e_pD", "e_lam"):
+        assert getattr(err8, name) == pytest.approx(getattr(err10, name), rel=1e-8, abs=0)
+
+
 def test_errors_vanish_for_interpolated_exact_solution():
     # feeding the exact solution's own interpolant as "discrete solution"
     # must produce small errors, bounded by interpolation, not solver, error
