@@ -32,6 +32,7 @@ from .assembly import (
     ProblemData,
     DofMap,
     build_dofmap,
+    prescribed_values,
     assemble_a_nonlinear,
     assemble_da,
     assemble_b,
@@ -39,6 +40,7 @@ from .assembly import (
     apply_constraints,
 )
 from .solver import (
+    Discretization,
     SolutionFields,
     SolveReport,
     SolverError,
@@ -80,11 +82,13 @@ __all__ = [
     "ProblemData",
     "DofMap",
     "build_dofmap",
+    "prescribed_values",
     "assemble_a_nonlinear",
     "assemble_da",
     "assemble_b",
     "assemble_rhs",
     "apply_constraints",
+    "Discretization",
     "SolutionFields",
     "SolveReport",
     "SolverError",

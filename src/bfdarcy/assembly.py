@@ -80,10 +80,10 @@ def tensor_field(K, pts):
     return np.broadcast_to(K, (len(pts), 2, 2))
 
 
-def inverse_tensor_field(K, pts):
-    T = tensor_field(K, pts)
+def _invert(T):
+    """Inverses of a stack of 2x2 tensors, (n, 2, 2) -> (n, 2, 2)."""
     det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
-    inv = np.empty((len(pts), 2, 2))
+    inv = np.empty(T.shape)
     inv[:, 0, 0] = T[:, 1, 1]
     inv[:, 1, 1] = T[:, 0, 0]
     inv[:, 0, 1] = -T[:, 0, 1]
@@ -91,13 +91,32 @@ def inverse_tensor_field(K, pts):
     return inv / det[:, None, None]
 
 
+def inverse_tensor_field(K, pts):
+    """The inverse of a permeability specification as (n, 2, 2) tensors.
+
+    A constant tensor is inverted once and broadcast to every point, with
+    the same arithmetic per entry as a field of tensors.  The result is a
+    contiguous array either way, so the products that use it do not
+    depend on which kind of K it came from.
+    """
+    if callable(K):
+        return _invert(tensor_field(K, pts))
+    inv = _invert(tensor_field(K, np.zeros((1, 2))))[0]
+    return np.broadcast_to(inv, (len(pts), 2, 2)).copy()
+
+
 def check_permeabilities(params, mesh, degree=6):
-    """Verify both permeability tensors are SPD at all quadrature points."""
+    """Verify both permeability tensors are SPD at all quadrature points.
+
+    A constant tensor is the same at every point, so it is checked once.
+    """
     rule = el.quad_rule(degree)
     for name, K, region in (("K_B", params.K_B, "B"), ("K_D", params.K_D, "D")):
-        tris = mesh.triangles[mesh.subdomain == region]
-        pts = el.physical_points(mesh.vertices[tris], rule.bary).reshape(-1, 2)
-        T = tensor_field(K, pts)
+        if callable(K):
+            tris = mesh.triangles[mesh.subdomain == region]
+            T = tensor_field(K, el.physical_points(mesh.vertices[tris], rule.bary).reshape(-1, 2))
+        else:
+            T = tensor_field(K, np.zeros((1, 2)))
         asym = np.abs(T - T.transpose(0, 2, 1)).max()
         if asym > 1e-12 * (1.0 + np.abs(T).max()):
             raise ValueError(f"{name} must be symmetric (asymmetry {asym:g})")
@@ -164,14 +183,19 @@ class ProblemData:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Global numbering [u_B | u_D | p | lambda | gauge] plus constraints.
+    """Global numbering [u_B | u_D | p | lambda | gauge] of one
+    boundary-condition layout.
 
-    ``constrained`` lists essential DOFs (Dirichlet vertex/bubble values
-    on the Brinkman boundary, prescribed fluxes on the Darcy boundary) in
-    increasing order with their values.  They are not unknowns of the
-    linear solve: ``apply_constraints`` keeps only the free rows and
-    columns and moves the constrained columns, times these values, to the
-    right-hand side.
+    ``constrained`` lists, in increasing order, the essential DOFs of the
+    layout: Dirichlet vertex and bubble values on the Brinkman boundary
+    and prescribed fluxes on the Darcy boundary.  They are not unknowns of
+    the linear solve: ``apply_constraints`` keeps only the free rows and
+    columns and moves the constrained columns, times the prescribed
+    values, to the right-hand side.
+
+    The map depends on which boundary tags carry essential data, never on
+    the data's values, so one DofMap serves every problem with the same
+    layout.  ``prescribed_values`` evaluates the values of one problem.
     """
 
     br: el.BRSpace
@@ -186,7 +210,6 @@ class DofMap:
     gauge_dof: int
     n_total: int
     constrained: np.ndarray
-    constrained_values: np.ndarray
 
     @property
     def n_fields(self):
@@ -215,8 +238,32 @@ def _edge_points(mesh, eids, npts):
     return pts, wts
 
 
+def _essential_blocks(mesh, br, rt, off_uD, data):
+    """(kind, fn, eids, dofs) of every boundary tag with essential data and
+    at least one edge, in the order its prescriptions apply.  A Dirichlet
+    block's dofs are the (x, y) pairs of its vertices, then its bubbles."""
+    blocks = []
+    for bcs, essential in ((data.velocity_bc, "dirichlet"), (data.darcy_bc, "flux")):
+        for tag, (kind, fn) in bcs.items():
+            if kind != essential:
+                continue
+            eids = mesh.edges_with_tag(tag)
+            if eids.size == 0:
+                continue
+            if kind == "dirichlet":
+                vl = br.vertex_local[np.unique(mesh.edges[eids])]
+                bubbles = 2 * br.vertex_ids.size + br.edge_local[eids]
+                dofs = np.concatenate([np.stack([2 * vl, 2 * vl + 1], axis=1).ravel(), bubbles])
+            else:
+                dofs = off_uD + rt.edge_local[eids]
+            blocks.append((kind, fn, eids, dofs))
+    return blocks
+
+
 def build_dofmap(mesh, interface, data):
-    """Number the unknowns and collect essential constraints from data."""
+    """Number the unknowns for the boundary-condition layout of ``data``.
+
+    Only the kinds of boundary data matter, not their values."""
     br = el.br_space(mesh)
     rt = el.rt0_space(mesh)
     n_uB, n_uD = br.n_dofs, rt.n_dofs
@@ -227,58 +274,8 @@ def build_dofmap(mesh, interface, data):
     off_lam = off_p + n_p
     gauge_dof = off_lam + n_lam if data.gauge_pressure else -1
     n_total = off_lam + n_lam + (1 if data.gauge_pressure else 0)
-
-    values = {}
-
-    def prescribe(dof, value):
-        if dof in values and abs(values[dof] - value) > 1e-12 * (1.0 + abs(value)):
-            raise ValueError(
-                f"conflicting prescriptions on shared DOF {dof}: {values[dof]!r} vs {value!r}"
-            )
-        values[dof] = value
-
-    normals = mesh.outward_normals()
-    nvB = br.vertex_ids.size
-
-    for tag, (kind, fn) in data.velocity_bc.items():
-        if kind != "dirichlet":
-            continue
-        eids = mesh.edges_with_tag(tag)
-        if eids.size == 0:
-            continue
-        verts = np.unique(mesh.edges[eids])
-        vals = np.asarray(fn(mesh.vertices[verts]))
-        vl = br.vertex_local[verts]
-        for k in range(verts.size):
-            prescribe(2 * vl[k], float(vals[k, 0]))
-            prescribe(2 * vl[k] + 1, float(vals[k, 1]))
-        pts, wts = _edge_points(mesh, eids, 4)
-        gv = np.asarray(fn(pts.reshape(-1, 2))).reshape(pts.shape)
-        flux = np.einsum("eq,eqd,ed->e", wts, gv, normals[eids])
-        ebub = 2 * nvB + br.edge_local[eids]
-        for k in range(eids.size):
-            prescribe(int(ebub[k]), float(flux[k]))
-
-    for tag, (kind, fn) in data.darcy_bc.items():
-        if kind != "flux":
-            continue
-        eids = mesh.edges_with_tag(tag)
-        if eids.size == 0:
-            continue
-        pts, wts = _edge_points(mesh, eids, 4)
-        nrm = np.repeat(normals[eids][:, None, :], pts.shape[1], axis=1)
-        qv = np.asarray(fn(pts.reshape(-1, 2), nrm.reshape(-1, 2))).reshape(wts.shape)
-        flux = np.einsum("eq,eq->e", wts, qv)
-        dofs = off_uD + rt.edge_local[eids]
-        for k in range(eids.size):
-            prescribe(int(dofs[k]), float(flux[k]))
-
-    if values:
-        constrained = np.array(sorted(values), dtype=int)
-        constrained_values = np.array([values[d] for d in constrained])
-    else:
-        constrained = np.empty(0, dtype=int)
-        constrained_values = np.empty(0)
+    blocks = _essential_blocks(mesh, br, rt, off_uD, data)
+    constrained = np.unique(np.concatenate([np.empty(0, dtype=int)] + [b[3] for b in blocks]))
 
     return DofMap(
         br=br,
@@ -293,8 +290,59 @@ def build_dofmap(mesh, interface, data):
         gauge_dof=gauge_dof,
         n_total=n_total,
         constrained=constrained,
-        constrained_values=constrained_values,
     )
+
+
+def prescribed_values(dofmap, mesh, data):
+    """The values of ``data``'s essential conditions on ``dofmap.constrained``.
+
+    Dirichlet vertex DOFs take the data at the vertex, bubbles and Darcy
+    fluxes its flux through the edge (4-point edge rule).  A DOF shared by
+    two boundary tags takes the later prescription, which must agree with
+    the earlier one.  Raises ValueError on conflicting prescriptions and
+    when ``data`` has another boundary-condition layout than the one the
+    map was built for.
+    """
+    if data.gauge_pressure != (dofmap.gauge_dof >= 0):
+        raise ValueError(
+            "the data's pressure gauge does not match the DOF map: "
+            f"data gauge={data.gauge_pressure}, map gauge={dofmap.gauge_dof >= 0}"
+        )
+    normals = mesh.outward_normals()
+    dofs, vals = [np.empty(0, dtype=int)], [np.empty(0)]
+    for kind, fn, eids, block_dofs in _essential_blocks(
+        mesh, dofmap.br, dofmap.rt, dofmap.off_uD, data
+    ):
+        pts, wts = _edge_points(mesh, eids, 4)
+        if kind == "dirichlet":
+            vertex_vals = np.asarray(fn(mesh.vertices[np.unique(mesh.edges[eids])]), dtype=float)
+            gv = np.asarray(fn(pts.reshape(-1, 2))).reshape(pts.shape)
+            vals += [vertex_vals.ravel(), np.einsum("eq,eqd,ed->e", wts, gv, normals[eids])]
+        else:
+            nrm = np.repeat(normals[eids][:, None, :], pts.shape[1], axis=1)
+            qv = np.asarray(fn(pts.reshape(-1, 2), nrm.reshape(-1, 2))).reshape(wts.shape)
+            vals.append(np.einsum("eq,eq->e", wts, qv))
+        dofs.append(block_dofs)
+    dofs, vals = np.concatenate(dofs), np.concatenate(vals)
+
+    order = np.argsort(dofs, kind="stable")
+    dofs, vals = dofs[order], vals[order]
+    shared = dofs[1:] == dofs[:-1]
+    clash = shared & (np.abs(vals[1:] - vals[:-1]) > 1e-12 * (1.0 + np.abs(vals[1:])))
+    if clash.any():
+        k = int(np.flatnonzero(clash)[0])
+        raise ValueError(
+            f"conflicting prescriptions on shared DOF {int(dofs[k])}: "
+            f"{float(vals[k])!r} vs {float(vals[k + 1])!r}"
+        )
+    last = np.ones(dofs.size, dtype=bool)
+    last[:-1] = ~shared
+    if not np.array_equal(dofs[last], dofmap.constrained):
+        raise ValueError(
+            "the data's essential boundary conditions do not match the DOF map: "
+            f"{int(last.sum())} constrained DOFs against {dofmap.constrained.size}"
+        )
+    return vals[last]
 
 
 class Workspace:
@@ -309,6 +357,13 @@ class Workspace:
     gauge scalar included), and ``apply_constraints`` gathers the
     free-free submatrix and lifts the constrained columns with index
     arrays built here.
+
+    A workspace holds only what the mesh, the DOF layout and the
+    quadrature determine, and nothing writes to it after construction:
+    everything that depends on the parameters or on the problem data
+    (inverse permeabilities, prescribed values, loads) is computed per
+    call.  One workspace can therefore serve many solves, also on several
+    threads at once.
     """
 
     def __init__(self, mesh, interface, dofmap, degree=6, edge_points=4):
@@ -343,7 +398,6 @@ class Workspace:
 
         self._build_interface_tables()
         self._build_pattern()
-        self._kinv = {}
 
     def _build_interface_tables(self):
         iface, mesh, dof = self.interface, self.mesh, self.dofmap
@@ -423,9 +477,7 @@ class Workspace:
         lift = is_free[rows] & ~is_free[cols]
         self.lift_pos = np.flatnonzero(lift)
         self.lift_rows = reduced[rows[lift]]
-        x_c = np.zeros(n)
-        x_c[dof.constrained] = dof.constrained_values
-        self.lift_values = x_c[cols[lift]]
+        self.lift_cols = cols[lift]
 
     def scatter(self, slots, local):
         """CSR data holding the local entries ``local`` summed into ``slots``."""
@@ -436,20 +488,17 @@ class Workspace:
         n = self.dofmap.n_total
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
-    def _inverse_permeability(self, region, K, qpts):
-        # Keyed on the permeability object, so a workspace shared between
-        # parameter sets never returns another set's tensors.
-        cached = self._kinv.get(region)
-        if cached is None or cached[0] is not K:
-            kinv = inverse_tensor_field(K, qpts.reshape(-1, 2)).reshape(*qpts.shape[:2], 2, 2)
-            cached = self._kinv[region] = (K, kinv)
-        return cached[1]
-
     def kinv_B(self, params):
-        return self._inverse_permeability("B", params.K_B, self.qpts_B)
+        """K_B^-1 at the Brinkman quadrature points, (m, nq, 2, 2)."""
+        return _inverse_at(params.K_B, self.qpts_B)
 
     def kinv_D(self, params):
-        return self._inverse_permeability("D", params.K_D, self.qpts_D)
+        """K_D^-1 at the Darcy quadrature points, (m, nq, 2, 2)."""
+        return _inverse_at(params.K_D, self.qpts_D)
+
+
+def _inverse_at(K, qpts):
+    return inverse_tensor_field(K, qpts.reshape(-1, 2)).reshape(*qpts.shape[:2], 2, 2)
 
 
 def _edge_bary(mesh, edge_verts, tri, npts):
@@ -660,17 +709,19 @@ def assemble_a_nonlinear(u, params, ws):
     return out
 
 
-def apply_constraints(ws, data, rhs):
+def apply_constraints(ws, data, rhs, x):
     """Restrict the system (CSR ``data`` on the workspace pattern, load
     vector ``rhs``) to the free DOFs.
 
     Returns (A_ff, b_f): A_ff = A[free, free] as a CSR matrix whose
     structure is the same on every call, and b_f = rhs[free] - A_fc x_c
-    with x_c the prescribed values of the constrained DOFs.  The pressure
-    gauge, if any, is a free DOF whose row and column stay empty;
-    ``solver.sparse_lu_solve`` applies the border.
+    with x_c the constrained entries of the full vector ``x``, which must
+    hold the prescribed values there (see ``prescribed_values``); its
+    other entries are not read.  The pressure gauge, if any, is a free DOF
+    whose row and column stay empty; ``solver.sparse_lu_solve`` applies
+    the border.
     """
     n = ws.free.size
     A = sp.csr_matrix((data[ws.ff_pos], ws.ff_indices, ws.ff_indptr), shape=(n, n))
-    lift = np.bincount(ws.lift_rows, data[ws.lift_pos] * ws.lift_values, minlength=n)
+    lift = np.bincount(ws.lift_rows, data[ws.lift_pos] * x[ws.lift_cols], minlength=n)
     return A, rhs[ws.free] - lift

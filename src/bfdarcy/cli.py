@@ -245,14 +245,11 @@ def _build_mesh(cfg, nx=None):
     )
 
 
-def _build_problem(cfg, nx=None, forchheimer=None, K_D=None):
-    """Mesh, parameters, data and (optionally) the exact solution."""
+def _problem_data(cfg, forchheimer=None, K_D=None):
+    """Parameters, data and (optionally) the exact solution."""
     params = cfg.params(forchheimer=forchheimer, K_D=K_D)
-    mesh = _build_mesh(cfg, nx=nx)
     if cfg.problem == "example1_variant":
-        rect_B = cfg.rect_B
-        rect_D = cfg.rect_D
-        exact, data = ver.manufactured_problem(params, rect_B=rect_B, rect_D=rect_D)
+        exact, data = ver.manufactured_problem(params, rect_B=cfg.rect_B, rect_D=cfg.rect_D)
     elif cfg.problem == "example2":
         params, data, _ = ver.heterogeneous_flow_problem(
             params.forchheimer, power=params.power, mu=params.mu,
@@ -262,7 +259,7 @@ def _build_problem(cfg, nx=None, forchheimer=None, K_D=None):
     else:
         data = asm.ProblemData()
         exact = None
-    return mesh, params, data, exact
+    return params, data, exact
 
 
 def _out_path(out_dir, name):
@@ -288,7 +285,8 @@ def _report_row(report, mesh, err=None, level=0):
 
 
 def cmd_solve(cfg, out_dir, want_vtk, quiet):
-    mesh, params, data, exact = _build_problem(cfg)
+    mesh = _build_mesh(cfg)
+    params, data, exact = _problem_data(cfg)
     fields, report = slv.newton_solve(mesh, params, data, cfg.newton_options())
     if not report.converged:
         raise slv.SolverError(
@@ -337,14 +335,15 @@ def cmd_convergence(cfg, levels, out_dir, quiet):
     csv_path = _out_path(out_dir, cfg.csv_name or "convergence.csv")
     reports = []
     opts = cfg.newton_options()
+    params, data, exact = _problem_data(cfg)
     with open(csv_path, "w") as fh:
         fh.write(ver.CSV_HEADER + "\n")
         fh.flush()
         for level in range(levels):
             nx = 4 * 2**level
-            mesh, params, data, exact = _build_problem(cfg, nx=nx)
+            disc = slv.Discretization.build(_build_mesh(cfg, nx=nx), data, opts.quad_degree)
             try:
-                fields, report = slv.newton_solve(mesh, params, data, opts)
+                fields, report = slv.newton_solve(disc, params, data, opts)
             except slv.SolverError:
                 _say(quiet, f"level {level} failed; partial table in {csv_path}")
                 raise
@@ -370,10 +369,27 @@ def cmd_sweep(cfg, levels, out_dir, quiet):
     if not cfg.F_list:
         raise UsageError("sweep needs a nonempty F_list in the config")
     K_D_list = cfg.K_D_list or [cfg.K_D]
-    levels = levels if levels is not None else 4
+    if cfg.problem == "custom":
+        # A loaded mesh cannot be refined, so the sweep has that one level.
+        levels = 1 if levels is None else levels
+        if levels > 1:
+            raise UsageError(f"problem 'custom' sweeps its one mesh; got {levels} levels")
+        names, where = ["iter"], [f"mesh {cfg.mesh_path}"]
+    else:
+        levels = 4 if levels is None else levels
+        nxs = [4 * 2**lvl for lvl in range(levels)]
+        names, where = [f"iter_nx{nx}" for nx in nxs], [f"nx={nx}" for nx in nxs]
     if levels < 1:
         raise UsageError(f"need >= 1 level, got {levels}")
 
+    # Every cell of a level solves on one shared discretization, built
+    # here before any cell starts; the cells only read it.
+    opts = cfg.newton_options()
+    _, layout, _ = _problem_data(cfg, forchheimer=cfg.F_list[0], K_D=K_D_list[0])
+    discs = [
+        slv.Discretization.build(_build_mesh(cfg, nx=4 * 2**lvl), layout, opts.quad_degree)
+        for lvl in range(levels)
+    ]
     cells = [
         (fi, ki, lvl)
         for fi in range(len(cfg.F_list))
@@ -383,22 +399,19 @@ def cmd_sweep(cfg, levels, out_dir, quiet):
 
     def run(cell):
         fi, ki, lvl = cell
-        mesh, params, data, _ = _build_problem(
-            cfg, nx=4 * 2**lvl, forchheimer=cfg.F_list[fi], K_D=K_D_list[ki]
-        )
-        fields, report = slv.newton_solve(mesh, params, data, cfg.newton_options())
+        params, data, _ = _problem_data(cfg, forchheimer=cfg.F_list[fi], K_D=K_D_list[ki])
+        fields, report = slv.newton_solve(discs[lvl], params, data, opts)
         if not report.converged:
             raise slv.SolverError(
                 f"no convergence for F={cfg.F_list[fi]:g}, "
-                f"K_D={K_D_list[ki]:g}, nx={4 * 2**lvl}"
+                f"K_D={K_D_list[ki]:g}, {where[lvl]}"
             )
         return report.iterations
 
     with ThreadPoolExecutor(max_workers=min(8, len(cells))) as pool:
         futures = {cell: pool.submit(run, cell) for cell in cells}
 
-    header = "F,K_D," + ",".join(f"iter_nx{4 * 2**l}" for l in range(levels))
-    lines = [header]
+    lines = ["F,K_D," + ",".join(names)]
     failure = None
     for fi, F in enumerate(cfg.F_list):
         for ki, K_D in enumerate(K_D_list):

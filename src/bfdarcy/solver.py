@@ -215,19 +215,68 @@ class SolveReport:
         )
 
 
+@dataclass(frozen=True)
+class Discretization:
+    """One mesh with everything a solve on it needs that the parameters
+    and the values of the problem data do not change.
+
+    It holds the mesh, its interface, the DofMap of one boundary-condition
+    layout and the assembly Workspace (basis tables, CSR pattern, free and
+    lift positions).  Build it once per mesh with ``Discretization.build``
+    and pass it to ``newton_solve`` in place of the mesh: every solve on
+    it then skips that set-up.  It is never written to, so solves on
+    several threads may share it.  Whatever depends on ``params`` or on
+    ``data`` (prescribed boundary values, inverse permeabilities, loads,
+    the gauge border) is computed inside each solve and never stored here.
+    """
+
+    mesh: object
+    interface: object
+    dofmap: asm.DofMap
+    workspace: asm.Workspace
+
+    @classmethod
+    def build(cls, mesh, data, quad_degree=6):
+        """Discretize ``mesh`` for the boundary-condition layout of ``data``
+        (which tags carry essential data; their values do not matter) on
+        the quadrature rule of degree ``quad_degree``."""
+        interface = build_interface(mesh)
+        dofmap = asm.build_dofmap(mesh, interface, data)
+        workspace = asm.Workspace(mesh, interface, dofmap, degree=quad_degree)
+        return cls(mesh, interface, dofmap, workspace)
+
+
 def newton_solve(mesh, params, data, options=None):
     """Solve the coupled nonlinear problem on a mesh.
 
-    Returns (SolutionFields, SolveReport).  The iteration count equals
-    the number of linear solves performed.
+    ``mesh`` is a Mesh, discretized for this solve alone, or a
+    Discretization to reuse: solves of several (params, data) on one mesh
+    share its set-up.  Returns (SolutionFields, SolveReport).  The
+    iteration count equals the number of linear solves performed.
+
+    Raises ValueError for options out of range (``max_iter`` < 1,
+    ``tol`` <= 0, an unknown pressure mode), for a Discretization built
+    on another quadrature degree than ``options.quad_degree``, and for
+    data whose boundary-condition layout (constrained DOFs, pressure
+    gauge) differs from the Discretization's.
     """
     opts = options or NewtonOptions()
     if opts.pressure_mode not in ("constraint", "penalty"):
         raise ValueError(f"pressure mode must be constraint|penalty, got {opts.pressure_mode!r}")
+    if opts.max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {opts.max_iter}")
+    if not opts.tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {opts.tol}")
+    disc = mesh
+    if not isinstance(disc, Discretization):
+        disc = Discretization.build(mesh, data, opts.quad_degree)
+    mesh, interface, dofmap, ws = disc.mesh, disc.interface, disc.dofmap, disc.workspace
+    if ws.degree != opts.quad_degree:
+        raise ValueError(
+            f"the discretization uses quadrature degree {ws.degree}, "
+            f"the options ask for {opts.quad_degree}"
+        )
     asm.check_permeabilities(params, mesh, opts.quad_degree)
-    interface = build_interface(mesh)
-    dofmap = asm.build_dofmap(mesh, interface, data)
-    ws = asm.Workspace(mesh, interface, dofmap, degree=opts.quad_degree)
     border = gauge_border(ws, opts.pressure_mode)
 
     x = np.zeros(dofmap.n_total)
@@ -235,8 +284,7 @@ def newton_solve(mesh, params, data, options=None):
     x[: dofmap.n_uB] = interpolate_br(
         lambda pts: np.broadcast_to(init, (len(pts), 2)).copy(), mesh, space=dofmap.br
     )
-    if dofmap.constrained.size:
-        x[dofmap.constrained] = dofmap.constrained_values
+    x[dofmap.constrained] = asm.prescribed_values(dofmap, mesh, data)
 
     # The operator is Da(x) + b on the workspace's fixed pattern.  Da at
     # F = 0 is its linear part; only the Forchheimer block changes with x.
@@ -263,7 +311,7 @@ def newton_solve(mesh, params, data, options=None):
             values = static + asm.forchheimer_data(x, params, ws)
             rhs = base_rhs + asm.forchheimer_rhs(x, params, ws)
 
-        A, b = asm.apply_constraints(ws, values, rhs)
+        A, b = asm.apply_constraints(ws, values, rhs, x)
         try:
             x_free, res, nnz, refined = sparse_lu_solve(A, b, border, full_output=True)
         except SolverError as exc:

@@ -38,19 +38,23 @@ from bfdarcy import (
     project_p0,
 )
 from bfdarcy.elements import br_basis, br_space, edge_rule, quad_rule, rt0_basis, rt0_space
-from bfdarcy.solver import NewtonOptions
+from bfdarcy.solver import Discretization, NewtonOptions
 from bfdarcy.verification import compute_errors
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
 
 
-def manufactured_run(nx, forchheimer=10.0, power=3.0, max_iter=50):
+def square_mesh(nx):
+    return generate_stacked_rect(RECT_B, RECT_D, nx, nx, nx)
+
+
+def manufactured_run(mesh, forchheimer=10.0, power=3.0, max_iter=50):
+    """One manufactured solve on ``mesh``, a Mesh or a Discretization."""
     params = PhysicalParams(
         mu=1.0, forchheimer=forchheimer, power=power, K_B=1.0, K_D=0.1
     )
     exact, data = manufactured_problem(params)
-    mesh = generate_stacked_rect(RECT_B, RECT_D, nx, nx, nx)
     fields, report = newton_solve(mesh, params, data, NewtonOptions(max_iter=max_iter))
     return SimpleNamespace(
         fields=fields, report=report, exact=exact, data=data, params=params
@@ -62,7 +66,7 @@ def study():
     """Five uniform refinements of the manufactured problem, F = 10."""
     runs = []
     for level in range(5):
-        run = manufactured_run(nx=4 * 2**level)
+        run = manufactured_run(square_mesh(4 * 2**level))
         assert run.report.converged
         run.err = compute_errors(run.fields, run.exact, run.report)
         runs.append(run)
@@ -71,10 +75,13 @@ def study():
 
 @pytest.fixture(scope="module")
 def inertia_runs():
-    """Fixed mid-level mesh, increasing Forchheimer coefficient."""
+    """Fixed mid-level mesh, increasing Forchheimer coefficient; every
+    solve reuses one discretization of the mesh."""
+    _, layout = manufactured_problem(PhysicalParams())
+    disc = Discretization.build(square_mesh(16), layout)
     runs = []
     for F in (1.0, 10.0, 1.0e2, 1.0e3, 1.0e4):
-        run = manufactured_run(nx=16, forchheimer=F)
+        run = manufactured_run(disc, forchheimer=F)
         assert run.report.converged, f"F={F} did not converge"
         runs.append(run)
     return runs
@@ -82,14 +89,18 @@ def inertia_runs():
 
 @pytest.fixture(scope="module")
 def channel_runs():
-    """Channel-over-aquifer benchmark swept over the inertia coefficient."""
+    """Channel-over-aquifer benchmark swept over the inertia coefficient;
+    every solve reuses one discretization of the mesh."""
+    _, layout, (rb, rd) = heterogeneous_flow_problem(0.0)
+    disc = Discretization.build(generate_stacked_rect(rb, rd, 32, 16, 16), layout)
     runs = []
     for F in (0.0, 1.0, 10.0, 1.0e2, 1.0e3, 1.0e4):
-        params, data, (rb, rd) = heterogeneous_flow_problem(F)
-        mesh = generate_stacked_rect(rb, rd, 32, 16, 16)
-        fields, report = newton_solve(mesh, params, data)
+        params, data, _ = heterogeneous_flow_problem(F)
+        fields, report = newton_solve(disc, params, data)
         runs.append(
-            SimpleNamespace(F=F, fields=fields, report=report, data=data, params=params)
+            SimpleNamespace(
+                F=F, fields=fields, report=report, data=data, params=params, disc=disc
+            )
         )
     return runs
 
@@ -128,8 +139,7 @@ def channel_energies(run):
     permeability dissipation in both regions) and G = (1/p) int_B |u|^p
     the Forchheimer part, whose derivative is the drag term of a(u).
     """
-    fields, params = run.fields, run.params
-    ws = asm.Workspace(fields.mesh, fields.interface, fields.dofmap, degree=fields.quad_degree)
+    fields, params, ws = run.fields, run.params, run.disc.workspace
     a0 = assemble_a_nonlinear(fields.x, replace(params, forchheimer=0.0), ws)
     a1 = assemble_a_nonlinear(fields.x, replace(params, forchheimer=1.0), ws)
     return 0.5 * float(fields.x @ a0), float(fields.x @ (a1 - a0)) / params.power
@@ -171,7 +181,7 @@ def test_criterion_3_newton_counts_grow_mildly_in_f(inertia_runs):
 
 
 def test_criterion_4_linear_case_needs_one_iteration():
-    run = manufactured_run(nx=8, forchheimer=0.0)
+    run = manufactured_run(square_mesh(8), forchheimer=0.0)
     assert run.report.converged
     assert run.report.iterations == 1
     assert run.report.increments == [0.0]

@@ -23,6 +23,7 @@ from bfdarcy import (
     interpolate_rt0,
     manufactured_problem,
     newton_solve,
+    prescribed_values,
 )
 from bfdarcy.assembly import (
     SPEED_FLOOR,
@@ -33,6 +34,7 @@ from bfdarcy.assembly import (
     check_permeabilities,
     forchheimer_data,
     forchheimer_rhs,
+    inverse_tensor_field,
     tensor_field,
     zero_scalar,
     zero_vector,
@@ -91,6 +93,27 @@ def test_check_permeabilities_rejects_bad_tensors():
             PhysicalParams(K_D=np.array([[1.0, 0.0], [0.0, -2.0]])), mesh
         )
     check_permeabilities(PhysicalParams(K_B=0.1, K_D=1.0e-3), mesh)
+
+
+def test_constant_permeability_is_inverted_once_with_the_same_arithmetic():
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(50, 2))
+    for K in (0.3, np.array([[2.0, 0.4], [0.4, 0.7]])):
+        inv = inverse_tensor_field(K, pts)
+        per_point = inverse_tensor_field(lambda p, K=K: tensor_field(K, p).copy(), pts)
+        assert inv.shape == (50, 2, 2) and inv.flags.c_contiguous
+        np.testing.assert_array_equal(inv, per_point)
+
+
+def test_check_permeabilities_checks_a_callable_at_every_point():
+    mesh, _, _, _ = setup()
+
+    def K_fn(p):
+        out = np.broadcast_to(np.eye(2), (len(p), 2, 2)).copy()
+        out[:, 1, 1] = np.where(p[:, 0] > 0.4, -1.0, 1.0)
+        return out
+
+    with pytest.raises(ValueError, match="K_D must be positive definite"):
+        check_permeabilities(PhysicalParams(K_D=K_fn), mesh)
 
 
 def test_problem_data_validation():
@@ -179,7 +202,7 @@ def test_dofmap_rejects_conflicting_corner_data():
         }
     )
     with pytest.raises(ValueError, match="conflicting prescriptions"):
-        build_dofmap(mesh, iface, data)
+        prescribed_values(build_dofmap(mesh, iface, data), mesh, data)
 
 
 # ------------------------------------------------------- divergence blocks
@@ -361,13 +384,16 @@ def test_operator_matches_a_coo_sum_of_element_matrices(mixed):
     assert abs(B - b_ref).max() <= 1e-13 * abs(b_ref).max()
 
     rhs = np.random.default_rng(4).normal(size=n)
-    A_ff, b_f = apply_constraints(ws, Da.data + B.data, rhs)
+    x_c = prescribed_values(dofmap, mesh, data)
+    x = np.zeros(n)
+    x[dofmap.constrained] = x_c
+    A_ff, b_f = apply_constraints(ws, Da.data + B.data, rhs, x)
     K = (da_ref + b_ref).tocsr()
     c, free = dofmap.constrained, ws.free
     assert free.size == dofmap.n_free + (0 if mixed else 1)
     assert np.intersect1d(free, c).size == 0
     assert abs(A_ff - K[free][:, free]).max() <= 1e-13 * abs(K).max()
-    b_expect = rhs[free] - K[free][:, c] @ dofmap.constrained_values
+    b_expect = rhs[free] - K[free][:, c] @ x_c
     np.testing.assert_allclose(b_f, b_expect, rtol=0, atol=1e-12 * np.abs(b_expect).max())
 
 

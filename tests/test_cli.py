@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import bfdarcy
+import bfdarcy.assembly as asm
+import bfdarcy.cli as cli
 from bfdarcy import load_mesh
 
 # The subprocess imports the same bfdarcy as the tests, also when pytest
@@ -98,6 +100,15 @@ def test_solve_failure_exit_code(tmp_path):
     res = run_cli("solve", "--config", cfg, "--out", str(tmp_path))
     assert res.returncode == 2
     assert "converge" in res.stderr
+
+
+@pytest.mark.parametrize("setting", ["max_iter = 0", "tol = 0"])
+def test_solve_rejects_newton_options_out_of_range(tmp_path, setting):
+    cfg = write_config(tmp_path, f"problem = example2\nnx = 4\n{setting}\n")
+    res = run_cli("solve", "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 1, res.stderr
+    assert setting.split()[0] in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_solve_writes_vtk_pair(tmp_path):
@@ -208,6 +219,25 @@ def test_sweep_output_is_deterministic(tmp_path):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
+def test_sweep_builds_one_workspace_per_level(tmp_path, monkeypatch):
+    built = []
+
+    def counting_workspace(*args, **kwargs):
+        built.append(args[0].num_triangles)
+        return workspace(*args, **kwargs)
+
+    workspace = asm.Workspace
+    monkeypatch.setattr(asm, "Workspace", counting_workspace)
+    cfg = write_config(
+        tmp_path, "problem = example1_variant\nF_list = 1, 100\nK_D_list = 0.1, 0.001\n"
+    )
+    code = cli.main(["sweep", "--config", cfg, "--levels", "2", "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    assert sorted(built) == [64, 256]  # one per level, not one per cell
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 5 and all(c != "--" for ln in lines[1:] for c in ln.split(","))
+
+
 # --------------------------------------------------------- mesh-gen/custom
 
 
@@ -235,6 +265,25 @@ def test_mesh_gen_writes_a_loadable_mesh(tmp_path):
     res = run_cli("solve", "--config", cfg2, "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert "iterations:" in res.stdout
+
+
+def test_sweep_on_a_custom_mesh_has_one_level(tmp_path):
+    cfg = write_config(tmp_path, "problem = example2\nmesh = channel.txt\nnx = 4\n")
+    assert run_cli("mesh-gen", "--config", cfg, "--out", str(tmp_path)).returncode == 0
+    cfg = write_config(
+        tmp_path,
+        f"problem = custom\nmesh = {tmp_path / 'channel.txt'}\nF_list = 0, 10\n",
+        name="sweep.cfg",
+    )
+    res = run_cli("sweep", "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "F,K_D,iter"
+    assert [len(ln.split(",")) for ln in lines[1:]] == [3, 3]
+
+    res = run_cli("sweep", "--config", cfg, "--levels", "2", "--out", str(tmp_path))
+    assert res.returncode == 1
+    assert "one mesh" in res.stderr
 
 
 def test_mesh_gen_rejects_odd_interface_count(tmp_path):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,11 +23,12 @@ from bfdarcy import (
     heterogeneous_flow_problem,
     manufactured_problem,
     newton_solve,
+    prescribed_values,
     pressure_mean,
     sparse_lu_solve,
 )
 from bfdarcy import solver
-from bfdarcy.assembly import Workspace
+from bfdarcy.assembly import Workspace, zero_scalar
 from bfdarcy.solver import (
     LU_RESIDUAL_TOL,
     PRESSURE_PENALTY,
@@ -172,7 +177,7 @@ def test_gauge_solve_matches_the_factored_bordered_system(mode):
 
     ws = Workspace(mesh, fields.interface, dofmap)
     values = assemble_da(fields.x, params, ws).data + assemble_b(ws).data
-    A, b = apply_constraints(ws, values, assemble_rhs(data, ws))
+    A, b = apply_constraints(ws, values, assemble_rhs(data, ws), fields.x)
     # The border in the numbering of the free DOFs, the gauge included.
     p_dofs = np.searchsorted(ws.free, dofmap.off_p + np.arange(dofmap.n_p))
     gauge = np.searchsorted(ws.free, dofmap.gauge_dof)
@@ -241,6 +246,16 @@ def test_newton_rejects_bad_pressure_mode():
         newton_solve(mesh, params, data, NewtonOptions(pressure_mode="lagrange"))
 
 
+@pytest.mark.parametrize(
+    "options", [dict(max_iter=0), dict(max_iter=-3), dict(tol=0.0), dict(tol=-1e-6),
+                dict(tol=float("nan"))],
+)
+def test_newton_rejects_options_out_of_range(options):
+    mesh, params, data = manufactured(forchheimer=0.0)
+    with pytest.raises(ValueError, match="max_iter|tol"):
+        newton_solve(mesh, params, data, NewtonOptions(**options))
+
+
 def test_newton_solution_zeroes_the_nonlinear_residual():
     mesh, params, data = manufactured(forchheimer=10.0, power=3.5)
     fields, report = newton_solve(mesh, params, data, NewtonOptions(tol=1e-12))
@@ -298,10 +313,13 @@ def test_newton_factors_only_the_free_dofs_on_one_pattern(problem, monkeypatch):
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
 def test_constrained_dofs_keep_their_prescribed_values_exactly(problem):
-    fields, _ = newton_solve(*problem())
+    mesh, params, data = problem()
+    fields, _ = newton_solve(mesh, params, data)
     dofmap = fields.dofmap
     assert dofmap.constrained.size > 0
-    np.testing.assert_array_equal(fields.x[dofmap.constrained], dofmap.constrained_values)
+    np.testing.assert_array_equal(
+        fields.x[dofmap.constrained], prescribed_values(dofmap, mesh, data)
+    )
 
 
 def test_report_dof_counts_free_field_unknowns():
@@ -321,3 +339,68 @@ def test_solution_fields_split_views():
     assert fields.p.size == mesh.num_triangles
     assert fields.lam.size == fields.interface.num_nodes
     np.testing.assert_array_equal(fields.u_B, fields.x[: dofmap.n_uB])
+
+
+# ------------------------------------------------- shared discretization
+
+
+def example1_cells():
+    """example1_variant cells whose parameters and data differ, on one mesh."""
+    cells = []
+    for F in (1.0, 1.0e2, 1.0e3):
+        for K_D in (0.1, 1.0e-3):
+            params = PhysicalParams(mu=1.0, forchheimer=F, power=3.0, K_B=1.0, K_D=K_D)
+            cells.append((params, manufactured_problem(params)[1]))
+    return cells
+
+
+def workspace_state(ws):
+    return {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in vars(ws).items()}
+
+
+@pytest.mark.parametrize("threads", [0, 4], ids=["serial", "threaded"])
+def test_shared_discretization_reproduces_mesh_first_solves(threads):
+    mesh = generate_stacked_rect(RECT_B, RECT_D, 8, 8, 8)
+    cells = example1_cells()
+    fresh = [newton_solve(mesh, params, data) for params, data in cells]
+    disc = solver.Discretization.build(mesh, cells[0][1])
+    before = workspace_state(disc.workspace)
+
+    if threads:
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(newton_solve, disc, p, d) for p, d in cells * 2]
+                shared = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+    else:
+        shared = [newton_solve(disc, p, d) for p, d in cells * 2]
+
+    for (f1, r1), (f2, r2) in zip(fresh * 2, shared):
+        assert r2.converged
+        np.testing.assert_array_equal(f2.x, f1.x)
+        assert r2.iterations == r1.iterations
+        assert r2.lu_nnz == r1.lu_nnz
+        assert f2.dofmap is disc.dofmap and f2.mesh is mesh
+    # Nothing a solve computes is kept on the shared workspace.
+    after = workspace_state(disc.workspace)
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(after[key], value)
+
+
+def test_shared_discretization_rejects_another_layout():
+    mesh, params, data = channel()
+    disc = solver.Discretization.build(mesh, data)
+    _, gauge_data = manufactured_problem(params)
+    with pytest.raises(ValueError, match="pressure gauge"):
+        newton_solve(disc, params, gauge_data)
+    sealed = replace(data, darcy_bc={**data.darcy_bc, "GD_LEFT": ("pressure", zero_scalar)})
+    assert not sealed.gauge_pressure
+    with pytest.raises(ValueError, match="essential boundary conditions"):
+        newton_solve(disc, params, sealed)
+    with pytest.raises(ValueError, match="quadrature degree"):
+        newton_solve(disc, params, data, NewtonOptions(quad_degree=8))
