@@ -350,13 +350,29 @@ class Workspace:
     and the restriction to free DOFs.
 
     The spaces on a fixed mesh give an operator whose sparsity never
-    changes, so the pattern is built once here.  Each local block has a
-    slot array (``slots_B``, ``slots_D``, ``slots_b``) mapping its element
-    entries to positions in the CSR ``data``; assembling is one
-    ``np.bincount`` per block.  ``free`` lists the unconstrained DOFs (the
-    gauge scalar included), and ``apply_constraints`` gathers the
-    free-free submatrix and lifts the constrained columns with index
+    changes, so the pattern is built once here.  Each velocity block has
+    a slot array (``slots_B``, ``slots_D``) mapping its element entries to
+    positions in the CSR ``data``; assembling is one ``np.bincount`` per
+    block.  The coupling block depends on the mesh alone, so its data
+    (``b_data``) is assembled here once, and its entries that are exactly
+    zero are left out of the pattern.  ``free`` lists the unconstrained
+    DOFs (the gauge scalar included), and ``apply_constraints`` gathers
+    the free-free submatrix and lifts the constrained columns with index
     arrays built here.
+
+    The condensed solve splits the free DOFs into the Darcy set
+    (``free_D``: free u_D and all p_D) and the reduced set (``free_R``:
+    the rest, the gauge included), both as positions in ``free``.  The
+    two meet only in the multiplier rows (``lam_R``).  ``dd_*``, ``cd_*``
+    and ``rr_*`` gather, from the data of ``apply_constraints``' A_ff,
+    the Darcy block in CSC order, the multiplier-Darcy coupling, and the
+    reduced block in CSC order with a dense multiplier block and, with a
+    gauge, the pins of ``solver.GaugeBorder`` appended to the gather
+    source.  The edge tables of the natural boundary terms are kept per
+    boundary tag in ``natural``.
+
+    Index and position arrays the per-iteration gathers use are 32-bit,
+    the width scipy.sparse and SuperLU store, so no gather converts them.
 
     A workspace holds only what the mesh, the DOF layout and the
     quadrature determine, and nothing writes to it after construction:
@@ -397,7 +413,9 @@ class Workspace:
         self.p_dof_D = dofmap.off_p + td
 
         self._build_interface_tables()
+        self._build_boundary_tables()
         self._build_pattern()
+        self._build_partition()
 
     def _build_interface_tables(self):
         iface, mesh, dof = self.interface, self.mesh, self.dofmap
@@ -433,6 +451,36 @@ class Workspace:
         self.shat = np.stack([1.0 - frac, frac], axis=2)  # (ns, nqe, 2)
         self.snodes = dof.off_lam + np.stack([macro, macro + 1], axis=1)
 
+    def _build_boundary_tables(self):
+        """Edge points, weights, normals, basis traces and global DOFs of
+        every boundary tag with natural data in this layout (its edge DOFs
+        are free), for the natural terms of ``assemble_rhs``: Brinkman
+        basis values for a traction, Darcy normal traces for a pressure."""
+        mesh, dof = self.mesh, self.dofmap
+        normals = mesh.outward_normals()
+        edge_dofs = {
+            **{tag: 2 * dof.br.vertex_ids.size + dof.br.edge_local for tag in GAMMA_B_TAGS},
+            **{tag: dof.off_uD + dof.rt.edge_local for tag in GAMMA_D_TAGS},
+        }
+        self.natural = {}
+        for tag, dofs in edge_dofs.items():
+            eids = mesh.edges_with_tag(tag)
+            if eids.size == 0 or (dof.constrained == dofs[eids[0]]).any():
+                continue
+            pts, wts = _edge_points(mesh, eids, self.edge_points)
+            nrm = np.repeat(normals[eids][:, None, :], pts.shape[1], axis=1)
+            tri = mesh.edge_tris[eids, 0]
+            verts, signs = mesh.vertices[mesh.triangles[tri]], mesh.tri_edge_signs[tri]
+            if tag in GAMMA_B_TAGS:
+                bary = _edge_bary(mesh, mesh.edges[eids], tri, self.edge_points)
+                basis, _ = el.br_basis(verts, signs, bary)
+                l2g = dof.br.l2g[np.searchsorted(dof.br.tri_ids, tri)]
+            else:
+                psi, _ = el.rt0_basis(verts, signs, pts)
+                basis = np.einsum("maqd,mqd->maq", psi, nrm)
+                l2g = dof.off_uD + dof.rt.l2g[np.searchsorted(dof.rt.tri_ids, tri)]
+            self.natural[tag] = (pts, nrm, wts, basis, l2g)
+
     def _build_pattern(self):
         dof = self.dofmap
         n = dof.n_total
@@ -449,19 +497,26 @@ class Workspace:
         ]
         rows_b = np.concatenate([r.ravel() for r, _ in coupling])
         cols_b = np.concatenate([c.ravel() for _, c in coupling])
+        rows_b, cols_b = np.concatenate([rows_b, cols_b]), np.concatenate([cols_b, rows_b])
+        # Coupling entries that are exactly zero, such as multiplier rows
+        # against x-components of Brinkman vertex functions on a
+        # horizontal interface, stay out of the pattern.
+        entries = _coupling_entries(self)
+        kept = entries != 0.0
         blocks = [
             np.broadcast_arrays(l2g_B[:, :, None], l2g_B[:, None, :]),
             np.broadcast_arrays(l2g_D[:, :, None], l2g_D[:, None, :]),
-            (np.concatenate([rows_b, cols_b]), np.concatenate([cols_b, rows_b])),
+            (rows_b[kept], cols_b[kept]),
         ]
         keys = np.concatenate([r.ravel() * n + c.ravel() for r, c in blocks])
         keys, slots = np.unique(keys, return_inverse=True)
         rows, cols = np.divmod(keys, n)
         self.nnz = keys.size
-        self.indices = cols
+        self.indices = cols.astype(np.intc)
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         sizes = np.cumsum([r.size for r, _ in blocks])
-        self.slots_B, self.slots_D, self.slots_b = np.split(slots, sizes[:-1])
+        self.slots_B, self.slots_D, slots_b = np.split(slots.astype(np.intc), sizes[:-1])
+        self.b_data = self.scatter(slots_b, entries[kept])
 
         is_free = np.ones(n, dtype=bool)
         is_free[dof.constrained] = False
@@ -469,8 +524,8 @@ class Workspace:
         reduced = np.full(n, -1)
         reduced[self.free] = np.arange(self.free.size)
         ff = is_free[rows] & is_free[cols]
-        self.ff_pos = np.flatnonzero(ff)
-        self.ff_indices = reduced[cols[ff]]
+        self.ff_pos = np.flatnonzero(ff).astype(np.intc)
+        self.ff_indices = reduced[cols[ff]].astype(np.intc)
         self.ff_indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(reduced[rows[ff]], minlength=self.free.size))]
         )
@@ -478,6 +533,53 @@ class Workspace:
         self.lift_pos = np.flatnonzero(lift)
         self.lift_rows = reduced[rows[lift]]
         self.lift_cols = cols[lift]
+
+    def _build_partition(self):
+        dof, free = self.dofmap, self.free
+        darcy = np.zeros(dof.n_total, dtype=bool)
+        darcy[dof.off_uD : dof.off_p] = True
+        darcy[self.p_dof_D] = True
+        in_D = darcy[free]
+        self.free_D = np.flatnonzero(in_D)
+        self.free_R = np.flatnonzero(~in_D)
+        local = np.empty(free.size, dtype=int)
+        local[self.free_D] = np.arange(self.free_D.size)
+        local[self.free_R] = np.arange(self.free_R.size)
+        n_lam, n_R = dof.n_lam, self.free_R.size
+        self.lam_R = local[np.searchsorted(free, dof.off_lam + np.arange(n_lam))]
+
+        rows = np.repeat(np.arange(free.size), np.diff(self.ff_indptr))
+        cols = self.ff_indices
+        D_row, D_col = in_D[rows], in_D[cols]
+        rows, cols = local[rows], local[cols]
+
+        dd = np.flatnonzero(D_row & D_col)
+        self.dd_pos, self.dd_indices, self.dd_indptr = _csc_gather(
+            dd, rows[dd], cols[dd], self.free_D.size
+        )
+        lam_index = np.full(n_R, -1)
+        lam_index[self.lam_R] = np.arange(n_lam)
+        self.cd_pos = np.flatnonzero(~D_row & D_col)
+        self.cd_rows = lam_index[rows[self.cd_pos]]
+        self.cd_cols = cols[self.cd_pos]
+
+        # The source of the reduced gather is A_ff's data followed by the
+        # n_lam x n_lam multiplier block (row-major) and, with a gauge, the
+        # pins on the gauge slot and on the first Brinkman pressure, which
+        # is GaugeBorder.pin of the reduced border (u_B precede p_B in the
+        # reduced numbering and carry no gauge coupling).
+        rr = np.flatnonzero(~D_row & ~D_col)
+        lam_r, lam_c = np.meshgrid(self.lam_R, self.lam_R, indexing="ij")
+        pins = np.empty(0, dtype=int)
+        if dof.gauge_dof >= 0:
+            pins = local[np.searchsorted(free, [dof.off_p + dof.br.tri_ids.min(), dof.gauge_dof])]
+        extra = cols.size + np.arange(n_lam * n_lam + pins.size)
+        self.rr_pos, self.rr_indices, self.rr_indptr = _csc_gather(
+            np.concatenate([rr, extra]),
+            np.concatenate([rows[rr], lam_r.ravel(), pins]),
+            np.concatenate([cols[rr], lam_c.ravel(), pins]),
+            n_R,
+        )
 
     def scatter(self, slots, local):
         """CSR data holding the local entries ``local`` summed into ``slots``."""
@@ -495,6 +597,14 @@ class Workspace:
     def kinv_D(self, params):
         """K_D^-1 at the Darcy quadrature points, (m, nq, 2, 2)."""
         return _inverse_at(params.K_D, self.qpts_D)
+
+
+def _csc_gather(pos, rows, cols, n):
+    """Gather positions, row indices and column pointers of the n x n CSC
+    matrix whose entry (rows[k], cols[k]) is taken from position pos[k]."""
+    order = np.argsort(cols * n + rows)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    return pos[order].astype(np.intc), rows[order].astype(np.intc), indptr.astype(np.intc)
 
 
 def _inverse_at(K, qpts):
@@ -603,7 +713,7 @@ def assemble_b(ws):
     <v_B . n - v_D . n, xi> on the multiplier rows, and the transposes on
     the velocity rows.
     """
-    return ws.csr(ws.scatter(ws.slots_b, _coupling_entries(ws)))
+    return ws.csr(ws.b_data.copy())
 
 
 def _coupling_entries(ws):
@@ -648,40 +758,24 @@ def forchheimer_rhs(w, params, ws):
 
 
 def _add_natural_bc(rhs, data, ws):
-    mesh, dof = ws.mesh, ws.dofmap
-    normals = mesh.outward_normals()
-    for tag, (kind, fn) in data.velocity_bc.items():
-        if kind != "traction":
-            continue
-        eids = mesh.edges_with_tag(tag)
-        if eids.size == 0:
-            continue
-        pts, wts = _edge_points(mesh, eids, ws.edge_points)
-        tri = mesh.edge_tris[eids, 0]
-        bary = _edge_bary(mesh, mesh.edges[eids], tri, ws.edge_points)
-        phi, _ = el.br_basis(
-            mesh.vertices[mesh.triangles[tri]], mesh.tri_edge_signs[tri], bary
-        )
-        nrm = np.repeat(normals[eids][:, None, :], pts.shape[1], axis=1)
-        tv = np.asarray(fn(pts.reshape(-1, 2), nrm.reshape(-1, 2))).reshape(pts.shape)
-        l2g = dof.br.l2g[np.searchsorted(dof.br.tri_ids, tri)]
-        np.add.at(rhs, l2g, _load(phi, wts[..., None] * tv))
-
-    for tag, (kind, fn) in data.darcy_bc.items():
-        if kind != "pressure":
-            continue
-        eids = mesh.edges_with_tag(tag)
-        if eids.size == 0:
-            continue
-        pts, wts = _edge_points(mesh, eids, ws.edge_points)
-        tri = mesh.edge_tris[eids, 0]
-        psi, _ = el.rt0_basis(
-            mesh.vertices[mesh.triangles[tri]], mesh.tri_edge_signs[tri], pts
-        )
-        pv = np.asarray(fn(pts.reshape(-1, 2))).reshape(wts.shape)
-        tr = np.einsum("maqd,mqd->maq", psi, np.repeat(normals[eids][:, None, :], pts.shape[1], axis=1))
-        l2g = dof.off_uD + dof.rt.l2g[np.searchsorted(dof.rt.tri_ids, tri)]
-        np.add.at(rhs, l2g, -_load(tr, pv * wts))
+    for bcs, natural in ((data.velocity_bc, "traction"), (data.darcy_bc, "pressure")):
+        for tag, (kind, fn) in bcs.items():
+            if kind != natural:
+                continue
+            if tag not in ws.natural:
+                if ws.mesh.edges_with_tag(tag).size:
+                    raise ValueError(
+                        f"boundary tag {tag!r} carries {kind} data, but the "
+                        "workspace was built for a layout where it is essential"
+                    )
+                continue
+            pts, nrm, wts, basis, l2g = ws.natural[tag]
+            if kind == "traction":
+                tv = np.asarray(fn(pts.reshape(-1, 2), nrm.reshape(-1, 2))).reshape(pts.shape)
+                np.add.at(rhs, l2g, _load(basis, wts[..., None] * tv))
+            else:
+                pv = np.asarray(fn(pts.reshape(-1, 2))).reshape(wts.shape)
+                np.add.at(rhs, l2g, -_load(basis, pv * wts))
 
 
 def assemble_a_nonlinear(u, params, ws):

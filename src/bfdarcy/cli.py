@@ -408,7 +408,9 @@ def cmd_sweep(cfg, levels, out_dir, quiet):
             )
         return report.iterations
 
-    with ThreadPoolExecutor(max_workers=min(8, len(cells))) as pool:
+    # SuperLU releases the interpreter lock, so cells overlap up to one
+    # thread per core; more threads only add memory.
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(cells))) as pool:
         futures = {cell: pool.submit(run, cell) for cell in cells}
 
     lines = ["F,K_D," + ",".join(names)]

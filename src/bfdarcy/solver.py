@@ -6,6 +6,11 @@ side the load functional plus the correction F (p-2)(|w|^(p-2) w, v_B).
 The iteration stops when the relative l2 increment of the coefficient
 vector drops to the tolerance; with a vanishing Forchheimer coefficient
 the operator is affine and a single solve is the exact discrete solution.
+
+The Darcy block of the linear system does not change with the iterate,
+so each solve factors it once (``DarcyBlock``) and every Newton step
+factors only the Brinkman and multiplier unknowns, with the Darcy
+block's Schur complement on the multiplier block.
 """
 
 from dataclasses import dataclass, replace
@@ -37,13 +42,31 @@ LU_RESIDUAL_TOL = 1.0e-10
 PRESSURE_PENALTY = 1.0e-8
 
 
-def _normalized_residual(A, x, b):
-    num = np.abs(A @ x - b).max() if b.size else 0.0
-    den = (
-        np.abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
-        if b.size
-        else 1.0
-    )
+def _bordered_residual(A, x, b, border=None):
+    """K x - b for K = A, or A with ``border``, without forming K."""
+    r = A @ x - b
+    if border is not None:
+        c, s = border.coupling, border.slot
+        r += c * x[s]
+        r[s] += c @ x - border.diagonal * x[s]
+    return r
+
+
+def _normalized_residual(A, x, b, border=None):
+    """||K x - b||_inf / (||K||_inf ||x||_inf + ||b||_inf) for a CSR A and
+    K = A or A with ``border``; ||K||_inf comes from the row sums of
+    |A.data| plus the border's."""
+    if not b.size:
+        return 0.0
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    norms = np.bincount(rows, np.abs(A.data), minlength=n)
+    if border is not None:
+        c = np.abs(border.coupling)
+        norms += c
+        norms[border.slot] = c.sum() + abs(border.diagonal)
+    num = np.abs(_bordered_residual(A, x, b, border)).max()
+    den = norms.max() * np.abs(x).max() + np.abs(b).max()
     return num / den if den > 0.0 else num
 
 
@@ -55,22 +78,16 @@ class GaugeBorder:
     where s is ``slot`` (an empty row and column of A), c is ``coupling``
     (the triangle areas on the pressure DOFs, zero elsewhere) and delta
     is ``diagonal``: 0 keeps the gauge row exact, PRESSURE_PENALTY makes
-    it a penalty.
+    it a penalty.  ``pin`` is the first nonzero of c.
     """
 
     slot: int
     coupling: np.ndarray
     diagonal: float = 0.0
 
-    def bordered(self, A):
-        """K as a CSR matrix."""
-        n = A.shape[0]
-        idx = np.flatnonzero(self.coupling)
-        s = np.full(idx.size, self.slot)
-        rows = np.concatenate([s, idx, [self.slot]])
-        cols = np.concatenate([idx, s, [self.slot]])
-        vals = np.concatenate([self.coupling[idx], self.coupling[idx], [-self.diagonal]])
-        return (A + sp.csr_matrix((vals, (rows, cols)), shape=(n, n))).tocsr()
+    @property
+    def pin(self):
+        return int(np.flatnonzero(self.coupling)[0])
 
 
 def gauge_border(ws, pressure_mode):
@@ -85,68 +102,173 @@ def gauge_border(ws, pressure_mode):
     return GaugeBorder(int(np.searchsorted(ws.free, dofmap.gauge_dof)), c[ws.free], delta)
 
 
-def sparse_lu_solve(A, b, border=None, full_output=False):
-    """Solve A x = b, or the bordered K x = b, by sparse LU with partial pivoting.
+def _factor(M):
+    try:
+        return splu(M)
+    except RuntimeError as exc:
+        raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
 
-    With a GaugeBorder the dense border row and column are not factored.
-    A is singular only along the constant (p, lambda) mode, so
-    M = A + e_j e_j^T + e_s e_s^T, with j the first pressure DOF, is
-    nonsingular and has the sparsity of A.  Each right-hand side then
-    costs one solve with M plus a 2x2 system for (x_j, x_s):
+
+def _bordered_solve(lu, border):
+    """The solve with K = A or A bordered, from the LU of A or, with a
+    border, of M = A + e_j e_j^T + e_s e_s^T (j = ``border.pin``).
+
+    A is singular only along the constant (p, lambda) mode, so M is
+    nonsingular and has the sparsity of A.  Each right-hand side costs
+    one solve with M plus a 2x2 system for (x_j, x_s):
 
         x = y0 + x_j y1 - x_s y2,  y0 = M^-1 b_x, y1 = M^-1 e_j, y2 = M^-1 c
 
     where b_x is b with its gauge entry zeroed; y1 and y2 come from one
-    two-column solve per factorization.
-
-    The residual check and the refinement step act on K itself.  Raises
-    SingularSystemError on an exactly singular pivot and SolverError if
-    the normalized residual stays above LU_RESIDUAL_TOL even after one
-    step of iterative refinement.  With ``full_output`` returns
-    (x, normalized residual, nnz(L+U), whether the refinement step ran).
+    two-column solve here.
     """
-    A = sp.csc_matrix(A)
-    b = np.asarray(b, dtype=float)
-    M, K = A, A
-    if border is not None:
-        c, s = border.coupling, border.slot
-        j = int(np.flatnonzero(c)[0])
-        M = (A + sp.csc_matrix(([1.0, 1.0], ([j, s], [j, s])), shape=A.shape)).tocsc()
-        K = border.bordered(A)
-    try:
-        lu = splu(M)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
-
     if border is None:
-        solve = lu.solve
-    else:
-        e_j = np.zeros(A.shape[0])
-        e_j[j] = 1.0
-        Y = lu.solve(np.column_stack([e_j, c]))
-        y1, y2 = Y[:, 0], Y[:, 1]
-        G = np.array([[y1[j] - 1.0, -y2[j]], [c @ y1, -(c @ y2) - border.diagonal]])
+        return lu.solve
+    c, s, j = border.coupling, border.slot, border.pin
+    e_j = np.zeros(c.size)
+    e_j[j] = 1.0
+    Y = lu.solve(np.column_stack([e_j, c]))
+    y1, y2 = Y[:, 0], Y[:, 1]
+    G = np.array([[y1[j] - 1.0, -y2[j]], [c @ y1, -(c @ y2) - border.diagonal]])
+
+    def solve(rhs):
+        rhs_x = rhs.copy()
+        rhs_x[s] = 0.0
+        y0 = lu.solve(rhs_x)
+        try:
+            xj, xs = np.linalg.solve(G, [-y0[j], rhs[s] - c @ y0])
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"singular gauge border: {exc}") from exc
+        x = y0 + xj * y1 - xs * y2
+        x[s] = xs
+        return x
+
+    return solve
+
+
+class DarcyBlock:
+    """The Darcy unknowns of one solve's free system, eliminated.
+
+    The free u_D and p_D of the system of ``apply_constraints`` form a
+    block A_DD that does not depend on the Newton iterate.  They meet the
+    other unknowns only in the multiplier rows C_D = A[lambda, D] (and
+    the transposed columns) and, with a gauge border, in its coupling
+    c_D.  Built from one Newton iteration's system (A, b), this factors
+    A_DD once, keeps
+
+        X = A_DD^-1 C_D^T,  z = A_DD^-1 c_D,  y = A_DD^-1 b_D,
+
+    and releases the factor.  ``sparse_lu_solve`` then factors only the
+    reduced block: the other unknowns, with S_D = C_D X subtracted from
+    the (empty) multiplier block, bordered by ``border``, the gauge
+    border of the reduced system (coupling c_R - X^T c_D, diagonal
+    delta + c_D . z).  x_D = y - X lambda - z x_s recovers the rest.
+
+    b_D does not change across Newton iterations (the Forchheimer terms
+    act on u_B only, and the lift uses fixed prescribed values), so ``y``
+    serves every iteration.  Another right-hand side, as in a refinement
+    step, re-factors A_DD.
+    """
+
+    def __init__(self, ws, A, b, border=None):
+        self.ws = ws
+        n_D, n_lam = ws.free_D.size, ws.dofmap.n_lam
+        self.matrix = sp.csc_matrix(
+            (A.data[ws.dd_pos], ws.dd_indices, ws.dd_indptr), shape=(n_D, n_D)
+        )
+        self.coupling = sp.csr_matrix(
+            (A.data[ws.cd_pos], (ws.cd_rows, ws.cd_cols)), shape=(n_lam, n_D)
+        )
+        self.b = b[ws.free_D]
+        cols = [self.coupling.T.toarray(), self.b[:, None]]
+        if border is not None:
+            c_D = border.coupling[ws.free_D]
+            cols.append(c_D[:, None])
+        lu = _factor(self.matrix)
+        self.lu_nnz = int(lu.nnz)
+        Y = lu.solve(np.hstack(cols))
+        del lu
+        self.X, self.y = Y[:, :n_lam], Y[:, n_lam]
+        extra = [-(self.coupling @ self.X).ravel()]
+        self.z = self.c_D = self.border = None
+        if border is not None:
+            self.z, self.c_D = Y[:, n_lam + 1], c_D
+            c_R = border.coupling[ws.free_R]
+            c_R[ws.lam_R] -= self.X.T @ c_D
+            self.border = GaugeBorder(
+                int(np.searchsorted(ws.free_R, border.slot)), c_R, border.diagonal + c_D @ self.z
+            )
+            extra.append([1.0, 1.0])
+        self.extra = np.concatenate(extra)
+
+    def reduced(self, A):
+        """The reduced block of the free system A as a CSC matrix, with the
+        gauge pins of ``_bordered_solve`` in place."""
+        ws = self.ws
+        n = ws.free_R.size
+        data = np.concatenate([A.data, self.extra])[ws.rr_pos]
+        return sp.csc_matrix((data, ws.rr_indices, ws.rr_indptr), shape=(n, n))
+
+    def full_solve(self, reduced_solve):
+        """The solve with the full free system, from the reduced one."""
+        ws, z = self.ws, self.z
 
         def solve(rhs):
-            rhs_x = rhs.copy()
-            rhs_x[s] = 0.0
-            y0 = lu.solve(rhs_x)
-            try:
-                xj, xs = np.linalg.solve(G, [-y0[j], rhs[s] - c @ y0])
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(f"singular gauge border: {exc}") from exc
-            x = y0 + xj * y1 - xs * y2
-            x[s] = xs
+            rhs_D = rhs[ws.free_D]
+            y = self.y if np.array_equal(rhs_D, self.b) else _factor(self.matrix).solve(rhs_D)
+            rhs_R = rhs[ws.free_R]
+            rhs_R[ws.lam_R] -= self.coupling @ y
+            if z is not None:
+                rhs_R[self.border.slot] -= self.c_D @ y
+            x_R = reduced_solve(rhs_R)
+            x_D = y - self.X @ x_R[ws.lam_R]
+            if z is not None:
+                x_D -= z * x_R[self.border.slot]
+            x = np.empty(rhs.size)
+            x[ws.free_R] = x_R
+            x[ws.free_D] = x_D
             return x
+
+        return solve
+
+
+def sparse_lu_solve(A, b, border=None, full_output=False, darcy=None):
+    """Solve A x = b, or the bordered K x = b, by sparse LU with partial pivoting.
+
+    With a GaugeBorder the dense border row and column are not factored
+    (see ``_bordered_solve``).  With a DarcyBlock of this system the
+    Darcy unknowns are not factored either: only ``darcy.reduced(A)`` is,
+    and the Darcy part of x comes from the block's once-per-solve
+    quantities.
+
+    The residual check and the refinement step act on the full K.
+    Raises SingularSystemError on an exactly singular pivot and
+    SolverError if the normalized residual stays above LU_RESIDUAL_TOL
+    even after one step of iterative refinement.  With ``full_output``
+    returns (x, normalized residual, nnz(L+U) of the factor, whether the
+    refinement step ran).
+    """
+    A = sp.csr_matrix(A)
+    b = np.asarray(b, dtype=float)
+    if darcy is None:
+        M = sp.csc_matrix(A)
+        if border is not None:
+            j, s = border.pin, border.slot
+            M = (M + sp.csc_matrix(([1.0, 1.0], ([j, s], [j, s])), shape=A.shape)).tocsc()
+        lu = _factor(M)
+        solve = _bordered_solve(lu, border)
+    else:
+        lu = _factor(darcy.reduced(A))
+        solve = darcy.full_solve(_bordered_solve(lu, darcy.border))
 
     x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("sparse LU produced non-finite values")
-    res = _normalized_residual(K, x, b)
+    res = _normalized_residual(A, x, b, border)
     refined = bool(res > LU_RESIDUAL_TOL)
     if refined:
-        x = x + solve(b - K @ x)
-        res = _normalized_residual(K, x, b)
+        x = x - solve(_bordered_residual(A, x, b, border))
+        res = _normalized_residual(A, x, b, border)
         if res > LU_RESIDUAL_TOL:
             raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
     if full_output:
@@ -196,7 +318,15 @@ class SolutionFields:
 
 @dataclass
 class SolveReport:
-    """Outcome of one nonlinear solve."""
+    """Outcome of one nonlinear solve.
+
+    Per Newton iteration: the relative velocity increment, the normalized
+    residual of the linear solve on the full free system, nnz(L+U) of
+    the factor that iteration computed (the reduced block, with the
+    Darcy unknowns eliminated) and whether the refinement step ran.
+    ``darcy_lu_nnz`` is nnz(L+U) of the Darcy block, factored once per
+    solve.
+    """
 
     iterations: int
     increments: list
@@ -206,6 +336,7 @@ class SolveReport:
     converged: bool
     dof: int
     tol: float
+    darcy_lu_nnz: int
 
     def __str__(self):
         state = "converged" if self.converged else "NOT converged"
@@ -303,6 +434,7 @@ def newton_solve(mesh, params, data, options=None):
     lu_nnz = []
     refinements = []
     converged = False
+    darcy = None
 
     max_iter = 1 if affine else opts.max_iter
     for it in range(1, max_iter + 1):
@@ -313,7 +445,11 @@ def newton_solve(mesh, params, data, options=None):
 
         A, b = asm.apply_constraints(ws, values, rhs, x)
         try:
-            x_free, res, nnz, refined = sparse_lu_solve(A, b, border, full_output=True)
+            if darcy is None:
+                darcy = DarcyBlock(ws, A, b, border)
+            x_free, res, nnz, refined = sparse_lu_solve(
+                A, b, border, full_output=True, darcy=darcy
+            )
         except SolverError as exc:
             raise SolverError(f"linear solve failed at Newton iteration {it}: {exc}") from exc
         residuals.append(res)
@@ -350,6 +486,7 @@ def newton_solve(mesh, params, data, options=None):
         converged=converged,
         dof=dofmap.n_free,
         tol=opts.tol,
+        darcy_lu_nnz=darcy.lu_nnz,
     )
     return fields, report
 

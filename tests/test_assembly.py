@@ -245,6 +245,15 @@ def test_coupling_block_is_symmetric():
     assert abs(B - B.T).max() < 1e-13
 
 
+def test_coupling_pattern_keeps_no_exact_zeros():
+    # The coupling block depends on the mesh alone; its slots that sum to
+    # exactly zero are left out of the workspace pattern.
+    mesh, iface, data, dofmap = setup()
+    B = assemble_b(Workspace(mesh, iface, dofmap)).tocoo()
+    coupling = B.row >= dofmap.off_p
+    assert coupling.any() and np.all(B.data[coupling] != 0.0)
+
+
 def test_interface_rows_integrate_constant_normal_velocity():
     """<v.n, xi> rows evaluated on the constant field v = (0, -1).
 
@@ -613,6 +622,12 @@ def test_rhs_traction_loads_only_the_traction_boundary():
     bub = 2 * dofmap.br.vertex_ids.size + dofmap.br.edge_local[eids]
     mask[bub] = True
     assert np.abs(rhs[~mask]).max() == 0.0
+
+    # A workspace built for a layout where that side is essential has no
+    # tables for its traction term and says so.
+    essential = Workspace(mesh, iface, build_dofmap(mesh, iface, ProblemData()))
+    with pytest.raises(ValueError, match="GB_RIGHT"):
+        assemble_rhs(data, essential)
 
 
 def test_interface_traction_loads_interface_velocity_rows():

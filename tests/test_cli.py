@@ -238,6 +238,25 @@ def test_sweep_builds_one_workspace_per_level(tmp_path, monkeypatch):
     assert len(lines) == 5 and all(c != "--" for ln in lines[1:] for c in ln.split(","))
 
 
+@pytest.mark.parametrize("cores", [3, None])
+def test_sweep_pool_has_at_most_one_thread_per_core(tmp_path, monkeypatch, cores):
+    sizes = []
+    pool = cli.ThreadPoolExecutor
+
+    def recording_pool(max_workers=None):
+        sizes.append(max_workers)
+        return pool(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    cfg = write_config(
+        tmp_path, "problem = example1_variant\nF_list = 1, 100\nK_D_list = 0.1, 0.001\n"
+    )
+    code = cli.main(["sweep", "--config", cfg, "--levels", "2", "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    assert sizes == [cores or 1]  # 8 cells, one thread per core
+
+
 # --------------------------------------------------------- mesh-gen/custom
 
 

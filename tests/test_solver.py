@@ -287,28 +287,114 @@ def test_report_records_lu_fill_per_iteration():
     _, report = newton_solve(mesh, params, data)
     assert len(report.lu_nnz) == report.iterations == len(report.linear_residuals)
     assert all(isinstance(n, int) and n > 0 for n in report.lu_nnz)
+    assert isinstance(report.darcy_lu_nnz, int) and report.darcy_lu_nnz > 0
     assert report.refinements == [False] * report.iterations
+
+
+def free_darcy_count(dofmap):
+    """Free u_D plus p_D unknowns: the Darcy block the solve eliminates."""
+    c = dofmap.constrained
+    n_fixed_uD = np.count_nonzero((c >= dofmap.off_uD) & (c < dofmap.off_p))
+    return dofmap.n_uD - n_fixed_uD + dofmap.rt.tri_ids.size
+
+
+def recording_splu(monkeypatch):
+    seen = []
+
+    def spy(M, *args, **kwargs):
+        seen.append(M)
+        return splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", spy)
+    return seen
 
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
 def test_newton_factors_only_the_free_dofs_on_one_pattern(problem, monkeypatch):
+    # The Darcy block is factored once per solve; every Newton iteration
+    # factors the reduced block on one fixed CSC pattern.
     mesh, params, data = problem()
-    seen = []
-    lu_solve = solver.sparse_lu_solve
-
-    def spy(A, b, border=None, full_output=False):
-        seen.append(A)
-        return lu_solve(A, b, border, full_output)
-
-    monkeypatch.setattr(solver, "sparse_lu_solve", spy)
+    seen = recording_splu(monkeypatch)
     fields, report = newton_solve(mesh, params, data)
     dofmap = fields.dofmap
-    n = dofmap.n_free + (1 if dofmap.gauge_dof >= 0 else 0)
-    assert report.iterations >= 3 and len(seen) == report.iterations
-    for A in seen:
-        assert A.shape == (n, n)
-        np.testing.assert_array_equal(A.indptr, seen[0].indptr)
-        np.testing.assert_array_equal(A.indices, seen[0].indices)
+    n_D = free_darcy_count(dofmap)
+    n = dofmap.n_free - n_D + (1 if dofmap.gauge_dof >= 0 else 0)
+    assert report.iterations >= 3 and len(seen) == report.iterations + 1
+    darcy, reduced = seen[0], seen[1:]
+    assert darcy.shape == (n_D, n_D)
+    for M in reduced:
+        assert M.format == "csc" and M.shape == (n, n)
+        np.testing.assert_array_equal(M.indptr, reduced[0].indptr)
+        np.testing.assert_array_equal(M.indices, reduced[0].indices)
+    assert report.lu_nnz == [int(splu(M).nnz) for M in reduced]
+    assert report.darcy_lu_nnz == int(splu(darcy).nnz)
+
+
+@pytest.mark.parametrize("mode", ["constraint", "penalty", "mixed"])
+def test_condensed_solve_matches_a_factored_free_system(mode):
+    # One Newton system with a Forchheimer block, solved with the Darcy
+    # unknowns eliminated, against spsolve on the full bordered system.
+    if mode == "mixed":
+        mesh, params, data = channel(nx=8, forchheimer=1e3)
+    else:
+        mesh, params, data = manufactured(nx=8, forchheimer=1e3)
+    disc = solver.Discretization.build(mesh, data)
+    ws, dofmap = disc.workspace, disc.dofmap
+    x = np.random.default_rng(5).normal(size=dofmap.n_total)
+    x[dofmap.constrained] = prescribed_values(dofmap, mesh, data)
+    values = assemble_da(x, params, ws).data + assemble_b(ws).data
+    rhs = assemble_rhs(data, ws) + solver.asm.forchheimer_rhs(x, params, ws)
+    A, b = apply_constraints(ws, values, rhs, x)
+    border = solver.gauge_border(ws, "penalty" if mode == "penalty" else "constraint")
+    assert (border is None) == (mode == "mixed")
+    K = A
+    if border is not None:
+        e_s = sp.csr_matrix(([1.0], ([border.slot], [0])), shape=(A.shape[0], 1))
+        c = sp.csr_matrix(border.coupling[:, None])
+        K = A + c @ e_s.T + e_s @ c.T - border.diagonal * (e_s @ e_s.T)
+    x_ref = spsolve(sp.csc_matrix(K), b)
+
+    darcy = solver.DarcyBlock(ws, A, b, border)
+    x_c, res, nnz, refined = sparse_lu_solve(A, b, border, full_output=True, darcy=darcy)
+    assert np.abs(x_c - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
+    assert res <= 1e-14 and not refined
+    assert 0 < nnz and 0 < darcy.lu_nnz
+    full = np.abs(K @ x_c - b).max() / (abs(K).sum(axis=1).max() * np.abs(x_c).max()
+                                        + np.abs(b).max())
+    assert full == pytest.approx(res, rel=1e-6, abs=1e-18)
+
+
+def test_refinement_refactors_the_darcy_block(monkeypatch):
+    # A factor of 1.000001 M for the reduced block leaves the first
+    # residual above the bound; the refinement step solves with the
+    # Darcy block again, which needs its factor back.
+    mesh, params, data = manufactured(nx=4, forchheimer=0.0)
+    exact, _ = newton_solve(mesh, params, data)
+    seen = []
+
+    def perturbed_splu(M):
+        seen.append(M.shape[0])
+        scale = 1.0 if len(seen) % 2 else 1.0 + 1e-6
+        return splu(sp.csc_matrix(M * scale))
+
+    monkeypatch.setattr(solver, "splu", perturbed_splu)
+    fields, report = newton_solve(mesh, params, data)
+    n_D = free_darcy_count(fields.dofmap)
+    assert report.refinements == [True]
+    assert report.linear_residuals[0] <= LU_RESIDUAL_TOL
+    assert seen[0] == seen[2] == n_D != seen[1]
+    assert np.abs(fields.x - exact.x).max() <= 1e-9 * np.abs(exact.x).max()
+
+
+def test_refinement_runs_when_the_bound_is_tiny(monkeypatch):
+    mesh, params, data = channel(nx=8, forchheimer=0.0)
+    seen = recording_splu(monkeypatch)
+    monkeypatch.setattr(solver, "LU_RESIDUAL_TOL", 1e-300)
+    with pytest.raises(SolverError, match="Newton iteration 1: direct solve residual"):
+        newton_solve(mesh, params, data)
+    # Darcy block, reduced block, then the Darcy block again for the
+    # refinement step.
+    assert len(seen) == 3 and seen[0].shape == seen[2].shape != seen[1].shape
 
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
