@@ -32,6 +32,11 @@ from .mesh import GAMMA_B_TAGS, GAMMA_D_TAGS
 # continuously extended by zero; for p < 4 the latter is singular at 0.
 SPEED_FLOOR = 1.0e-12
 
+# Brinkman triangles per chunk of the Forchheimer element matrices: at
+# 256 each per-quadrature-point temporary stays below 0.5 MB on the
+# degree-6 rule.
+FORCHHEIMER_CHUNK = 256
+
 
 def zero_vector(pts, normals=None):
     return np.zeros((len(pts), 2))
@@ -367,7 +372,7 @@ class Workspace:
     and ``rr_*`` gather, from the data of ``apply_constraints``' A_ff,
     the Darcy block in CSC order, the multiplier-Darcy coupling, and the
     reduced block in CSC order with a dense multiplier block and, with a
-    gauge, the pins of ``solver.GaugeBorder`` appended to the gather
+    gauge, the pins of ``solver.BorderedLU`` appended to the gather
     source.  The edge tables of the natural boundary terms are kept per
     boundary tag in ``natural``.
 
@@ -681,9 +686,16 @@ def _velocity_linear_local(params, ws):
 def _forchheimer_local(w, params, ws):
     F, p = params.forchheimer, params.power
     wfield, s_p2, s_p4 = _forchheimer_weights(w, params, ws)
-    loc = _gram((F * s_p2 * ws.wq_B)[:, None, :, None] * ws.phi, ws.phi)
-    dots = ws.phi[..., 0] * wfield[:, None, :, 0] + ws.phi[..., 1] * wfield[:, None, :, 1]
-    loc += _gram((F * (p - 2.0) * s_p4 * ws.wq_B)[:, None, :] * dots, dots)
+    m, nb = ws.phi.shape[:2]
+    loc = np.empty((m, nb, nb))
+    # Element chunks bound the per-quadrature-point temporaries, which a
+    # Newton iteration allocates while it holds the previous LU factor.
+    for start in range(0, m, FORCHHEIMER_CHUNK):
+        e = slice(start, start + FORCHHEIMER_CHUNK)
+        phi, wq = ws.phi[e], ws.wq_B[e]
+        loc[e] = _gram((F * s_p2[e] * wq)[:, None, :, None] * phi, phi)
+        dots = phi[..., 0] * wfield[e, None, :, 0] + phi[..., 1] * wfield[e, None, :, 1]
+        loc[e] += _gram((F * (p - 2.0) * s_p4[e] * wq)[:, None, :] * dots, dots)
     return loc
 
 

@@ -9,11 +9,16 @@ the operator is affine and a single solve is the exact discrete solution.
 
 The Darcy block of the linear system does not change with the iterate,
 so each solve factors it once (``DarcyBlock``) and every Newton step
-factors only the Brinkman and multiplier unknowns, with the Darcy
-block's Schur complement on the multiplier block.
+solves only for the Brinkman and multiplier unknowns, with the Darcy
+block's Schur complement on the multiplier block.  Once the iteration
+has settled, the Jacobian barely moves between steps, so a step first
+tries the previous step's factor with iterative refinement (the chord
+or Shamanskii idea; C. T. Kelley, Iterative Methods for Linear and
+Nonlinear Equations, SIAM 1995) and factors anew only when that fails.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +41,24 @@ class SingularSystemError(SolverError):
 # style: ||Ax-b||_inf / (||A||_inf ||x||_inf + ||b||_inf)).
 LU_RESIDUAL_TOL = 1.0e-10
 
+# Iterative refinement aims at this normalized residual on the system it
+# factors.  A new factor usually meets it with its first solve; a factor
+# held from an earlier Newton iteration serves only once refinement with
+# it meets it, far below LU_RESIDUAL_TOL, so that reusing a factor costs
+# no accuracy.
+REFINE_TOL = 1.0e-15
+
+# Refinement gives up when a step cuts the residual by less than this
+# factor, or when the observed rate predicts more than REFINE_MAX_STEPS
+# steps to reach REFINE_TOL.
+REFINE_MIN_RATE = 2.0
+REFINE_MAX_STEPS = 12
+
+# A Newton iteration's factor is held for the next iteration only if that
+# iteration's relative increment is at most this: beyond it the Jacobian
+# moves too far for the old factor to pay.
+HOLD_INCREMENT = 0.2
+
 # Penalty variant of the pressure gauge: eliminating the bordered scalar
 # with -PRESSURE_PENALTY on its diagonal adds (p, 1)(q, 1)/PRESSURE_PENALTY
 # exactly, so the pressure mean still vanishes to solver accuracy.
@@ -52,22 +75,35 @@ def _bordered_residual(A, x, b, border=None):
     return r
 
 
-def _normalized_residual(A, x, b, border=None):
-    """||K x - b||_inf / (||K||_inf ||x||_inf + ||b||_inf) for a CSR A and
-    K = A or A with ``border``; ||K||_inf comes from the row sums of
-    |A.data| plus the border's."""
-    if not b.size:
-        return 0.0
+def _norm_inf(A, border=None):
+    """||K||_inf for a CSR or CSC A and K = A or A with ``border``, from
+    the row sums of |A.data| plus the border's."""
     n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    rows = A.indices if A.format == "csc" else np.repeat(np.arange(n), np.diff(A.indptr))
     norms = np.bincount(rows, np.abs(A.data), minlength=n)
     if border is not None:
         c = np.abs(border.coupling)
         norms += c
         norms[border.slot] = c.sum() + abs(border.diagonal)
-    num = np.abs(_bordered_residual(A, x, b, border)).max()
-    den = norms.max() * np.abs(x).max() + np.abs(b).max()
+    return norms.max(initial=0.0)
+
+
+def _normalized(r, x, b, norm):
+    """||r||_inf / (norm ||x||_inf + ||b||_inf) for the residual r of x;
+    NaN when x, b or the norm is not finite."""
+    if not b.size:
+        return 0.0
+    num = np.abs(r).max()
+    den = norm * np.abs(x).max() + np.abs(b).max()
+    if not np.isfinite(den):
+        return np.nan
     return num / den if den > 0.0 else num
+
+
+def _normalized_residual(A, x, b, border=None):
+    """||K x - b||_inf / (||K||_inf ||x||_inf + ||b||_inf) for K = A or A
+    with ``border``."""
+    return _normalized(_bordered_residual(A, x, b, border), x, b, _norm_inf(A, border))
 
 
 @dataclass(frozen=True)
@@ -109,41 +145,87 @@ def _factor(M):
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
 
 
-def _bordered_solve(lu, border):
-    """The solve with K = A or A bordered, from the LU of A or, with a
-    border, of M = A + e_j e_j^T + e_s e_s^T (j = ``border.pin``).
+class BorderedLU:
+    """The sparse LU of a matrix M and the solve with K = A or A bordered.
 
-    A is singular only along the constant (p, lambda) mode, so M is
-    nonsingular and has the sparsity of A.  Each right-hand side costs
-    one solve with M plus a 2x2 system for (x_j, x_s):
+    Without a border M is A.  With one, M = A + e_j e_j^T + e_s e_s^T
+    (j = ``border.pin``): A is singular only along the constant
+    (p, lambda) mode, so M is nonsingular and has the sparsity of A.
+    Each right-hand side then costs one solve with M plus a 2x2 system
+    for (x_j, x_s):
 
         x = y0 + x_j y1 - x_s y2,  y0 = M^-1 b_x, y1 = M^-1 e_j, y2 = M^-1 c
 
     where b_x is b with its gauge entry zeroed; y1 and y2 come from one
-    two-column solve here.
+    two-column solve here.  ``nnz`` is nnz(L+U).
     """
-    if border is None:
-        return lu.solve
-    c, s, j = border.coupling, border.slot, border.pin
-    e_j = np.zeros(c.size)
-    e_j[j] = 1.0
-    Y = lu.solve(np.column_stack([e_j, c]))
-    y1, y2 = Y[:, 0], Y[:, 1]
-    G = np.array([[y1[j] - 1.0, -y2[j]], [c @ y1, -(c @ y2) - border.diagonal]])
 
-    def solve(rhs):
+    def __init__(self, M, border=None):
+        self.lu = _factor(M)
+        self.nnz = int(self.lu.nnz)
+        self.border = border
+        if border is not None:
+            c, j = border.coupling, border.pin
+            e_j = np.zeros(c.size)
+            e_j[j] = 1.0
+            Y = self.lu.solve(np.column_stack([e_j, c]))
+            self.y1, self.y2 = Y[:, 0], Y[:, 1]
+            self.G = np.array(
+                [[self.y1[j] - 1.0, -self.y2[j]],
+                 [c @ self.y1, -(c @ self.y2) - border.diagonal]]
+            )
+
+    def solve(self, rhs):
+        border = self.border
+        if border is None:
+            return self.lu.solve(rhs)
+        c, s, j = border.coupling, border.slot, border.pin
         rhs_x = rhs.copy()
         rhs_x[s] = 0.0
-        y0 = lu.solve(rhs_x)
+        y0 = self.lu.solve(rhs_x)
         try:
-            xj, xs = np.linalg.solve(G, [-y0[j], rhs[s] - c @ y0])
+            xj, xs = np.linalg.solve(self.G, [-y0[j], rhs[s] - c @ y0])
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"singular gauge border: {exc}") from exc
-        x = y0 + xj * y1 - xs * y2
+        x = y0 + xj * self.y1 - xs * self.y2
         x[s] = xs
         return x
 
-    return solve
+    def release(self):
+        """Free the factor, whoever still refers to this object; it cannot
+        solve afterwards."""
+        self.lu = self.y1 = self.y2 = None
+
+
+def _refine(factor, residual, rhs, norm):
+    """Solve with ``factor``, then refine on the system whose residual
+    K x - rhs is ``residual(x)`` (``norm`` = ||K||_inf) until the
+    normalized residual meets REFINE_TOL.
+
+    Refinement gives up once a step cuts the residual by less than
+    REFINE_MIN_RATE, or once the observed rate predicts more than
+    REFINE_MAX_STEPS steps in all; a step that does not lower the
+    residual is not taken, so a NaN residual ends it at once.  Returns
+    (x, normalized residual, refinement steps taken).
+    """
+    x = factor.solve(rhs)
+    r = residual(x)
+    res = _normalized(r, x, rhs, norm)
+    steps = 0
+    while not res <= REFINE_TOL:
+        x_new = x - factor.solve(r)
+        r_new = residual(x_new)
+        res_new = _normalized(r_new, x_new, rhs, norm)
+        if not res_new < res:
+            break
+        x, r, res, prev = x_new, r_new, res_new, res
+        steps += 1
+        if res <= REFINE_TOL:
+            break
+        rate = prev / res
+        if rate < REFINE_MIN_RATE or steps + np.log(res / REFINE_TOL) / np.log(rate) > REFINE_MAX_STEPS:
+            break
+    return x, res, steps
 
 
 class DarcyBlock:
@@ -158,22 +240,23 @@ class DarcyBlock:
 
         X = A_DD^-1 C_D^T,  z = A_DD^-1 c_D,  y = A_DD^-1 b_D,
 
-    and releases the factor.  ``sparse_lu_solve`` then factors only the
-    reduced block: the other unknowns, with S_D = C_D X subtracted from
-    the (empty) multiplier block, bordered by ``border``, the gauge
-    border of the reduced system (coupling c_R - X^T c_D, diagonal
-    delta + c_D . z).  x_D = y - X lambda - z x_s recovers the rest.
+    and releases the factor.  ``sparse_lu_solve`` then solves, factors
+    and refines only the reduced system (``reduced``, ``reduced_rhs``):
+    the other unknowns, with S_D = C_D X subtracted from the (empty)
+    multiplier block, bordered by ``border``, the gauge border of the
+    reduced system (coupling c_R - X^T c_D, diagonal delta + c_D . z).
+    x_D = y - X lambda - z x_s recovers the rest (``recover``).
 
     b_D does not change across Newton iterations (the Forchheimer terms
     act on u_B only, and the lift uses fixed prescribed values), so ``y``
-    serves every iteration.  Another right-hand side, as in a refinement
-    step, re-factors A_DD.
+    serves every iteration; a right-hand side with another Darcy part is
+    rejected.
     """
 
     def __init__(self, ws, A, b, border=None):
         self.ws = ws
         n_D, n_lam = ws.free_D.size, ws.dofmap.n_lam
-        self.matrix = sp.csc_matrix(
+        matrix = sp.csc_matrix(
             (A.data[ws.dd_pos], ws.dd_indices, ws.dd_indptr), shape=(n_D, n_D)
         )
         self.coupling = sp.csr_matrix(
@@ -184,7 +267,7 @@ class DarcyBlock:
         if border is not None:
             c_D = border.coupling[ws.free_D]
             cols.append(c_D[:, None])
-        lu = _factor(self.matrix)
+        lu = _factor(matrix)
         self.lu_nnz = int(lu.nnz)
         Y = lu.solve(np.hstack(cols))
         del lu
@@ -198,81 +281,130 @@ class DarcyBlock:
             self.border = GaugeBorder(
                 int(np.searchsorted(ws.free_R, border.slot)), c_R, border.diagonal + c_D @ self.z
             )
-            extra.append([1.0, 1.0])
+            # The gauge pins of BorderedLU come last in the gather source
+            # and stay explicit zeros until ``pinned`` sets them.
+            extra.append([0.0, 0.0])
         self.extra = np.concatenate(extra)
+        self.pins = np.flatnonzero(ws.rr_pos >= A.nnz + n_lam * n_lam)
 
     def reduced(self, A):
-        """The reduced block of the free system A as a CSC matrix, with the
-        gauge pins of ``_bordered_solve`` in place."""
+        """The reduced block of the free system A as a CSC matrix; its
+        pattern holds the gauge pins, as explicit zeros."""
         ws = self.ws
         n = ws.free_R.size
         data = np.concatenate([A.data, self.extra])[ws.rr_pos]
         return sp.csc_matrix((data, ws.rr_indices, ws.rr_indptr), shape=(n, n))
 
-    def full_solve(self, reduced_solve):
-        """The solve with the full free system, from the reduced one."""
-        ws, z = self.ws, self.z
+    def pinned(self, K):
+        """The matrix BorderedLU factors for the reduced block K: K with
+        its gauge pins set to one, on K's pattern."""
+        data = K.data.copy()
+        data[self.pins] = 1.0
+        return sp.csc_matrix((data, K.indices, K.indptr), shape=K.shape)
 
-        def solve(rhs):
-            rhs_D = rhs[ws.free_D]
-            y = self.y if np.array_equal(rhs_D, self.b) else _factor(self.matrix).solve(rhs_D)
-            rhs_R = rhs[ws.free_R]
-            rhs_R[ws.lam_R] -= self.coupling @ y
-            if z is not None:
-                rhs_R[self.border.slot] -= self.c_D @ y
-            x_R = reduced_solve(rhs_R)
-            x_D = y - self.X @ x_R[ws.lam_R]
-            if z is not None:
-                x_D -= z * x_R[self.border.slot]
-            x = np.empty(rhs.size)
-            x[ws.free_R] = x_R
-            x[ws.free_D] = x_D
-            return x
+    def reduced_rhs(self, b):
+        """The reduced system's right-hand side for the free system's b."""
+        ws = self.ws
+        if not np.array_equal(b[ws.free_D], self.b):
+            raise ValueError("the Darcy part of the right-hand side differs from the block's")
+        rhs = b[ws.free_R]
+        rhs[ws.lam_R] -= self.coupling @ self.y
+        if self.z is not None:
+            rhs[self.border.slot] -= self.c_D @ self.y
+        return rhs
 
-        return solve
+    def recover(self, x_R):
+        """The solution of the free system from the reduced system's."""
+        ws = self.ws
+        x_D = self.y - self.X @ x_R[ws.lam_R]
+        if self.z is not None:
+            x_D -= self.z * x_R[self.border.slot]
+        x = np.empty(x_R.size + x_D.size)
+        x[ws.free_R] = x_R
+        x[ws.free_D] = x_D
+        return x
 
 
-def sparse_lu_solve(A, b, border=None, full_output=False, darcy=None):
-    """Solve A x = b, or the bordered K x = b, by sparse LU with partial pivoting.
+class LinearSolve(NamedTuple):
+    """What ``sparse_lu_solve(..., full_output=True)`` returns.
+
+    ``residual`` is the normalized residual on the full (bordered)
+    system, ``lu_nnz`` nnz(L+U) of the factor that served, ``refinements``
+    the refinement steps run (those with an abandoned held factor
+    included), ``factored`` whether the call computed that factor and
+    ``factor`` the factor itself, to hold for a later call.
+    """
+
+    x: np.ndarray
+    residual: float
+    lu_nnz: int
+    refinements: int
+    factored: bool
+    factor: BorderedLU
+
+
+def sparse_lu_solve(A, b, border=None, full_output=False, darcy=None, factor=None):
+    """Solve A x = b, or the bordered K x = b, by sparse LU with partial
+    pivoting and iterative refinement.
 
     With a GaugeBorder the dense border row and column are not factored
-    (see ``_bordered_solve``).  With a DarcyBlock of this system the
-    Darcy unknowns are not factored either: only ``darcy.reduced(A)`` is,
-    and the Darcy part of x comes from the block's once-per-solve
-    quantities.
+    (see ``BorderedLU``).  With a DarcyBlock of this system the Darcy
+    unknowns are not factored either: the solve and its refinement act
+    on the reduced system of ``darcy`` alone, and the Darcy part of x
+    comes from the block's once-per-solve quantities.
 
-    The residual check and the refinement step act on the full K.
-    Raises SingularSystemError on an exactly singular pivot and
-    SolverError if the normalized residual stays above LU_RESIDUAL_TOL
-    even after one step of iterative refinement.  With ``full_output``
-    returns (x, normalized residual, nnz(L+U) of the factor, whether the
-    refinement step ran).
+    ``factor``, a BorderedLU that an earlier call returned for a system
+    on the same pattern with the same border (a previous Newton
+    iteration's), is tried first.  It serves only if refinement with it
+    meets REFINE_TOL under the rules of ``_refine``; otherwise the call
+    releases it before it factors the system, as it does without one,
+    and refines the same way.
+
+    Whichever factor served, the normalized residual on the full K must
+    meet LU_RESIDUAL_TOL.  Raises SingularSystemError on an exactly
+    singular pivot or a non-finite solution and SolverError when the
+    residual misses the bound (a NaN residual does).  With
+    ``full_output`` returns a LinearSolve.
     """
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
     if darcy is None:
-        M = sp.csc_matrix(A)
-        if border is not None:
-            j, s = border.pin, border.slot
-            M = (M + sp.csc_matrix(([1.0, 1.0], ([j, s], [j, s])), shape=A.shape)).tocsc()
-        lu = _factor(M)
-        solve = _bordered_solve(lu, border)
+        K, rhs, K_border = A, b, border
     else:
-        lu = _factor(darcy.reduced(A))
-        solve = darcy.full_solve(_bordered_solve(lu, darcy.border))
+        K, rhs, K_border = darcy.reduced(A), darcy.reduced_rhs(b), darcy.border
+    norm = _norm_inf(K, K_border)
 
-    x = solve(b)
+    def residual(x):
+        return _bordered_residual(K, x, rhs, K_border)
+
+    steps = 0
+    if factor is not None:
+        x, res, steps = _refine(factor, residual, rhs, norm)
+        if not res <= REFINE_TOL:
+            factor.release()
+            factor = None
+    factored = factor is None
+    if factored:
+        if darcy is not None:
+            M = darcy.pinned(K)
+        else:
+            M = sp.csc_matrix(A)
+            if border is not None:
+                j, s = border.pin, border.slot
+                M = (M + sp.csc_matrix(([1.0, 1.0], ([j, s], [j, s])), shape=A.shape)).tocsc()
+        factor = BorderedLU(M, K_border)
+        del M
+        x, res, more = _refine(factor, residual, rhs, norm)
+        steps += more
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("sparse LU produced non-finite values")
-    res = _normalized_residual(A, x, b, border)
-    refined = bool(res > LU_RESIDUAL_TOL)
-    if refined:
-        x = x - solve(_bordered_residual(A, x, b, border))
+    if darcy is not None:
+        x = darcy.recover(x)
         res = _normalized_residual(A, x, b, border)
-        if res > LU_RESIDUAL_TOL:
-            raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
+    if not res <= LU_RESIDUAL_TOL:
+        raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
     if full_output:
-        return x, res, int(lu.nnz), refined
+        return LinearSolve(x, res, factor.nnz, steps, factored, factor)
     return x
 
 
@@ -322,10 +454,11 @@ class SolveReport:
 
     Per Newton iteration: the relative velocity increment, the normalized
     residual of the linear solve on the full free system, nnz(L+U) of
-    the factor that iteration computed (the reduced block, with the
-    Darcy unknowns eliminated) and whether the refinement step ran.
-    ``darcy_lu_nnz`` is nnz(L+U) of the Darcy block, factored once per
-    solve.
+    the factor that iteration used (of the reduced block, with the Darcy
+    unknowns eliminated), the refinement steps it ran (see
+    ``LinearSolve``) and whether it factored: an iteration that did not
+    reused the factor of an earlier one.  ``darcy_lu_nnz`` is nnz(L+U)
+    of the Darcy block, factored once per solve.
     """
 
     iterations: int
@@ -333,6 +466,7 @@ class SolveReport:
     linear_residuals: list
     lu_nnz: list
     refinements: list
+    factored: list
     converged: bool
     dof: int
     tol: float
@@ -389,7 +523,9 @@ def newton_solve(mesh, params, data, options=None):
     ``tol`` <= 0, an unknown pressure mode), for a Discretization built
     on another quadrature degree than ``options.quad_degree``, and for
     data whose boundary-condition layout (constrained DOFs, pressure
-    gauge) differs from the Discretization's.
+    gauge) differs from the Discretization's.  Raises SolverError, naming
+    the Newton iteration, when an assembled system is not finite or its
+    linear solve fails.
     """
     opts = options or NewtonOptions()
     if opts.pressure_mode not in ("constraint", "penalty"):
@@ -433,8 +569,12 @@ def newton_solve(mesh, params, data, options=None):
     residuals = []
     lu_nnz = []
     refinements = []
+    factored = []
     converged = False
     darcy = None
+    # The factor held for the next linear solve, kept only while the
+    # iteration has settled (HOLD_INCREMENT).
+    factor = None
 
     max_iter = 1 if affine else opts.max_iter
     for it in range(1, max_iter + 1):
@@ -442,19 +582,24 @@ def newton_solve(mesh, params, data, options=None):
         if not affine:
             values = static + asm.forchheimer_data(x, params, ws)
             rhs = base_rhs + asm.forchheimer_rhs(x, params, ws)
-
+        if not (np.isfinite(values).all() and np.isfinite(rhs).all()):
+            raise SolverError(f"assembled system is not finite at Newton iteration {it}")
         A, b = asm.apply_constraints(ws, values, rhs, x)
+        del values, rhs
         try:
             if darcy is None:
                 darcy = DarcyBlock(ws, A, b, border)
-            x_free, res, nnz, refined = sparse_lu_solve(
-                A, b, border, full_output=True, darcy=darcy
+            x_free, res, nnz, steps, fresh, factor = sparse_lu_solve(
+                A, b, border, full_output=True, darcy=darcy, factor=factor
             )
         except SolverError as exc:
             raise SolverError(f"linear solve failed at Newton iteration {it}: {exc}") from exc
+        # Nothing of this iteration's system outlives its solve.
+        del A, b
         residuals.append(res)
         lu_nnz.append(nnz)
-        refinements.append(refined)
+        refinements.append(steps)
+        factored.append(fresh)
         # Constrained entries keep their prescribed values exactly.
         x_new = x.copy()
         x_new[ws.free] = x_free
@@ -473,6 +618,8 @@ def newton_solve(mesh, params, data, options=None):
         if inc <= opts.tol:
             converged = True
             break
+        if not inc <= HOLD_INCREMENT:
+            factor = None
 
     fields = SolutionFields(
         x=x, dofmap=dofmap, mesh=mesh, interface=interface, quad_degree=opts.quad_degree
@@ -483,6 +630,7 @@ def newton_solve(mesh, params, data, options=None):
         linear_residuals=residuals,
         lu_nnz=lu_nnz,
         refinements=refinements,
+        factored=factored,
         converged=converged,
         dof=dofmap.n_free,
         tol=opts.tol,

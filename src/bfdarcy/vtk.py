@@ -15,8 +15,16 @@ from .elements import rt0_basis
 __all__ = ["write_solution_vtk", "write_multiplier_vtk"]
 
 
-def _format_rows(rows):
-    return "\n".join(" ".join(f"{v:.9e}" for v in row) for row in rows)
+def _format_rows(rows, fmt="%.9e"):
+    """The rows of a 2-D array as text lines of space-separated values.
+
+    One %-format over a template of the whole block formats every value
+    as ``fmt`` would one by one ("%.9e" as f"{v:.9e}", "%d" as str(i)).
+    """
+    rows = np.asarray(rows)
+    n, m = rows.shape
+    template = "\n".join([" ".join([fmt] * m)] * n)
+    return template % tuple(rows.ravel().tolist())
 
 
 def write_solution_vtk(path, fields, title="coupled filtration fields"):
@@ -58,7 +66,7 @@ def write_solution_vtk(path, fields, title="coupled filtration fields"):
         f"POINTS {nv} double",
         _format_rows(pts3),
         f"CELLS {nt} {4 * nt}",
-        "\n".join(" ".join(str(i) for i in row) for row in cells),
+        _format_rows(cells, "%d"),
         f"CELL_TYPES {nt}",
         "\n".join(["5"] * nt),
         f"POINT_DATA {nv}",
@@ -69,7 +77,7 @@ def write_solution_vtk(path, fields, title="coupled filtration fields"):
         _format_rows(ud3),
         "SCALARS pressure double 1",
         "LOOKUP_TABLE default",
-        "\n".join(f"{v:.9e}" for v in fields.p),
+        _format_rows(fields.p[:, None]),
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -95,7 +103,7 @@ def write_multiplier_vtk(path, fields, title="interface multiplier"):
         f"POINT_DATA {n}",
         "SCALARS multiplier double 1",
         "LOOKUP_TABLE default",
-        "\n".join(f"{v:.9e}" for v in lam),
+        _format_rows(lam[:, None]),
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -26,6 +26,7 @@ from bfdarcy import (
     prescribed_values,
 )
 from bfdarcy.assembly import (
+    FORCHHEIMER_CHUNK,
     SPEED_FLOOR,
     Workspace,
     _forchheimer_local,
@@ -484,7 +485,7 @@ def einsum_kernels(w, params, ws):
 
 
 @pytest.mark.parametrize("power", [3.0, 4.0])
-def test_velocity_kernels_match_the_einsum_formulas(power):
+def test_velocity_kernels_match_the_einsum_formulas(power, monkeypatch):
     # Non-symmetric permeabilities tell K from K^T; a zero iterate on a
     # few Brinkman triangles runs the SPEED_FLOOR branch.
     def K_B(pts):
@@ -509,14 +510,17 @@ def test_velocity_kernels_match_the_einsum_formulas(power):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     l2g_B, l2g_D = dofmap.br.l2g, dofmap.off_uD + dofmap.rt.l2g
-    close(forchheimer_data(w, params, ws), ws.scatter(ws.slots_B, forch_B))
+    # The 36 Brinkman triangles in one chunk, then in uneven chunks of 5.
+    for chunk in (FORCHHEIMER_CHUNK, 5):
+        monkeypatch.setattr("bfdarcy.assembly.FORCHHEIMER_CHUNK", chunk)
+        close(forchheimer_data(w, params, ws), ws.scatter(ws.slots_B, forch_B))
+        close(
+            assemble_da(w, params, ws).data,
+            ws.scatter(ws.slots_B, lin_B + forch_B) + ws.scatter(ws.slots_D, da_D),
+        )
     close(
         forchheimer_rhs(w, params, ws),
         np.bincount(l2g_B.ravel(), rhs_B.ravel(), minlength=dofmap.n_total),
-    )
-    close(
-        assemble_da(w, params, ws).data,
-        ws.scatter(ws.slots_B, lin_B + forch_B) + ws.scatter(ws.slots_D, da_D),
     )
     act = np.zeros(dofmap.n_total)
     np.add.at(act, l2g_B, act_B)

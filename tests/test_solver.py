@@ -32,6 +32,7 @@ from bfdarcy.assembly import Workspace, zero_scalar
 from bfdarcy.solver import (
     LU_RESIDUAL_TOL,
     PRESSURE_PENALTY,
+    REFINE_TOL,
     GaugeBorder,
     NewtonOptions,
     nonlinear_residual,
@@ -135,35 +136,49 @@ def test_lu_solves_a_gauge_border_on_a_singular_block(delta, monkeypatch):
 
     monkeypatch.setattr(solver, "splu", counting_splu)
 
-    x, res, nnz, refined = sparse_lu_solve(
-        sp.csr_matrix(A), b, GaugeBorder(n, c, delta), full_output=True
-    )
-    np.testing.assert_allclose(x, np.linalg.solve(K, b), rtol=1e-10, atol=1e-12)
-    assert res <= LU_RESIDUAL_TOL
+    out = sparse_lu_solve(sp.csr_matrix(A), b, GaugeBorder(n, c, delta), full_output=True)
+    np.testing.assert_allclose(out.x, np.linalg.solve(K, b), rtol=1e-10, atol=1e-12)
+    assert out.residual <= LU_RESIDUAL_TOL
     # one factor of the unbordered block, one two-column solve for the
     # border, one solve for b: the recovery is exact, so no refinement
     assert len(factors) == 1 and factors[0].solves == 2
-    assert nnz == factors[0].nnz > 0
-    assert refined is False
+    assert out.lu_nnz == factors[0].nnz > 0
+    assert out.refinements == 0 and out.factored
 
 
 def test_lu_reports_whether_refinement_ran(monkeypatch):
     # A factor of 1.000001 A leaves a first residual far above the bound;
-    # one refinement step with it brings the residual below.
+    # refinement with it brings the residual below REFINE_TOL.
     rng = np.random.default_rng(4)
     A = sp.csr_matrix(rng.normal(size=(40, 40)) + 40.0 * np.eye(40))
     b = rng.normal(size=40)
-    x, res, _, refined = sparse_lu_solve(A, b, full_output=True)
-    assert refined is False and res <= LU_RESIDUAL_TOL
+    out = sparse_lu_solve(A, b, full_output=True)
+    assert out.refinements == 0 and out.residual <= LU_RESIDUAL_TOL
 
     monkeypatch.setattr(solver, "splu", lambda M: splu(sp.csc_matrix(M * (1.0 + 1e-6))))
-    x, res, _, refined = sparse_lu_solve(A, b, full_output=True)
-    assert refined is True and res <= LU_RESIDUAL_TOL
-    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-10)
+    out = sparse_lu_solve(A, b, full_output=True)
+    assert out.refinements >= 1 and out.residual <= REFINE_TOL
+    np.testing.assert_allclose(out.x, np.linalg.solve(A.toarray(), b), rtol=1e-10)
 
 
 def test_lu_error_is_a_solver_error():
     assert issubclass(SingularSystemError, SolverError)
+
+
+def test_lu_rejects_a_nan_residual(monkeypatch):
+    # A factor of the finite matrix gives a finite x for a matrix with a
+    # NaN entry, so only the residual shows the fault.
+    rng = np.random.default_rng(6)
+    clean = rng.normal(size=(20, 20)) + 20.0 * np.eye(20)
+    A = clean.copy()
+    A[3, 7] = np.nan
+    b = rng.normal(size=20)
+    held = solver.BorderedLU(sp.csc_matrix(clean))
+    with pytest.raises(SolverError):
+        sparse_lu_solve(sp.csr_matrix(A), b, factor=held)
+    monkeypatch.setattr(solver, "splu", lambda M: splu(sp.csc_matrix(clean)))
+    with pytest.raises(SolverError, match="residual nan"):
+        sparse_lu_solve(sp.csr_matrix(A), b)
 
 
 @pytest.mark.parametrize("mode", ["constraint", "penalty"])
@@ -285,10 +300,19 @@ def test_newton_solution_is_initial_guess_independent():
 def test_report_records_lu_fill_per_iteration():
     mesh, params, data = manufactured(forchheimer=10.0)
     _, report = newton_solve(mesh, params, data)
-    assert len(report.lu_nnz) == report.iterations == len(report.linear_residuals)
-    assert all(isinstance(n, int) and n > 0 for n in report.lu_nnz)
+    n = report.iterations
+    assert len(report.lu_nnz) == len(report.linear_residuals) == n
+    assert len(report.refinements) == len(report.factored) == n
+    assert all(isinstance(k, int) and k > 0 for k in report.lu_nnz)
     assert isinstance(report.darcy_lu_nnz, int) and report.darcy_lu_nnz > 0
-    assert report.refinements == [False] * report.iterations
+    # The first two increments are large, so both iterations factor and
+    # their first solve meets the bound; the settled iterations reuse the
+    # second factor, refining with it.
+    assert report.factored == [True, True, False, False]
+    assert report.refinements[:2] == [0, 0]
+    assert all(isinstance(k, int) and k >= 1 for k in report.refinements[2:])
+    assert report.lu_nnz[2:] == [report.lu_nnz[1]] * 2
+    assert all(r <= LU_RESIDUAL_TOL for r in report.linear_residuals)
 
 
 def free_darcy_count(dofmap):
@@ -309,25 +333,116 @@ def recording_splu(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
-def test_newton_factors_only_the_free_dofs_on_one_pattern(problem, monkeypatch):
-    # The Darcy block is factored once per solve; every Newton iteration
-    # factors the reduced block on one fixed CSC pattern.
-    mesh, params, data = problem()
-    seen = recording_splu(monkeypatch)
-    fields, report = newton_solve(mesh, params, data)
-    dofmap = fields.dofmap
+def check_factors(report, seen, dofmap):
+    """The Darcy block is factored once per solve, the reduced block once
+    per iteration that factored, on one fixed CSC pattern; an iteration
+    that reused a factor reports the fill of the last one."""
     n_D = free_darcy_count(dofmap)
     n = dofmap.n_free - n_D + (1 if dofmap.gauge_dof >= 0 else 0)
-    assert report.iterations >= 3 and len(seen) == report.iterations + 1
+    assert len(seen) == 1 + sum(report.factored)
+    assert report.factored[0]
     darcy, reduced = seen[0], seen[1:]
     assert darcy.shape == (n_D, n_D)
     for M in reduced:
         assert M.format == "csc" and M.shape == (n, n)
         np.testing.assert_array_equal(M.indptr, reduced[0].indptr)
         np.testing.assert_array_equal(M.indices, reduced[0].indices)
-    assert report.lu_nnz == [int(splu(M).nnz) for M in reduced]
+    fills = iter(int(splu(M).nnz) for M in reduced)
+    used = []
+    for factored in report.factored:
+        used.append(next(fills) if factored else used[-1])
+    assert report.lu_nnz == used
     assert report.darcy_lu_nnz == int(splu(darcy).nnz)
+
+
+@pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
+def test_newton_factors_only_the_free_dofs_on_one_pattern(problem, monkeypatch):
+    mesh, params, data = problem()
+    seen = recording_splu(monkeypatch)
+    fields, report = newton_solve(mesh, params, data)
+    assert report.iterations >= 3
+    check_factors(report, seen, fields.dofmap)
+
+
+def test_channel_reuses_a_factor_on_one_pattern(monkeypatch):
+    mesh, params, data = channel(nx=16, forchheimer=1e3)
+    seen = recording_splu(monkeypatch)
+    fields, report = newton_solve(mesh, params, data)
+    assert report.converged and not all(report.factored)
+    check_factors(report, seen, fields.dofmap)
+    for factored, steps in zip(report.factored, report.refinements):
+        if not factored:
+            assert 1 <= steps <= solver.REFINE_MAX_STEPS
+    assert all(r <= LU_RESIDUAL_TOL for r in report.linear_residuals)
+
+
+@pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
+def test_held_factors_leave_the_iterates_unchanged(problem, monkeypatch):
+    # HOLD_INCREMENT = 0 holds no factor: every iteration factors.
+    mesh, params, data = problem(nx=8, forchheimer=1e3)
+    disc = solver.Discretization.build(mesh, data)
+    fields, report = newton_solve(disc, params, data)
+    assert not all(report.factored)
+    monkeypatch.setattr(solver, "HOLD_INCREMENT", 0.0)
+    ref_fields, ref_report = newton_solve(disc, params, data)
+    assert all(ref_report.factored) and ref_report.refinements == [0] * ref_report.iterations
+    assert report.iterations == ref_report.iterations
+    assert np.abs(fields.x - ref_fields.x).max() <= 1e-9 * np.abs(ref_fields.x).max()
+
+
+def newton_system(problem, nx=8, forchheimer=1e3, seed=5):
+    """One Newton system with a Forchheimer block at a random iterate."""
+    mesh, params, data = problem(nx=nx, forchheimer=forchheimer)
+    disc = solver.Discretization.build(mesh, data)
+    ws, dofmap = disc.workspace, disc.dofmap
+    x = np.random.default_rng(seed).normal(size=dofmap.n_total)
+    x[dofmap.constrained] = prescribed_values(dofmap, mesh, data)
+    values = assemble_da(x, params, ws).data + assemble_b(ws).data
+    rhs = assemble_rhs(data, ws) + solver.asm.forchheimer_rhs(x, params, ws)
+    A, b = apply_constraints(ws, values, rhs, x)
+    return ws, A, b
+
+
+@pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
+def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
+    ws, A, b = newton_system(problem)
+    border = solver.gauge_border(ws, "constraint")
+    darcy = solver.DarcyBlock(ws, A, b, border)
+    fresh = sparse_lu_solve(A, b, border, full_output=True, darcy=darcy)
+    assert fresh.factored and fresh.refinements == 0
+
+    # The factor of the same system serves at once.
+    again = sparse_lu_solve(A, b, border, full_output=True, darcy=darcy, factor=fresh.factor)
+    assert not again.factored and again.factor is fresh.factor
+    assert again.lu_nnz == fresh.lu_nnz
+    assert np.abs(again.x - fresh.x).max() <= 1e-12 * np.abs(fresh.x).max()
+
+    # A factor of three times the matrix cuts the residual by less than
+    # REFINE_MIN_RATE per step: the solve releases it and factors anew,
+    # from the start, so the result is the fresh solve's.
+    bad = solver.BorderedLU(3.0 * darcy.pinned(darcy.reduced(A)), darcy.border)
+    out = sparse_lu_solve(A, b, border, full_output=True, darcy=darcy, factor=bad)
+    assert out.factored and out.factor is not bad and out.refinements >= 1
+    assert bad.lu is None
+    np.testing.assert_array_equal(out.x, fresh.x)
+    assert out.residual == fresh.residual and out.lu_nnz == fresh.lu_nnz
+
+
+def test_newton_rejects_a_non_finite_assembly(monkeypatch):
+    mesh, params, data = channel(forchheimer=1e3)
+    calls = []
+    forchheimer_data = solver.asm.forchheimer_data
+
+    def poisoned(w, params, ws):
+        calls.append(1)
+        out = forchheimer_data(w, params, ws)
+        if len(calls) == 2:
+            out[out.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(solver.asm, "forchheimer_data", poisoned)
+    with pytest.raises(SolverError, match="not finite at Newton iteration 2"):
+        newton_solve(mesh, params, data)
 
 
 @pytest.mark.parametrize("mode", ["constraint", "penalty", "mixed"])
@@ -355,19 +470,20 @@ def test_condensed_solve_matches_a_factored_free_system(mode):
     x_ref = spsolve(sp.csc_matrix(K), b)
 
     darcy = solver.DarcyBlock(ws, A, b, border)
-    x_c, res, nnz, refined = sparse_lu_solve(A, b, border, full_output=True, darcy=darcy)
+    out = sparse_lu_solve(A, b, border, full_output=True, darcy=darcy)
+    x_c = out.x
     assert np.abs(x_c - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
-    assert res <= 1e-14 and not refined
-    assert 0 < nnz and 0 < darcy.lu_nnz
+    assert out.residual <= 1e-14 and out.refinements == 0 and out.factored
+    assert 0 < out.lu_nnz and 0 < darcy.lu_nnz
     full = np.abs(K @ x_c - b).max() / (abs(K).sum(axis=1).max() * np.abs(x_c).max()
                                         + np.abs(b).max())
-    assert full == pytest.approx(res, rel=1e-6, abs=1e-18)
+    assert full == pytest.approx(out.residual, rel=1e-6, abs=1e-18)
 
 
-def test_refinement_refactors_the_darcy_block(monkeypatch):
+def test_refinement_keeps_the_darcy_factor_released(monkeypatch):
     # A factor of 1.000001 M for the reduced block leaves the first
-    # residual above the bound; the refinement step solves with the
-    # Darcy block again, which needs its factor back.
+    # residual above the bound; refinement runs on the reduced system,
+    # so the Darcy block is never factored again.
     mesh, params, data = manufactured(nx=4, forchheimer=0.0)
     exact, _ = newton_solve(mesh, params, data)
     seen = []
@@ -380,9 +496,9 @@ def test_refinement_refactors_the_darcy_block(monkeypatch):
     monkeypatch.setattr(solver, "splu", perturbed_splu)
     fields, report = newton_solve(mesh, params, data)
     n_D = free_darcy_count(fields.dofmap)
-    assert report.refinements == [True]
+    assert report.factored == [True] and report.refinements[0] >= 1
     assert report.linear_residuals[0] <= LU_RESIDUAL_TOL
-    assert seen[0] == seen[2] == n_D != seen[1]
+    assert len(seen) == 2 and seen[0] == n_D != seen[1]
     assert np.abs(fields.x - exact.x).max() <= 1e-9 * np.abs(exact.x).max()
 
 
@@ -392,9 +508,9 @@ def test_refinement_runs_when_the_bound_is_tiny(monkeypatch):
     monkeypatch.setattr(solver, "LU_RESIDUAL_TOL", 1e-300)
     with pytest.raises(SolverError, match="Newton iteration 1: direct solve residual"):
         newton_solve(mesh, params, data)
-    # Darcy block, reduced block, then the Darcy block again for the
-    # refinement step.
-    assert len(seen) == 3 and seen[0].shape == seen[2].shape != seen[1].shape
+    # The Darcy block and the reduced block, once each: refinement never
+    # factors.
+    assert len(seen) == 2 and seen[0].shape != seen[1].shape
 
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
