@@ -3,7 +3,7 @@
 The unknown vector is laid out as [u_B | u_D | p | lambda | gauge] where
 u_B holds Bernardi-Raugel coefficients, u_D Raviart-Thomas fluxes, p one
 constant per triangle (both regions), lambda the interface multiplier
-nodes, and gauge an optional scalar that pins the pressure mean when no
+nodes, and gauge an optional scalar that fixes the pressure mean when no
 natural boundary condition does.
 
 The nonlinear operator on the velocity pair is
@@ -37,6 +37,10 @@ SPEED_FLOOR = 1.0e-12
 # degree-6 rule.
 FORCHHEIMER_CHUNK = 256
 
+# Gauss points per edge of every edge integral: prescribed fluxes, the
+# interface terms and the natural boundary terms.
+EDGE_POINTS = 4
+
 
 def zero_vector(pts, normals=None):
     return np.zeros((len(pts), 2))
@@ -52,7 +56,9 @@ class PhysicalParams:
 
     ``K_B`` and ``K_D`` accept a positive scalar, a symmetric positive
     definite 2x2 array, or a callable mapping (n, 2) points to (n, 2, 2)
-    tensors.  ``power`` is the Forchheimer exponent p in [3, 4].
+    tensors.  ``power`` is the Forchheimer exponent p in [3, 4].  Every
+    number must be finite; a callable's values are checked by
+    ``check_permeabilities``.
     """
 
     mu: float = 1.0
@@ -62,12 +68,16 @@ class PhysicalParams:
     K_D: object = 1.0
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError(f"viscosity must be positive, got mu={self.mu}")
-        if self.forchheimer < 0.0:
-            raise ValueError(f"Forchheimer coefficient must be >= 0, got {self.forchheimer}")
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError(f"viscosity must be positive and finite, got mu={self.mu}")
+        if not 0.0 <= self.forchheimer < np.inf:
+            raise ValueError(f"Forchheimer coefficient must be finite, >= 0: F={self.forchheimer}")
         if not 3.0 <= self.power <= 4.0:
             raise ValueError(f"exponent out of range [3,4]: p={self.power}")
+        for name in ("K_B", "K_D"):
+            K = getattr(self, name)
+            if not callable(K) and not np.isfinite(np.asarray(K, dtype=float)).all():
+                raise ValueError(f"{name} must be finite, got {K}")
 
 
 def tensor_field(K, pts):
@@ -122,6 +132,8 @@ def check_permeabilities(params, mesh, degree=6):
             T = tensor_field(K, el.physical_points(mesh.vertices[tris], rule.bary).reshape(-1, 2))
         else:
             T = tensor_field(K, np.zeros((1, 2)))
+        if not np.isfinite(T).all():
+            raise ValueError(f"{name} must be finite")
         asym = np.abs(T - T.transpose(0, 2, 1)).max()
         if asym > 1e-12 * (1.0 + np.abs(T).max()):
             raise ValueError(f"{name} must be symmetric (asymmetry {asym:g})")
@@ -318,7 +330,7 @@ def prescribed_values(dofmap, mesh, data):
     for kind, fn, eids, block_dofs in _essential_blocks(
         mesh, dofmap.br, dofmap.rt, dofmap.off_uD, data
     ):
-        pts, wts = _edge_points(mesh, eids, 4)
+        pts, wts = _edge_points(mesh, eids, EDGE_POINTS)
         if kind == "dirichlet":
             vertex_vals = np.asarray(fn(mesh.vertices[np.unique(mesh.edges[eids])]), dtype=float)
             gv = np.asarray(fn(pts.reshape(-1, 2))).reshape(pts.shape)
@@ -363,18 +375,9 @@ class Workspace:
     zero are left out of the pattern.  ``free`` lists the unconstrained
     DOFs (the gauge scalar included), and ``apply_constraints`` gathers
     the free-free submatrix and lifts the constrained columns with index
-    arrays built here.
-
-    The condensed solve splits the free DOFs into the Darcy set
-    (``free_D``: free u_D and all p_D) and the reduced set (``free_R``:
-    the rest, the gauge included), both as positions in ``free``.  The
-    two meet only in the multiplier rows (``lam_R``).  ``dd_*``, ``cd_*``
-    and ``rr_*`` gather, from the data of ``apply_constraints``' A_ff,
-    the Darcy block in CSC order, the multiplier-Darcy coupling, and the
-    reduced block in CSC order with a dense multiplier block and, with a
-    gauge, the pins of ``solver.BorderedLU`` appended to the gather
-    source.  The edge tables of the natural boundary terms are kept per
-    boundary tag in ``natural``.
+    arrays built here.  The edge tables of the natural boundary terms are
+    kept per boundary tag in ``natural``.  ``degree`` is the degree of the
+    triangle quadrature rule every integral is assembled on.
 
     Index and position arrays the per-iteration gathers use are 32-bit,
     the width scipy.sparse and SuperLU store, so no gather converts them.
@@ -387,12 +390,11 @@ class Workspace:
     threads at once.
     """
 
-    def __init__(self, mesh, interface, dofmap, degree=6, edge_points=4):
+    def __init__(self, mesh, interface, dofmap, degree=6):
         self.mesh = mesh
         self.interface = interface
         self.dofmap = dofmap
         self.degree = degree
-        self.edge_points = edge_points
         rule = el.quad_rule(degree)
         self.rule = rule
 
@@ -420,12 +422,11 @@ class Workspace:
         self._build_interface_tables()
         self._build_boundary_tables()
         self._build_pattern()
-        self._build_partition()
 
     def _build_interface_tables(self):
         iface, mesh, dof = self.interface, self.mesh, self.dofmap
         ns = iface.num_edges
-        t, w = el.edge_rule(self.edge_points)
+        t, w = el.edge_rule(EDGE_POINTS)
         eids = iface.edge_ids
         a = mesh.vertices[iface.edge_verts[:, 0]]
         b = mesh.vertices[iface.edge_verts[:, 1]]
@@ -434,7 +435,7 @@ class Workspace:
 
         # Brinkman traces: the nine basis functions of the incident B
         # triangle at the edge points.
-        bary = _edge_bary(mesh, iface.edge_verts, iface.tri_B, self.edge_points)
+        bary = _edge_bary(mesh, iface.edge_verts, iface.tri_B, EDGE_POINTS)
         self.sphi, _ = el.br_basis(
             mesh.vertices[mesh.triangles[iface.tri_B]], mesh.tri_edge_signs[iface.tri_B], bary
         )
@@ -472,12 +473,12 @@ class Workspace:
             eids = mesh.edges_with_tag(tag)
             if eids.size == 0 or (dof.constrained == dofs[eids[0]]).any():
                 continue
-            pts, wts = _edge_points(mesh, eids, self.edge_points)
+            pts, wts = _edge_points(mesh, eids, EDGE_POINTS)
             nrm = np.repeat(normals[eids][:, None, :], pts.shape[1], axis=1)
             tri = mesh.edge_tris[eids, 0]
             verts, signs = mesh.vertices[mesh.triangles[tri]], mesh.tri_edge_signs[tri]
             if tag in GAMMA_B_TAGS:
-                bary = _edge_bary(mesh, mesh.edges[eids], tri, self.edge_points)
+                bary = _edge_bary(mesh, mesh.edges[eids], tri, EDGE_POINTS)
                 basis, _ = el.br_basis(verts, signs, bary)
                 l2g = dof.br.l2g[np.searchsorted(dof.br.tri_ids, tri)]
             else:
@@ -539,53 +540,6 @@ class Workspace:
         self.lift_rows = reduced[rows[lift]]
         self.lift_cols = cols[lift]
 
-    def _build_partition(self):
-        dof, free = self.dofmap, self.free
-        darcy = np.zeros(dof.n_total, dtype=bool)
-        darcy[dof.off_uD : dof.off_p] = True
-        darcy[self.p_dof_D] = True
-        in_D = darcy[free]
-        self.free_D = np.flatnonzero(in_D)
-        self.free_R = np.flatnonzero(~in_D)
-        local = np.empty(free.size, dtype=int)
-        local[self.free_D] = np.arange(self.free_D.size)
-        local[self.free_R] = np.arange(self.free_R.size)
-        n_lam, n_R = dof.n_lam, self.free_R.size
-        self.lam_R = local[np.searchsorted(free, dof.off_lam + np.arange(n_lam))]
-
-        rows = np.repeat(np.arange(free.size), np.diff(self.ff_indptr))
-        cols = self.ff_indices
-        D_row, D_col = in_D[rows], in_D[cols]
-        rows, cols = local[rows], local[cols]
-
-        dd = np.flatnonzero(D_row & D_col)
-        self.dd_pos, self.dd_indices, self.dd_indptr = _csc_gather(
-            dd, rows[dd], cols[dd], self.free_D.size
-        )
-        lam_index = np.full(n_R, -1)
-        lam_index[self.lam_R] = np.arange(n_lam)
-        self.cd_pos = np.flatnonzero(~D_row & D_col)
-        self.cd_rows = lam_index[rows[self.cd_pos]]
-        self.cd_cols = cols[self.cd_pos]
-
-        # The source of the reduced gather is A_ff's data followed by the
-        # n_lam x n_lam multiplier block (row-major) and, with a gauge, the
-        # pins on the gauge slot and on the first Brinkman pressure, which
-        # is GaugeBorder.pin of the reduced border (u_B precede p_B in the
-        # reduced numbering and carry no gauge coupling).
-        rr = np.flatnonzero(~D_row & ~D_col)
-        lam_r, lam_c = np.meshgrid(self.lam_R, self.lam_R, indexing="ij")
-        pins = np.empty(0, dtype=int)
-        if dof.gauge_dof >= 0:
-            pins = local[np.searchsorted(free, [dof.off_p + dof.br.tri_ids.min(), dof.gauge_dof])]
-        extra = cols.size + np.arange(n_lam * n_lam + pins.size)
-        self.rr_pos, self.rr_indices, self.rr_indptr = _csc_gather(
-            np.concatenate([rr, extra]),
-            np.concatenate([rows[rr], lam_r.ravel(), pins]),
-            np.concatenate([cols[rr], lam_c.ravel(), pins]),
-            n_R,
-        )
-
     def scatter(self, slots, local):
         """CSR data holding the local entries ``local`` summed into ``slots``."""
         return np.bincount(slots, local.ravel(), minlength=self.nnz)
@@ -602,14 +556,6 @@ class Workspace:
     def kinv_D(self, params):
         """K_D^-1 at the Darcy quadrature points, (m, nq, 2, 2)."""
         return _inverse_at(params.K_D, self.qpts_D)
-
-
-def _csc_gather(pos, rows, cols, n):
-    """Gather positions, row indices and column pointers of the n x n CSC
-    matrix whose entry (rows[k], cols[k]) is taken from position pos[k]."""
-    order = np.argsort(cols * n + rows)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-    return pos[order].astype(np.intc), rows[order].astype(np.intc), indptr.astype(np.intc)
 
 
 def _inverse_at(K, qpts):

@@ -103,7 +103,6 @@ _KEYS = {
     "tol": (_parse_float, "tol"),
     "max_iter": (_parse_int, "max_iter"),
     "initial": (_parse_pair, "initial"),
-    "pressure_mode": (_parse_str, "pressure_mode"),
     "csv": (_parse_str, "csv_name"),
     "vtk": (_parse_str, "vtk_name"),
     "quiet": (_parse_bool, "quiet"),
@@ -151,7 +150,6 @@ class RunConfig:
     tol: float = 1.0e-6
     max_iter: int = 50
     initial: tuple = (0.1, 0.0)
-    pressure_mode: str = "constraint"
     csv_name: str = None
     vtk_name: str = None
     quiet: bool = False
@@ -192,12 +190,7 @@ class RunConfig:
         )
 
     def newton_options(self):
-        return slv.NewtonOptions(
-            tol=self.tol,
-            max_iter=self.max_iter,
-            initial=self.initial,
-            pressure_mode=self.pressure_mode,
-        )
+        return slv.NewtonOptions(tol=self.tol, max_iter=self.max_iter, initial=self.initial)
 
 
 def parse_config(path):
@@ -341,7 +334,7 @@ def cmd_convergence(cfg, levels, out_dir, quiet):
         fh.flush()
         for level in range(levels):
             nx = 4 * 2**level
-            disc = slv.Discretization.build(_build_mesh(cfg, nx=nx), data, opts.quad_degree)
+            disc = slv.Discretization.build(_build_mesh(cfg, nx=nx), data)
             try:
                 fields, report = slv.newton_solve(disc, params, data, opts)
             except slv.SolverError:
@@ -387,7 +380,7 @@ def cmd_sweep(cfg, levels, out_dir, quiet):
     opts = cfg.newton_options()
     _, layout, _ = _problem_data(cfg, forchheimer=cfg.F_list[0], K_D=K_D_list[0])
     discs = [
-        slv.Discretization.build(_build_mesh(cfg, nx=4 * 2**lvl), layout, opts.quad_degree)
+        slv.Discretization.build(_build_mesh(cfg, nx=4 * 2**lvl), layout)
         for lvl in range(levels)
     ]
     cells = [

@@ -59,11 +59,6 @@ REFINE_MAX_STEPS = 12
 # moves too far for the old factor to pay.
 HOLD_INCREMENT = 0.2
 
-# Penalty variant of the pressure gauge: eliminating the bordered scalar
-# with -PRESSURE_PENALTY on its diagonal adds (p, 1)(q, 1)/PRESSURE_PENALTY
-# exactly, so the pressure mean still vanishes to solver accuracy.
-PRESSURE_PENALTY = 1.0e-8
-
 
 def _bordered_residual(A, x, b, border=None):
     """K x - b for K = A, or A with ``border``, without forming K."""
@@ -112,9 +107,11 @@ class GaugeBorder:
 
     The bordered operator is K = A + c e_s^T + e_s c^T - delta e_s e_s^T,
     where s is ``slot`` (an empty row and column of A), c is ``coupling``
-    (the triangle areas on the pressure DOFs, zero elsewhere) and delta
-    is ``diagonal``: 0 keeps the gauge row exact, PRESSURE_PENALTY makes
-    it a penalty.  ``pin`` is the first nonzero of c.
+    and delta is ``diagonal``.  The gauge of ``gauge_border`` has the
+    triangle areas on the pressure DOFs in c and delta = 0, which keeps
+    the mean-zero row exact; eliminating the Darcy unknowns gives a
+    border with a nonzero delta (see ``DarcyBlock``).  ``pin`` is the
+    first nonzero of c.
     """
 
     slot: int
@@ -126,7 +123,7 @@ class GaugeBorder:
         return int(np.flatnonzero(self.coupling)[0])
 
 
-def gauge_border(ws, pressure_mode):
+def gauge_border(ws):
     """The mean-zero pressure gauge in the free-DOF numbering of
     ``apply_constraints``, or None without one."""
     dofmap = ws.dofmap
@@ -134,8 +131,7 @@ def gauge_border(ws, pressure_mode):
         return None
     c = np.zeros(dofmap.n_total)
     c[dofmap.off_p : dofmap.off_p + dofmap.n_p] = ws.mesh.areas
-    delta = PRESSURE_PENALTY if pressure_mode == "penalty" else 0.0
-    return GaugeBorder(int(np.searchsorted(ws.free, dofmap.gauge_dof)), c[ws.free], delta)
+    return GaugeBorder(int(np.searchsorted(ws.free, dofmap.gauge_dof)), c[ws.free])
 
 
 def _factor(M):
@@ -145,14 +141,34 @@ def _factor(M):
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
 
 
-class BorderedLU:
-    """The sparse LU of a matrix M and the solve with K = A or A bordered.
+def _pin(A, j, s):
+    """A + e_j e_j^T + e_s e_s^T as a CSC matrix on A's pattern, with the
+    two diagonal slots inserted where A lacks them.  Explicit zeros of A
+    stay in the pattern, which is the one SuperLU orders."""
+    A = sp.csc_matrix(A)
+    if not A.has_sorted_indices:
+        A = A.sorted_indices()
+    indptr, indices, data = A.indptr.copy(), A.indices, A.data.copy()
+    # The later column first: an insertion there moves no earlier slot.
+    for k in sorted((j, s), reverse=True):
+        p = indptr[k] + np.searchsorted(indices[indptr[k] : indptr[k + 1]], k)
+        if p < indptr[k + 1] and indices[p] == k:
+            data[p] += 1.0
+        else:
+            indices, data = np.insert(indices, p, k), np.insert(data, p, 1.0)
+            indptr[k + 1 :] += 1
+    return sp.csc_matrix((data, indices, indptr), shape=A.shape)
 
-    Without a border M is A.  With one, M = A + e_j e_j^T + e_s e_s^T
-    (j = ``border.pin``): A is singular only along the constant
-    (p, lambda) mode, so M is nonsingular and has the sparsity of A.
-    Each right-hand side then costs one solve with M plus a 2x2 system
-    for (x_j, x_s):
+
+class BorderedLU:
+    """The sparse LU of A, or of A with its gauge pins, and the solve with
+    K = A or A bordered.
+
+    Without a border this factors A.  With one it factors
+    M = A + e_j e_j^T + e_s e_s^T (j = ``border.pin``, s = ``border.slot``),
+    formed here on A's pattern: A is singular only along the constant
+    (p, lambda) mode, so M is nonsingular.  Each right-hand side then
+    costs one solve with M plus a 2x2 system for (x_j, x_s):
 
         x = y0 + x_j y1 - x_s y2,  y0 = M^-1 b_x, y1 = M^-1 e_j, y2 = M^-1 c
 
@@ -160,8 +176,13 @@ class BorderedLU:
     two-column solve here.  ``nnz`` is nnz(L+U).
     """
 
-    def __init__(self, M, border=None):
+    def __init__(self, A, border=None):
+        if border is None:
+            M = sp.csc_matrix(A)
+        else:
+            M = _pin(A, border.pin, border.slot)
         self.lu = _factor(M)
+        del M
         self.nnz = int(self.lu.nnz)
         self.border = border
         if border is not None:
@@ -228,6 +249,69 @@ def _refine(factor, residual, rhs, norm):
     return x, res, steps
 
 
+def _csc_gather(pos, rows, cols, n):
+    """Gather positions, row indices and column pointers of the n x n CSC
+    matrix whose entry (rows[k], cols[k]) is taken from position pos[k]."""
+    order = np.argsort(cols * n + rows)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    return pos[order].astype(np.intc), rows[order].astype(np.intc), indptr.astype(np.intc)
+
+
+class CondensedLayout:
+    """Where the blocks of the condensed solve sit in the free system.
+
+    The free DOFs of a Workspace split into the Darcy set (``free_D``:
+    free u_D and all p_D) and the reduced set (``free_R``: the rest, the
+    gauge included), both as positions in ``ws.free``.  The two meet only
+    in the multiplier rows (``lam_R``).  ``dd_*``, ``cd_*`` and ``rr_*``
+    gather, from the data of ``apply_constraints``' A_ff, the Darcy block
+    in CSC order, the multiplier-Darcy coupling, and the reduced block in
+    CSC order with a dense multiplier block; the source of the reduced
+    gather is A_ff's data followed by that block (row-major).
+
+    It depends on the Workspace alone; ``Discretization.build`` makes one
+    per mesh, and nothing writes to it afterwards.
+    """
+
+    def __init__(self, ws):
+        dof, free = ws.dofmap, ws.free
+        darcy = np.zeros(dof.n_total, dtype=bool)
+        darcy[dof.off_uD : dof.off_p] = True
+        darcy[ws.p_dof_D] = True
+        in_D = darcy[free]
+        self.free_D = np.flatnonzero(in_D)
+        self.free_R = np.flatnonzero(~in_D)
+        local = np.empty(free.size, dtype=int)
+        local[self.free_D] = np.arange(self.free_D.size)
+        local[self.free_R] = np.arange(self.free_R.size)
+        n_lam, n_R = dof.n_lam, self.free_R.size
+        self.lam_R = local[np.searchsorted(free, dof.off_lam + np.arange(n_lam))]
+
+        rows = np.repeat(np.arange(free.size), np.diff(ws.ff_indptr))
+        cols = ws.ff_indices
+        D_row, D_col = in_D[rows], in_D[cols]
+        rows, cols = local[rows], local[cols]
+
+        dd = np.flatnonzero(D_row & D_col)
+        self.dd_pos, self.dd_indices, self.dd_indptr = _csc_gather(
+            dd, rows[dd], cols[dd], self.free_D.size
+        )
+        lam_index = np.full(n_R, -1)
+        lam_index[self.lam_R] = np.arange(n_lam)
+        self.cd_pos = np.flatnonzero(~D_row & D_col)
+        self.cd_rows = lam_index[rows[self.cd_pos]]
+        self.cd_cols = cols[self.cd_pos]
+
+        rr = np.flatnonzero(~D_row & ~D_col)
+        lam_r, lam_c = np.meshgrid(self.lam_R, self.lam_R, indexing="ij")
+        self.rr_pos, self.rr_indices, self.rr_indptr = _csc_gather(
+            np.concatenate([rr, cols.size + np.arange(n_lam * n_lam)]),
+            np.concatenate([rows[rr], lam_r.ravel()]),
+            np.concatenate([cols[rr], lam_c.ravel()]),
+            n_R,
+        )
+
+
 class DarcyBlock:
     """The Darcy unknowns of one solve's free system, eliminated.
 
@@ -235,8 +319,8 @@ class DarcyBlock:
     block A_DD that does not depend on the Newton iterate.  They meet the
     other unknowns only in the multiplier rows C_D = A[lambda, D] (and
     the transposed columns) and, with a gauge border, in its coupling
-    c_D.  Built from one Newton iteration's system (A, b), this factors
-    A_DD once, keeps
+    c_D.  Built from a CondensedLayout and one Newton iteration's system
+    (A, b), this factors A_DD once, keeps
 
         X = A_DD^-1 C_D^T,  z = A_DD^-1 c_D,  y = A_DD^-1 b_D,
 
@@ -253,80 +337,67 @@ class DarcyBlock:
     rejected.
     """
 
-    def __init__(self, ws, A, b, border=None):
-        self.ws = ws
-        n_D, n_lam = ws.free_D.size, ws.dofmap.n_lam
+    def __init__(self, layout, A, b, border=None):
+        self.layout = lo = layout
+        n_D, n_lam = lo.free_D.size, lo.lam_R.size
         matrix = sp.csc_matrix(
-            (A.data[ws.dd_pos], ws.dd_indices, ws.dd_indptr), shape=(n_D, n_D)
+            (A.data[lo.dd_pos], lo.dd_indices, lo.dd_indptr), shape=(n_D, n_D)
         )
         self.coupling = sp.csr_matrix(
-            (A.data[ws.cd_pos], (ws.cd_rows, ws.cd_cols)), shape=(n_lam, n_D)
+            (A.data[lo.cd_pos], (lo.cd_rows, lo.cd_cols)), shape=(n_lam, n_D)
         )
-        self.b = b[ws.free_D]
+        self.b = b[lo.free_D]
         cols = [self.coupling.T.toarray(), self.b[:, None]]
         if border is not None:
-            c_D = border.coupling[ws.free_D]
+            c_D = border.coupling[lo.free_D]
             cols.append(c_D[:, None])
         lu = _factor(matrix)
         self.lu_nnz = int(lu.nnz)
         Y = lu.solve(np.hstack(cols))
         del lu
         self.X, self.y = Y[:, :n_lam], Y[:, n_lam]
-        extra = [-(self.coupling @ self.X).ravel()]
+        self.schur = -(self.coupling @ self.X).ravel()
         self.z = self.c_D = self.border = None
         if border is not None:
             self.z, self.c_D = Y[:, n_lam + 1], c_D
-            c_R = border.coupling[ws.free_R]
-            c_R[ws.lam_R] -= self.X.T @ c_D
+            c_R = border.coupling[lo.free_R]
+            c_R[lo.lam_R] -= self.X.T @ c_D
             self.border = GaugeBorder(
-                int(np.searchsorted(ws.free_R, border.slot)), c_R, border.diagonal + c_D @ self.z
+                int(np.searchsorted(lo.free_R, border.slot)), c_R, border.diagonal + c_D @ self.z
             )
-            # The gauge pins of BorderedLU come last in the gather source
-            # and stay explicit zeros until ``pinned`` sets them.
-            extra.append([0.0, 0.0])
-        self.extra = np.concatenate(extra)
-        self.pins = np.flatnonzero(ws.rr_pos >= A.nnz + n_lam * n_lam)
 
     def reduced(self, A):
-        """The reduced block of the free system A as a CSC matrix; its
-        pattern holds the gauge pins, as explicit zeros."""
-        ws = self.ws
-        n = ws.free_R.size
-        data = np.concatenate([A.data, self.extra])[ws.rr_pos]
-        return sp.csc_matrix((data, ws.rr_indices, ws.rr_indptr), shape=(n, n))
-
-    def pinned(self, K):
-        """The matrix BorderedLU factors for the reduced block K: K with
-        its gauge pins set to one, on K's pattern."""
-        data = K.data.copy()
-        data[self.pins] = 1.0
-        return sp.csc_matrix((data, K.indices, K.indptr), shape=K.shape)
+        """The reduced block of the free system A as a CSC matrix."""
+        lo = self.layout
+        n = lo.free_R.size
+        data = np.concatenate([A.data, self.schur])[lo.rr_pos]
+        return sp.csc_matrix((data, lo.rr_indices, lo.rr_indptr), shape=(n, n))
 
     def reduced_rhs(self, b):
         """The reduced system's right-hand side for the free system's b."""
-        ws = self.ws
-        if not np.array_equal(b[ws.free_D], self.b):
+        lo = self.layout
+        if not np.array_equal(b[lo.free_D], self.b):
             raise ValueError("the Darcy part of the right-hand side differs from the block's")
-        rhs = b[ws.free_R]
-        rhs[ws.lam_R] -= self.coupling @ self.y
+        rhs = b[lo.free_R]
+        rhs[lo.lam_R] -= self.coupling @ self.y
         if self.z is not None:
             rhs[self.border.slot] -= self.c_D @ self.y
         return rhs
 
     def recover(self, x_R):
         """The solution of the free system from the reduced system's."""
-        ws = self.ws
-        x_D = self.y - self.X @ x_R[ws.lam_R]
+        lo = self.layout
+        x_D = self.y - self.X @ x_R[lo.lam_R]
         if self.z is not None:
             x_D -= self.z * x_R[self.border.slot]
         x = np.empty(x_R.size + x_D.size)
-        x[ws.free_R] = x_R
-        x[ws.free_D] = x_D
+        x[lo.free_R] = x_R
+        x[lo.free_D] = x_D
         return x
 
 
 class LinearSolve(NamedTuple):
-    """What ``sparse_lu_solve(..., full_output=True)`` returns.
+    """What ``sparse_lu_solve`` returns.
 
     ``residual`` is the normalized residual on the full (bordered)
     system, ``lu_nnz`` nnz(L+U) of the factor that served, ``refinements``
@@ -343,7 +414,7 @@ class LinearSolve(NamedTuple):
     factor: BorderedLU
 
 
-def sparse_lu_solve(A, b, border=None, full_output=False, darcy=None, factor=None):
+def sparse_lu_solve(A, b, border=None, darcy=None, factor=None):
     """Solve A x = b, or the bordered K x = b, by sparse LU with partial
     pivoting and iterative refinement.
 
@@ -363,8 +434,8 @@ def sparse_lu_solve(A, b, border=None, full_output=False, darcy=None, factor=Non
     Whichever factor served, the normalized residual on the full K must
     meet LU_RESIDUAL_TOL.  Raises SingularSystemError on an exactly
     singular pivot or a non-finite solution and SolverError when the
-    residual misses the bound (a NaN residual does).  With
-    ``full_output`` returns a LinearSolve.
+    residual misses the bound (a NaN residual does).  Returns a
+    LinearSolve.
     """
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -385,15 +456,7 @@ def sparse_lu_solve(A, b, border=None, full_output=False, darcy=None, factor=Non
             factor = None
     factored = factor is None
     if factored:
-        if darcy is not None:
-            M = darcy.pinned(K)
-        else:
-            M = sp.csc_matrix(A)
-            if border is not None:
-                j, s = border.pin, border.slot
-                M = (M + sp.csc_matrix(([1.0, 1.0], ([j, s], [j, s])), shape=A.shape)).tocsc()
-        factor = BorderedLU(M, K_border)
-        del M
+        factor = BorderedLU(K, K_border)
         x, res, more = _refine(factor, residual, rhs, norm)
         steps += more
     if not np.all(np.isfinite(x)):
@@ -403,9 +466,7 @@ def sparse_lu_solve(A, b, border=None, full_output=False, darcy=None, factor=Non
         res = _normalized_residual(A, x, b, border)
     if not res <= LU_RESIDUAL_TOL:
         raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
-    if full_output:
-        return LinearSolve(x, res, factor.nnz, steps, factored, factor)
-    return x
+    return LinearSolve(x, res, factor.nnz, steps, factored, factor)
 
 
 @dataclass
@@ -413,8 +474,6 @@ class NewtonOptions:
     tol: float = 1.0e-6
     max_iter: int = 50
     initial: tuple = (0.1, 0.0)
-    pressure_mode: str = "constraint"
-    quad_degree: int = 6
 
 
 @dataclass
@@ -486,8 +545,9 @@ class Discretization:
     and the values of the problem data do not change.
 
     It holds the mesh, its interface, the DofMap of one boundary-condition
-    layout and the assembly Workspace (basis tables, CSR pattern, free and
-    lift positions).  Build it once per mesh with ``Discretization.build``
+    layout, the assembly Workspace (basis tables, CSR pattern, free and
+    lift positions, quadrature rule) and the CondensedLayout of the linear
+    solve.  Build it once per mesh with ``Discretization.build``
     and pass it to ``newton_solve`` in place of the mesh: every solve on
     it then skips that set-up.  It is never written to, so solves on
     several threads may share it.  Whatever depends on ``params`` or on
@@ -499,6 +559,7 @@ class Discretization:
     interface: object
     dofmap: asm.DofMap
     workspace: asm.Workspace
+    layout: CondensedLayout
 
     @classmethod
     def build(cls, mesh, data, quad_degree=6):
@@ -508,43 +569,35 @@ class Discretization:
         interface = build_interface(mesh)
         dofmap = asm.build_dofmap(mesh, interface, data)
         workspace = asm.Workspace(mesh, interface, dofmap, degree=quad_degree)
-        return cls(mesh, interface, dofmap, workspace)
+        return cls(mesh, interface, dofmap, workspace, CondensedLayout(workspace))
 
 
 def newton_solve(mesh, params, data, options=None):
     """Solve the coupled nonlinear problem on a mesh.
 
-    ``mesh`` is a Mesh, discretized for this solve alone, or a
-    Discretization to reuse: solves of several (params, data) on one mesh
-    share its set-up.  Returns (SolutionFields, SolveReport).  The
-    iteration count equals the number of linear solves performed.
+    ``mesh`` is a Mesh, discretized for this solve alone on the default
+    quadrature of ``Discretization.build``, or a Discretization to reuse:
+    solves of several (params, data) on one mesh share its set-up and
+    assemble on its quadrature.  Returns (SolutionFields, SolveReport).
+    The iteration count equals the number of linear solves performed.
 
     Raises ValueError for options out of range (``max_iter`` < 1,
-    ``tol`` <= 0, an unknown pressure mode), for a Discretization built
-    on another quadrature degree than ``options.quad_degree``, and for
-    data whose boundary-condition layout (constrained DOFs, pressure
-    gauge) differs from the Discretization's.  Raises SolverError, naming
-    the Newton iteration, when an assembled system is not finite or its
-    linear solve fails.
+    ``tol`` <= 0) and for data whose boundary-condition layout
+    (constrained DOFs, pressure gauge) differs from the Discretization's.
+    Raises SolverError, naming the Newton iteration, when an assembled
+    system is not finite or its linear solve fails.
     """
     opts = options or NewtonOptions()
-    if opts.pressure_mode not in ("constraint", "penalty"):
-        raise ValueError(f"pressure mode must be constraint|penalty, got {opts.pressure_mode!r}")
     if opts.max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {opts.max_iter}")
     if not opts.tol > 0.0:
         raise ValueError(f"tol must be > 0, got {opts.tol}")
     disc = mesh
     if not isinstance(disc, Discretization):
-        disc = Discretization.build(mesh, data, opts.quad_degree)
+        disc = Discretization.build(mesh, data)
     mesh, interface, dofmap, ws = disc.mesh, disc.interface, disc.dofmap, disc.workspace
-    if ws.degree != opts.quad_degree:
-        raise ValueError(
-            f"the discretization uses quadrature degree {ws.degree}, "
-            f"the options ask for {opts.quad_degree}"
-        )
-    asm.check_permeabilities(params, mesh, opts.quad_degree)
-    border = gauge_border(ws, opts.pressure_mode)
+    asm.check_permeabilities(params, mesh, ws.degree)
+    border = gauge_border(ws)
 
     x = np.zeros(dofmap.n_total)
     init = np.asarray(opts.initial, dtype=float)
@@ -588,9 +641,9 @@ def newton_solve(mesh, params, data, options=None):
         del values, rhs
         try:
             if darcy is None:
-                darcy = DarcyBlock(ws, A, b, border)
+                darcy = DarcyBlock(disc.layout, A, b, border)
             x_free, res, nnz, steps, fresh, factor = sparse_lu_solve(
-                A, b, border, full_output=True, darcy=darcy, factor=factor
+                A, b, border, darcy=darcy, factor=factor
             )
         except SolverError as exc:
             raise SolverError(f"linear solve failed at Newton iteration {it}: {exc}") from exc
@@ -622,7 +675,7 @@ def newton_solve(mesh, params, data, options=None):
             factor = None
 
     fields = SolutionFields(
-        x=x, dofmap=dofmap, mesh=mesh, interface=interface, quad_degree=opts.quad_degree
+        x=x, dofmap=dofmap, mesh=mesh, interface=interface, quad_degree=ws.degree
     )
     report = SolveReport(
         iterations=len(increments),

@@ -22,7 +22,6 @@ from bfdarcy import (
     interpolate_br,
     interpolate_rt0,
     manufactured_problem,
-    newton_solve,
     prescribed_values,
 )
 from bfdarcy.assembly import (
@@ -94,6 +93,30 @@ def test_check_permeabilities_rejects_bad_tensors():
             PhysicalParams(K_D=np.array([[1.0, 0.0], [0.0, -2.0]])), mesh
         )
     check_permeabilities(PhysicalParams(K_B=0.1, K_D=1.0e-3), mesh)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("mu", np.inf), ("mu", np.nan), ("forchheimer", np.inf), ("forchheimer", np.nan),
+     ("K_B", np.inf), ("K_D", np.nan), ("K_D", np.array([[1.0, 0.0], [0.0, np.inf]]))],
+)
+def test_physical_params_reject_non_finite_values(name, value):
+    label = {"mu": "mu=", "forchheimer": "F="}.get(name, name)
+    with pytest.raises(ValueError, match=label):
+        PhysicalParams(**{name: value})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_permeabilities_rejects_a_non_finite_callable(bad):
+    mesh, _, _, _ = setup()
+
+    def K_fn(p):
+        out = np.broadcast_to(np.eye(2), (len(p), 2, 2)).copy()
+        out[:, 0, 1] = out[:, 1, 0] = np.where(p[:, 0] > 0.4, bad, 0.0)
+        return out
+
+    with pytest.raises(ValueError, match="K_B must be finite"):
+        check_permeabilities(PhysicalParams(K_B=K_fn), mesh)
 
 
 def test_constant_permeability_is_inverted_once_with_the_same_arithmetic():
@@ -657,19 +680,3 @@ def test_interface_traction_loads_interface_velocity_rows():
     allowed[2 * dofmap.br.vertex_ids.size + dofmap.br.edge_local[iface.edge_ids]] = True
     assert np.abs(diff[~allowed]).max() == 0.0
     assert np.abs(diff[allowed]).max() > 0.0
-
-
-# ------------------------------------------------------- constraint modes
-
-
-def test_constraint_and_penalty_gauges_agree():
-    params = PhysicalParams(mu=1.0, forchheimer=10.0, power=3.0, K_B=1.0, K_D=0.1)
-    exact, data = manufactured_problem(params)
-    mesh = generate_stacked_rect(RECT_B, RECT_D, 4, 2, 2)
-
-    from bfdarcy.solver import NewtonOptions
-
-    fields_c, _ = newton_solve(mesh, params, data, NewtonOptions(pressure_mode="constraint"))
-    fields_p, _ = newton_solve(mesh, params, data, NewtonOptions(pressure_mode="penalty"))
-    n = fields_c.dofmap.n_fields
-    assert np.abs(fields_c.x[:n] - fields_p.x[:n]).max() < 1e-6

@@ -111,6 +111,31 @@ def test_solve_rejects_newton_options_out_of_range(tmp_path, setting):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [("F = nan", "F=nan"), ("F = inf", "F=inf"), ("K_D = inf", "K_D must be finite")],
+    ids=["F_nan", "F_inf", "K_D_inf"],
+)
+def test_solve_rejects_non_finite_parameters(tmp_path, setting, message):
+    cfg = write_config(tmp_path, f"problem = example2\nnx = 4\n{setting}\n")
+    res = run_cli("solve", "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 1, res.stderr
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_solve_overflowing_assembly_is_a_solver_failure_without_output(tmp_path):
+    # F = 1e308 is finite, but the Forchheimer block overflows.
+    cfg = write_config(tmp_path, "problem = example2\nF = 1e308\nnx = 4\n")
+    res = run_cli("solve", "--config", cfg, "--out", str(tmp_path), "--vtk")
+    assert res.returncode == 2, res.stderr
+    assert "not finite at Newton iteration 1" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "solve.csv").exists()
+    assert not (tmp_path / "solve.vtk").exists()
+    assert not (tmp_path / "solve_multiplier.vtk").exists()
+
+
 def test_solve_writes_vtk_pair(tmp_path):
     cfg = write_config(tmp_path, "problem = example1_variant\nnx = 4\n")
     res = run_cli("solve", "--config", cfg, "--out", str(tmp_path), "--vtk")
@@ -333,3 +358,9 @@ def test_config_parse_errors_carry_location(tmp_path):
     res = run_cli("solve", "--config", cfg, "--out", str(tmp_path))
     assert res.returncode == 1
     assert "duplicate" in res.stderr
+
+
+def test_config_rejects_the_removed_pressure_mode_key(tmp_path):
+    cfg = write_config(tmp_path, "problem = example1_variant\npressure_mode = penalty\n")
+    with pytest.raises(cli.UsageError, match="unknown configuration key 'pressure_mode'"):
+        cli.parse_config(cfg)

@@ -31,7 +31,6 @@ from bfdarcy import solver
 from bfdarcy.assembly import Workspace, zero_scalar
 from bfdarcy.solver import (
     LU_RESIDUAL_TOL,
-    PRESSURE_PENALTY,
     REFINE_TOL,
     GaugeBorder,
     NewtonOptions,
@@ -63,13 +62,13 @@ def channel(nx=8, forchheimer=10.0):
 def test_lu_solves_the_identity():
     A = sp.eye(5, format="csr")
     b = np.arange(5.0)
-    np.testing.assert_allclose(sparse_lu_solve(A, b), b, atol=1e-15)
+    np.testing.assert_allclose(sparse_lu_solve(A, b).x, b, atol=1e-15)
 
 
 def test_lu_handles_a_zero_diagonal():
     # requires pivoting: the matrix swaps the two unknowns
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    x = sparse_lu_solve(A, np.array([1.0, 2.0]))
+    x = sparse_lu_solve(A, np.array([1.0, 2.0])).x
     np.testing.assert_allclose(x, [2.0, 1.0], atol=1e-15)
 
 
@@ -82,7 +81,7 @@ def test_lu_matches_dense_solve_on_a_saddle_block():
     A = np.block([[K, B.T], [B, np.zeros((m, m))]])
     b = rng.normal(size=n + m)
 
-    x = sparse_lu_solve(sp.csr_matrix(A), b)
+    x = sparse_lu_solve(sp.csr_matrix(A), b).x
     np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-8)
 
 
@@ -136,7 +135,7 @@ def test_lu_solves_a_gauge_border_on_a_singular_block(delta, monkeypatch):
 
     monkeypatch.setattr(solver, "splu", counting_splu)
 
-    out = sparse_lu_solve(sp.csr_matrix(A), b, GaugeBorder(n, c, delta), full_output=True)
+    out = sparse_lu_solve(sp.csr_matrix(A), b, GaugeBorder(n, c, delta))
     np.testing.assert_allclose(out.x, np.linalg.solve(K, b), rtol=1e-10, atol=1e-12)
     assert out.residual <= LU_RESIDUAL_TOL
     # one factor of the unbordered block, one two-column solve for the
@@ -146,17 +145,47 @@ def test_lu_solves_a_gauge_border_on_a_singular_block(delta, monkeypatch):
     assert out.refinements == 0 and out.factored
 
 
+def test_bordered_lu_pins_the_matrix_it_is_given(monkeypatch):
+    # K holds explicit zeros and an entry at (j, j); (s, s) is no slot of
+    # K.  BorderedLU factors K + e_j e_j^T + e_s e_s^T on K's pattern.
+    n, j, s = 6, 2, 5
+    rows = [0, 1, 3, 2, 0, 3, 4, 1, 3, 4]
+    cols = [0, 1, 1, 2, 3, 3, 3, 4, 4, 4]
+    vals = [2.0, 3.0, 0.0, 4.0, 0.0, 1.5, 1.0, 0.5, 0.0, 5.0]
+    K = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    assert K.nnz == len(vals) and K[s, s] == 0.0
+    c = np.zeros(n)
+    c[j:s] = [1.0, 0.5, 2.0]
+    border = GaugeBorder(s, c)
+    assert border.pin == j
+
+    seen = recording_splu(monkeypatch)
+    solver.BorderedLU(K, border)
+    (M,) = seen
+    dense = K.toarray()
+    dense[j, j] += 1.0
+    dense[s, s] += 1.0
+    np.testing.assert_array_equal(M.toarray(), dense)
+    assert M.format == "csc" and M.has_sorted_indices and M.nnz == K.nnz + 1
+    # The explicit zeros survive, in place.
+    coo = M.tocoo()
+    assert set(zip(coo.row.tolist(), coo.col.tolist())) == set(zip(rows, cols)) | {(s, s)}
+    assert M[j, j] == 5.0 and M[s, s] == 1.0
+    # K itself is left as it was.
+    assert K.nnz == len(vals) and K[j, j] == 4.0
+
+
 def test_lu_reports_whether_refinement_ran(monkeypatch):
     # A factor of 1.000001 A leaves a first residual far above the bound;
     # refinement with it brings the residual below REFINE_TOL.
     rng = np.random.default_rng(4)
     A = sp.csr_matrix(rng.normal(size=(40, 40)) + 40.0 * np.eye(40))
     b = rng.normal(size=40)
-    out = sparse_lu_solve(A, b, full_output=True)
+    out = sparse_lu_solve(A, b)
     assert out.refinements == 0 and out.residual <= LU_RESIDUAL_TOL
 
     monkeypatch.setattr(solver, "splu", lambda M: splu(sp.csc_matrix(M * (1.0 + 1e-6))))
-    out = sparse_lu_solve(A, b, full_output=True)
+    out = sparse_lu_solve(A, b)
     assert out.refinements >= 1 and out.residual <= REFINE_TOL
     np.testing.assert_allclose(out.x, np.linalg.solve(A.toarray(), b), rtol=1e-10)
 
@@ -181,12 +210,11 @@ def test_lu_rejects_a_nan_residual(monkeypatch):
         sparse_lu_solve(sp.csr_matrix(A), b)
 
 
-@pytest.mark.parametrize("mode", ["constraint", "penalty"])
-def test_gauge_solve_matches_the_factored_bordered_system(mode):
+def test_gauge_solve_matches_the_factored_bordered_system():
     # F = 0 makes the problem affine: newton_solve performs exactly one
     # linear solve, so its result is the solution of the bordered system.
     mesh, params, data = manufactured(nx=8, forchheimer=0.0)
-    fields, report = newton_solve(mesh, params, data, NewtonOptions(pressure_mode=mode))
+    fields, report = newton_solve(mesh, params, data)
     dofmap = fields.dofmap
     assert dofmap.gauge_dof >= 0
 
@@ -197,12 +225,10 @@ def test_gauge_solve_matches_the_factored_bordered_system(mode):
     p_dofs = np.searchsorted(ws.free, dofmap.off_p + np.arange(dofmap.n_p))
     gauge = np.searchsorted(ws.free, dofmap.gauge_dof)
     g = np.full(dofmap.n_p, gauge)
-    delta = PRESSURE_PENALTY if mode == "penalty" else 0.0
     border = sp.coo_matrix(
         (
-            np.concatenate([mesh.areas, mesh.areas, [-delta]]),
-            (np.concatenate([g, p_dofs, [gauge]]),
-             np.concatenate([p_dofs, g, [gauge]])),
+            np.concatenate([mesh.areas, mesh.areas]),
+            (np.concatenate([g, p_dofs]), np.concatenate([p_dofs, g])),
         ),
         shape=A.shape,
     )
@@ -255,12 +281,6 @@ def test_newton_reports_failure_when_iterations_run_out():
     assert "NOT converged" in str(report)
 
 
-def test_newton_rejects_bad_pressure_mode():
-    mesh, params, data = manufactured()
-    with pytest.raises(ValueError, match="pressure mode"):
-        newton_solve(mesh, params, data, NewtonOptions(pressure_mode="lagrange"))
-
-
 @pytest.mark.parametrize(
     "options", [dict(max_iter=0), dict(max_iter=-3), dict(tol=0.0), dict(tol=-1e-6),
                 dict(tol=float("nan"))],
@@ -281,7 +301,8 @@ def test_newton_solution_zeroes_the_nonlinear_residual():
 @pytest.mark.parametrize("degree", [4, 8])
 def test_nonlinear_residual_uses_the_quadrature_of_the_solve(degree):
     mesh, params, data = channel(nx=8, forchheimer=10.0)
-    fields, report = newton_solve(mesh, params, data, NewtonOptions(quad_degree=degree))
+    disc = solver.Discretization.build(mesh, data, quad_degree=degree)
+    fields, report = newton_solve(disc, params, data)
     assert report.converged
     assert nonlinear_residual(fields, params, data) < 1e-10
     assert fields.quad_degree == degree
@@ -400,19 +421,19 @@ def newton_system(problem, nx=8, forchheimer=1e3, seed=5):
     values = assemble_da(x, params, ws).data + assemble_b(ws).data
     rhs = assemble_rhs(data, ws) + solver.asm.forchheimer_rhs(x, params, ws)
     A, b = apply_constraints(ws, values, rhs, x)
-    return ws, A, b
+    return disc, A, b
 
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
 def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
-    ws, A, b = newton_system(problem)
-    border = solver.gauge_border(ws, "constraint")
-    darcy = solver.DarcyBlock(ws, A, b, border)
-    fresh = sparse_lu_solve(A, b, border, full_output=True, darcy=darcy)
+    disc, A, b = newton_system(problem)
+    border = solver.gauge_border(disc.workspace)
+    darcy = solver.DarcyBlock(disc.layout, A, b, border)
+    fresh = sparse_lu_solve(A, b, border, darcy=darcy)
     assert fresh.factored and fresh.refinements == 0
 
     # The factor of the same system serves at once.
-    again = sparse_lu_solve(A, b, border, full_output=True, darcy=darcy, factor=fresh.factor)
+    again = sparse_lu_solve(A, b, border, darcy=darcy, factor=fresh.factor)
     assert not again.factored and again.factor is fresh.factor
     assert again.lu_nnz == fresh.lu_nnz
     assert np.abs(again.x - fresh.x).max() <= 1e-12 * np.abs(fresh.x).max()
@@ -420,8 +441,8 @@ def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
     # A factor of three times the matrix cuts the residual by less than
     # REFINE_MIN_RATE per step: the solve releases it and factors anew,
     # from the start, so the result is the fresh solve's.
-    bad = solver.BorderedLU(3.0 * darcy.pinned(darcy.reduced(A)), darcy.border)
-    out = sparse_lu_solve(A, b, border, full_output=True, darcy=darcy, factor=bad)
+    bad = solver.BorderedLU(3.0 * darcy.reduced(A), darcy.border)
+    out = sparse_lu_solve(A, b, border, darcy=darcy, factor=bad)
     assert out.factored and out.factor is not bad and out.refinements >= 1
     assert bad.lu is None
     np.testing.assert_array_equal(out.x, fresh.x)
@@ -445,7 +466,7 @@ def test_newton_rejects_a_non_finite_assembly(monkeypatch):
         newton_solve(mesh, params, data)
 
 
-@pytest.mark.parametrize("mode", ["constraint", "penalty", "mixed"])
+@pytest.mark.parametrize("mode", ["constraint", "mixed"])
 def test_condensed_solve_matches_a_factored_free_system(mode):
     # One Newton system with a Forchheimer block, solved with the Darcy
     # unknowns eliminated, against spsolve on the full bordered system.
@@ -460,17 +481,18 @@ def test_condensed_solve_matches_a_factored_free_system(mode):
     values = assemble_da(x, params, ws).data + assemble_b(ws).data
     rhs = assemble_rhs(data, ws) + solver.asm.forchheimer_rhs(x, params, ws)
     A, b = apply_constraints(ws, values, rhs, x)
-    border = solver.gauge_border(ws, "penalty" if mode == "penalty" else "constraint")
+    border = solver.gauge_border(ws)
     assert (border is None) == (mode == "mixed")
     K = A
     if border is not None:
         e_s = sp.csr_matrix(([1.0], ([border.slot], [0])), shape=(A.shape[0], 1))
         c = sp.csr_matrix(border.coupling[:, None])
-        K = A + c @ e_s.T + e_s @ c.T - border.diagonal * (e_s @ e_s.T)
+        K = A + c @ e_s.T + e_s @ c.T
     x_ref = spsolve(sp.csc_matrix(K), b)
 
-    darcy = solver.DarcyBlock(ws, A, b, border)
-    out = sparse_lu_solve(A, b, border, full_output=True, darcy=darcy)
+    darcy = solver.DarcyBlock(disc.layout, A, b, border)
+    assert border is None or darcy.border.diagonal != 0.0
+    out = sparse_lu_solve(A, b, border, darcy=darcy)
     x_c = out.x
     assert np.abs(x_c - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
     assert out.residual <= 1e-14 and out.refinements == 0 and out.factored
@@ -556,8 +578,8 @@ def example1_cells():
     return cells
 
 
-def workspace_state(ws):
-    return {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in vars(ws).items()}
+def state(obj):
+    return {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in vars(obj).items()}
 
 
 @pytest.mark.parametrize("threads", [0, 4], ids=["serial", "threaded"])
@@ -566,7 +588,7 @@ def test_shared_discretization_reproduces_mesh_first_solves(threads):
     cells = example1_cells()
     fresh = [newton_solve(mesh, params, data) for params, data in cells]
     disc = solver.Discretization.build(mesh, cells[0][1])
-    before = workspace_state(disc.workspace)
+    before = [state(disc.workspace), state(disc.layout)]
 
     if threads:
         interval = sys.getswitchinterval()
@@ -586,12 +608,13 @@ def test_shared_discretization_reproduces_mesh_first_solves(threads):
         assert r2.iterations == r1.iterations
         assert r2.lu_nnz == r1.lu_nnz
         assert f2.dofmap is disc.dofmap and f2.mesh is mesh
-    # Nothing a solve computes is kept on the shared workspace.
-    after = workspace_state(disc.workspace)
-    assert after.keys() == before.keys()
-    for key, value in before.items():
-        if isinstance(value, np.ndarray):
-            np.testing.assert_array_equal(after[key], value)
+    # Nothing a solve computes is kept on the shared workspace or layout.
+    after = [state(disc.workspace), state(disc.layout)]
+    for old, new in zip(before, after):
+        assert new.keys() == old.keys()
+        for key, value in old.items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(new[key], value)
 
 
 def test_shared_discretization_rejects_another_layout():
@@ -604,5 +627,3 @@ def test_shared_discretization_rejects_another_layout():
     assert not sealed.gauge_pressure
     with pytest.raises(ValueError, match="essential boundary conditions"):
         newton_solve(disc, params, sealed)
-    with pytest.raises(ValueError, match="quadrature degree"):
-        newton_solve(disc, params, data, NewtonOptions(quad_degree=8))
