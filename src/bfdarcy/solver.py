@@ -10,11 +10,13 @@ the operator is affine and a single solve is the exact discrete solution.
 The Darcy block of the linear system does not change with the iterate,
 so each solve factors it once (``DarcyBlock``) and every Newton step
 solves only for the Brinkman and multiplier unknowns, with the Darcy
-block's Schur complement on the multiplier block.  Once the iteration
-has settled, the Jacobian barely moves between steps, so a step first
-tries the previous step's factor with iterative refinement (the chord
-or Shamanskii idea; C. T. Kelley, Iterative Methods for Linear and
-Nonlinear Equations, SIAM 1995) and factors anew only when that fails.
+block's Schur complement on the multiplier block, factored in a fixed
+saddle-point order with diagonal pivots (``CondensedLayout``).  Once
+the iteration has settled, the Jacobian barely moves between steps, so
+a step first tries the previous step's factor with iterative refinement
+(the chord or Shamanskii idea; C. T. Kelley, Iterative Methods for
+Linear and Nonlinear Equations, SIAM 1995) and factors anew only when
+that fails.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.linalg import spilu, splu
 
 from . import assembly as asm
 from .elements import interpolate_br
@@ -134,8 +137,14 @@ def gauge_border(ws):
     return GaugeBorder(int(np.searchsorted(ws.free, dofmap.gauge_dof)), c[ws.free])
 
 
-def _factor(M):
+def _factor(M, ordered=False):
+    """SuperLU of the CSC matrix M: with COLAMD and partial pivoting, or,
+    when ``ordered``, in M's own order with diagonal pivots."""
     try:
+        if ordered:
+            return splu(
+                M, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            )
         return splu(M)
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
@@ -164,6 +173,12 @@ class BorderedLU:
     """The sparse LU of A, or of A with its gauge pins, and the solve with
     K = A or A bordered.
 
+    The factor uses COLAMD and partial pivoting, or with ``ordered`` A's
+    own order and its diagonal pivots (see ``_factor``): the order of a
+    CondensedLayout's reduced block, which pairs every zero pressure
+    diagonal with a bubble eliminated before it.  Only a solve with it
+    shows whether such a factor is accurate (``sparse_lu_solve``).
+
     Without a border this factors A.  With one it factors
     M = A + e_j e_j^T + e_s e_s^T (j = ``border.pin``, s = ``border.slot``),
     formed here on A's pattern: A is singular only along the constant
@@ -176,12 +191,12 @@ class BorderedLU:
     two-column solve here.  ``nnz`` is nnz(L+U).
     """
 
-    def __init__(self, A, border=None):
+    def __init__(self, A, border=None, ordered=False):
         if border is None:
             M = sp.csc_matrix(A)
         else:
             M = _pin(A, border.pin, border.slot)
-        self.lu = _factor(M)
+        self.lu = _factor(M, ordered)
         del M
         self.nnz = int(self.lu.nnz)
         self.border = border
@@ -226,14 +241,14 @@ def _refine(factor, residual, rhs, norm):
     Refinement gives up once a step cuts the residual by less than
     REFINE_MIN_RATE, or once the observed rate predicts more than
     REFINE_MAX_STEPS steps in all; a step that does not lower the
-    residual is not taken, so a NaN residual ends it at once.  Returns
+    residual is not taken, and a NaN residual takes none.  Returns
     (x, normalized residual, refinement steps taken).
     """
     x = factor.solve(rhs)
     r = residual(x)
     res = _normalized(r, x, rhs, norm)
     steps = 0
-    while not res <= REFINE_TOL:
+    while res > REFINE_TOL:
         x_new = x - factor.solve(r)
         r_new = residual(x_new)
         res_new = _normalized(r_new, x_new, rhs, norm)
@@ -257,17 +272,86 @@ def _csc_gather(pos, rows, cols, n):
     return pos[order].astype(np.intc), rows[order].astype(np.intc), indptr.astype(np.intc)
 
 
+def _saddle_order(ws, reduced, rows, cols):
+    """The reduced set ``reduced`` (positions in ``ws.free``, increasing)
+    in the order its factor eliminates it, given the free system's
+    pattern (``rows``, ``cols``, positions in ``ws.free``).
+
+    A Brinkman pressure has a zero diagonal and meets the velocity, up to
+    round-off, only through the three edge bubbles of its triangle.  So
+    each pressure is matched to one free bubble of its own triangle (a
+    maximum bipartite matching); the velocity and pressure graph, each
+    pair merged into one node, is ordered by minimum degree (SuperLU's
+    MMD on A^T + A, read from an incomplete factor of a diagonally
+    dominant matrix with that graph), and each pair is expanded bubble
+    first.  Eliminating the bubble first makes the pressure's pivot
+    nonzero, so the factor can take its diagonal pivots in this order.
+    The multipliers and the gauge come last.  This is the constrained
+    ordering of saddle-point LDL^T factors (M. Tuma, SIAM J. Matrix Anal.
+    Appl. 23, 2002; A. C. de Niet and F. W. Wubs, IMA J. Numer. Anal. 29,
+    2009).
+    """
+    dof = ws.dofmap
+    n = reduced.size
+    at = np.full(dof.n_total, -1)
+    at[ws.free[reduced]] = np.arange(n)
+    pressures = at[ws.p_dof_B]
+    bubbles = at[dof.br.l2g[:, 6:]]
+    tri, k = np.nonzero(bubbles >= 0)
+    graph = sp.csr_matrix(
+        (np.ones(tri.size), (tri, bubbles[tri, k])), shape=(pressures.size, n)
+    )
+    mate = maximum_bipartite_matching(graph, perm_type="column")
+    paired = mate >= 0
+
+    last = ws.free[reduced] >= dof.off_lam
+    head = ~last
+    head[pressures[paired]] = False
+    heads = np.flatnonzero(head)
+    node = np.full(n, -1)
+    node[heads] = np.arange(heads.size)
+    node[pressures[paired]] = node[mate[paired]]
+
+    # The node graph, from the free system's pattern.
+    node_of = np.full(ws.free.size, -1)
+    node_of[reduced] = node
+    r, c = node_of[rows], node_of[cols]
+    keep = (r >= 0) & (c >= 0) & (r != c)
+    r, c = r[keep], c[keep]
+    m = heads.size
+    diag = np.arange(m)
+    dominant = sp.csc_matrix(
+        (
+            np.concatenate([-np.ones(r.size), np.bincount(c, minlength=m) + 1.0]),
+            (np.concatenate([r, diag]), np.concatenate([c, diag])),
+        ),
+        shape=(m, m),
+    )
+    perm_c = spilu(dominant, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A").perm_c
+    order = np.argsort(perm_c)
+
+    partner = np.full(m, -1)
+    partner[node[pressures[paired]]] = pressures[paired]
+    pairs = np.column_stack([heads[order], partner[order]]).ravel()
+    return reduced[np.concatenate([pairs[pairs >= 0], np.flatnonzero(last)])]
+
+
 class CondensedLayout:
     """Where the blocks of the condensed solve sit in the free system.
 
     The free DOFs of a Workspace split into the Darcy set (``free_D``:
-    free u_D and all p_D) and the reduced set (``free_R``: the rest, the
-    gauge included), both as positions in ``ws.free``.  The two meet only
-    in the multiplier rows (``lam_R``).  ``dd_*``, ``cd_*`` and ``rr_*``
-    gather, from the data of ``apply_constraints``' A_ff, the Darcy block
-    in CSC order, the multiplier-Darcy coupling, and the reduced block in
-    CSC order with a dense multiplier block; the source of the reduced
-    gather is A_ff's data followed by that block (row-major).
+    free u_D and all p_D, increasing) and the reduced set (``free_R``:
+    the rest, the gauge included), both as positions in ``ws.free``.
+    ``free_R`` is in the elimination order of the reduced factor (see
+    ``_saddle_order``): Brinkman velocities and pressures by minimum
+    degree, each pressure right after a bubble of its triangle, then the
+    multipliers and the gauge.  The two sets meet only in the multiplier
+    rows (``lam_R``).  ``dd_*``, ``cd_*`` and ``rr_*`` gather, from the
+    data of ``apply_constraints``' A_ff, the Darcy block in CSC order, the
+    multiplier-Darcy coupling, and the reduced block in CSC order with a
+    dense multiplier block, so the reduced matrix arrives permuted; the
+    source of the reduced gather is A_ff's data followed by that block
+    (row-major).
 
     It depends on the Workspace alone; ``Discretization.build`` makes one
     per mesh, and nothing writes to it afterwards.
@@ -279,16 +363,16 @@ class CondensedLayout:
         darcy[dof.off_uD : dof.off_p] = True
         darcy[ws.p_dof_D] = True
         in_D = darcy[free]
+        rows = np.repeat(np.arange(free.size), np.diff(ws.ff_indptr))
+        cols = ws.ff_indices
         self.free_D = np.flatnonzero(in_D)
-        self.free_R = np.flatnonzero(~in_D)
+        self.free_R = _saddle_order(ws, np.flatnonzero(~in_D), rows, cols)
         local = np.empty(free.size, dtype=int)
         local[self.free_D] = np.arange(self.free_D.size)
         local[self.free_R] = np.arange(self.free_R.size)
         n_lam, n_R = dof.n_lam, self.free_R.size
         self.lam_R = local[np.searchsorted(free, dof.off_lam + np.arange(n_lam))]
 
-        rows = np.repeat(np.arange(free.size), np.diff(ws.ff_indptr))
-        cols = ws.ff_indices
         D_row, D_col = in_D[rows], in_D[cols]
         rows, cols = local[rows], local[cols]
 
@@ -363,7 +447,9 @@ class DarcyBlock:
             c_R = border.coupling[lo.free_R]
             c_R[lo.lam_R] -= self.X.T @ c_D
             self.border = GaugeBorder(
-                int(np.searchsorted(lo.free_R, border.slot)), c_R, border.diagonal + c_D @ self.z
+                int(np.flatnonzero(lo.free_R == border.slot)[0]),
+                c_R,
+                border.diagonal + c_D @ self.z,
             )
 
     def reduced(self, A):
@@ -401,8 +487,8 @@ class LinearSolve(NamedTuple):
 
     ``residual`` is the normalized residual on the full (bordered)
     system, ``lu_nnz`` nnz(L+U) of the factor that served, ``refinements``
-    the refinement steps run (those with an abandoned held factor
-    included), ``factored`` whether the call computed that factor and
+    the refinement steps run (those with an abandoned held or ordered
+    factor included), ``factored`` whether the call computed that factor and
     ``factor`` the factor itself, to hold for a later call.
     """
 
@@ -415,8 +501,8 @@ class LinearSolve(NamedTuple):
 
 
 def sparse_lu_solve(A, b, border=None, darcy=None, factor=None):
-    """Solve A x = b, or the bordered K x = b, by sparse LU with partial
-    pivoting and iterative refinement.
+    """Solve A x = b, or the bordered K x = b, by sparse LU and iterative
+    refinement.
 
     With a GaugeBorder the dense border row and column are not factored
     (see ``BorderedLU``).  With a DarcyBlock of this system the Darcy
@@ -428,8 +514,13 @@ def sparse_lu_solve(A, b, border=None, darcy=None, factor=None):
     on the same pattern with the same border (a previous Newton
     iteration's), is tried first.  It serves only if refinement with it
     meets REFINE_TOL under the rules of ``_refine``; otherwise the call
-    releases it before it factors the system, as it does without one,
-    and refines the same way.
+    releases it and factors the system, as it does without one, and
+    refines the same way, from the start.  A reduced system is factored
+    first in the layout's elimination order with diagonal pivots, which
+    keeps its fill fixed by the pattern; that factor is held to the same
+    rule, and when it misses it is released and the system factored
+    with COLAMD and partial pivoting.  Without a DarcyBlock only the
+    pivoting factor is used.
 
     Whichever factor served, the normalized residual on the full K must
     meet LU_RESIDUAL_TOL.  Raises SingularSystemError on an exactly
@@ -448,17 +539,23 @@ def sparse_lu_solve(A, b, border=None, darcy=None, factor=None):
     def residual(x):
         return _bordered_residual(K, x, rhs, K_border)
 
+    # The held factor, the ordered factor of a reduced block, and the
+    # pivoting factor, in turn: each serves if refinement with it meets
+    # REFINE_TOL, the last one always.
+    held = factor
+    tries = [] if held is None else [lambda: held]
+    if darcy is not None:
+        tries.append(lambda: BorderedLU(K, K_border, ordered=True))
+    tries.append(lambda: BorderedLU(K, K_border))
     steps = 0
-    if factor is not None:
-        x, res, steps = _refine(factor, residual, rhs, norm)
-        if not res <= REFINE_TOL:
-            factor.release()
-            factor = None
-    factored = factor is None
-    if factored:
-        factor = BorderedLU(K, K_border)
+    for make in tries:
+        factor = make()
         x, res, more = _refine(factor, residual, rhs, norm)
         steps += more
+        if res <= REFINE_TOL or make is tries[-1]:
+            break
+        factor.release()
+    factored = factor is not held
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("sparse LU produced non-finite values")
     if darcy is not None:
@@ -516,8 +613,12 @@ class SolveReport:
     the factor that iteration used (of the reduced block, with the Darcy
     unknowns eliminated), the refinement steps it ran (see
     ``LinearSolve``) and whether it factored: an iteration that did not
-    reused the factor of an earlier one.  ``darcy_lu_nnz`` is nnz(L+U)
-    of the Darcy block, factored once per solve.
+    reused the factor of an earlier one.  The reduced block is factored
+    in the layout's order with diagonal pivots, so its nnz(L+U) depends
+    on the mesh and the boundary-condition layout alone; only a factor
+    that fell back to partial pivoting reports another.
+    ``darcy_lu_nnz`` is nnz(L+U) of the Darcy block, factored once per
+    solve with partial pivoting, so it may move with rounding.
     """
 
     iterations: int

@@ -349,11 +349,12 @@ def interface_flux_residual(fields, edge_points=6):
     return float(np.abs(res).max())
 
 
-def divergence_residual(fields, data, degree=6):
+def divergence_residual(fields, data):
     """Max over Darcy triangles of |div u_D - (mean of g_D)|.
 
     The discrete divergence is constant per triangle and must equal the
-    piecewise-constant projection of the mass source exactly.
+    piecewise-constant projection of the mass source exactly, on the
+    quadrature the solve assembled on (``fields.quad_degree``).
     """
     mesh, dofmap = fields.mesh, fields.dofmap
     rt = dofmap.rt
@@ -362,7 +363,7 @@ def divergence_residual(fields, data, degree=6):
     centers = verts.mean(axis=1)[:, None, :]
     _, div_psi = el.rt0_basis(verts, signs, centers)
     divh = np.einsum("ma,ma->m", fields.u_D[rt.l2g], div_psi)
-    gbar = el.project_p0(data.g_D, mesh, degree=degree)[rt.tri_ids]
+    gbar = el.project_p0(data.g_D, mesh, degree=fields.quad_degree)[rt.tri_ids]
     return float(np.abs(divh - gbar).max())
 
 

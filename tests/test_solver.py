@@ -21,6 +21,7 @@ from bfdarcy import (
     assemble_rhs,
     generate_stacked_rect,
     heterogeneous_flow_problem,
+    interface_flux_residual,
     manufactured_problem,
     newton_solve,
     prescribed_values,
@@ -343,32 +344,43 @@ def free_darcy_count(dofmap):
     return dofmap.n_uD - n_fixed_uD + dofmap.rt.tri_ids.size
 
 
-def recording_splu(monkeypatch):
+def recording_splu(monkeypatch, calls=None):
+    """Record every matrix the solver factors, and in ``calls`` the
+    keyword arguments of each factor call."""
     seen = []
 
-    def spy(M, *args, **kwargs):
+    def spy(M, **kwargs):
         seen.append(M)
-        return splu(M, *args, **kwargs)
+        if calls is not None:
+            calls.append(kwargs)
+        return splu(M, **kwargs)
 
     monkeypatch.setattr(solver, "splu", spy)
     return seen
 
 
-def check_factors(report, seen, dofmap):
-    """The Darcy block is factored once per solve, the reduced block once
-    per iteration that factored, on one fixed CSC pattern; an iteration
-    that reused a factor reports the fill of the last one."""
+def is_ordered(kwargs):
+    """Whether a factor call is the ordered one with diagonal pivots."""
+    return kwargs.get("permc_spec") == "NATURAL" and kwargs.get("diag_pivot_thresh") == 0.0
+
+
+def check_factors(report, seen, calls, dofmap):
+    """The Darcy block is factored once per solve with partial pivoting,
+    the reduced block once per iteration that factored, on one fixed CSC
+    pattern, in its own order with diagonal pivots and no fallback; an
+    iteration that reused a factor reports the fill of the last one."""
     n_D = free_darcy_count(dofmap)
     n = dofmap.n_free - n_D + (1 if dofmap.gauge_dof >= 0 else 0)
-    assert len(seen) == 1 + sum(report.factored)
+    assert len(seen) == len(calls) == 1 + sum(report.factored)
     assert report.factored[0]
     darcy, reduced = seen[0], seen[1:]
-    assert darcy.shape == (n_D, n_D)
+    assert darcy.shape == (n_D, n_D) and calls[0] == {}
+    assert all(is_ordered(kwargs) for kwargs in calls[1:])
     for M in reduced:
         assert M.format == "csc" and M.shape == (n, n)
         np.testing.assert_array_equal(M.indptr, reduced[0].indptr)
         np.testing.assert_array_equal(M.indices, reduced[0].indices)
-    fills = iter(int(splu(M).nnz) for M in reduced)
+    fills = iter(int(splu(M, **kwargs).nnz) for M, kwargs in zip(reduced, calls[1:]))
     used = []
     for factored in report.factored:
         used.append(next(fills) if factored else used[-1])
@@ -379,18 +391,20 @@ def check_factors(report, seen, dofmap):
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
 def test_newton_factors_only_the_free_dofs_on_one_pattern(problem, monkeypatch):
     mesh, params, data = problem()
-    seen = recording_splu(monkeypatch)
+    calls = []
+    seen = recording_splu(monkeypatch, calls)
     fields, report = newton_solve(mesh, params, data)
     assert report.iterations >= 3
-    check_factors(report, seen, fields.dofmap)
+    check_factors(report, seen, calls, fields.dofmap)
 
 
 def test_channel_reuses_a_factor_on_one_pattern(monkeypatch):
     mesh, params, data = channel(nx=16, forchheimer=1e3)
-    seen = recording_splu(monkeypatch)
+    calls = []
+    seen = recording_splu(monkeypatch, calls)
     fields, report = newton_solve(mesh, params, data)
     assert report.converged and not all(report.factored)
-    check_factors(report, seen, fields.dofmap)
+    check_factors(report, seen, calls, fields.dofmap)
     for factored, steps in zip(report.factored, report.refinements):
         if not factored:
             assert 1 <= steps <= solver.REFINE_MAX_STEPS
@@ -447,6 +461,114 @@ def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
     assert bad.lu is None
     np.testing.assert_array_equal(out.x, fresh.x)
     assert out.residual == fresh.residual and out.lu_nnz == fresh.lu_nnz
+
+
+@pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
+def test_an_inaccurate_ordered_factor_falls_back_to_partial_pivoting(problem, monkeypatch):
+    disc, A, b = newton_system(problem)
+    border = solver.gauge_border(disc.workspace)
+    darcy = solver.DarcyBlock(disc.layout, A, b, border)
+    # The reference: the ordered call factors with partial pivoting, and
+    # that factor serves at once.
+    monkeypatch.setattr(solver, "splu", lambda M, **kwargs: splu(M))
+    ref = sparse_lu_solve(A, b, border, darcy=darcy)
+    assert ref.factored and ref.refinements == 0
+
+    # An ordered factor of three times the matrix cuts the residual by
+    # less than REFINE_MIN_RATE per step: the solve releases it and
+    # factors with partial pivoting, from the start.
+    made, released = [], []
+    release = solver.BorderedLU.release
+
+    def spy_release(factor):
+        released.append(factor)
+        release(factor)
+
+    def three_times(M, **kwargs):
+        made.append(is_ordered(kwargs))
+        return splu(3.0 * M, **kwargs) if is_ordered(kwargs) else splu(M, **kwargs)
+
+    monkeypatch.setattr(solver.BorderedLU, "release", spy_release)
+    monkeypatch.setattr(solver, "splu", three_times)
+    out = sparse_lu_solve(A, b, border, darcy=darcy)
+    assert made == [True, False]
+    assert len(released) == 1 and released[0].lu is None and released[0] is not out.factor
+    assert out.factored and out.refinements >= 1
+    np.testing.assert_array_equal(out.x, ref.x)
+    assert out.residual == ref.residual and out.lu_nnz == ref.lu_nnz
+
+
+@pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
+def test_the_condensed_layout_pairs_each_pressure_with_a_bubble(problem):
+    mesh, params, data = problem()
+    disc = solver.Discretization.build(mesh, data)
+    ws, dof, lo = disc.workspace, disc.dofmap, disc.layout
+    reduced = np.ones(ws.free.size, dtype=bool)
+    reduced[lo.free_D] = False
+    np.testing.assert_array_equal(np.sort(lo.free_R), np.flatnonzero(reduced))
+    order = ws.free[lo.free_R]
+    # The multipliers, then the gauge, come last.
+    n_last = dof.n_lam + (dof.gauge_dof >= 0)
+    np.testing.assert_array_equal(order[-n_last:], dof.off_lam + np.arange(n_last))
+    np.testing.assert_array_equal(lo.lam_R, order.size - n_last + np.arange(dof.n_lam))
+    # Each Brinkman pressure right after a bubble of its own triangle.
+    at = np.empty(dof.n_total, dtype=int)
+    at[order] = np.arange(order.size)
+    before = order[at[ws.p_dof_B] - 1]
+    assert (before[:, None] == dof.br.l2g[:, 6:]).any(axis=1).all()
+
+
+def test_the_reduced_gauge_border_sits_on_the_gauge_slot():
+    disc, A, b = newton_system(manufactured)
+    border = solver.gauge_border(disc.workspace)
+    darcy = solver.DarcyBlock(disc.layout, A, b, border)
+    free_R = disc.layout.free_R
+    assert free_R[darcy.border.slot] == border.slot
+    assert darcy.border.slot == free_R.size - 1
+    # Off the multipliers, the reduced coupling is the full one, reordered.
+    keep = np.ones(free_R.size, dtype=bool)
+    keep[disc.layout.lam_R] = False
+    np.testing.assert_array_equal(darcy.border.coupling[keep], border.coupling[free_R][keep])
+
+
+@pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
+def test_every_fresh_reduced_factor_has_one_fill(problem, monkeypatch):
+    # Diagonal pivots in the layout's order leave the fill to the
+    # pattern: every iteration factors (HOLD_INCREMENT = 0) and every
+    # factor has the same nnz(L+U), also for another F on the mesh.
+    mesh, params, data = problem(nx=8, forchheimer=1e3)
+    disc = solver.Discretization.build(mesh, data)
+    monkeypatch.setattr(solver, "HOLD_INCREMENT", 0.0)
+    calls = []
+    recording_splu(monkeypatch, calls)
+    _, report = newton_solve(disc, params, data)
+    _, other = newton_solve(disc, replace(params, forchheimer=10.0), data)
+    assert all(report.factored) and report.iterations >= 5
+    assert all(is_ordered(kwargs) for kwargs in calls if kwargs)
+    assert len(calls) == report.iterations + other.iterations + 2
+    assert set(report.lu_nnz) == set(other.lu_nnz) and len(set(report.lu_nnz)) == 1
+
+
+# Newton iterations of the channel at nx=16 for K_D = 1e-3, 1e-6, 1e-9.
+EXTREME_ITERATIONS = {1e4: (8, 7, 7), 1e6: (7, 8, 6), 1e8: (7, 8, 7)}
+
+
+@pytest.mark.parametrize("forchheimer", sorted(EXTREME_ITERATIONS))
+def test_channel_extremes_converge_on_ordered_factors(forchheimer, monkeypatch):
+    params, data, (rect_B, rect_D) = heterogeneous_flow_problem(forchheimer)
+    disc = solver.Discretization.build(generate_stacked_rect(rect_B, rect_D, 16, 8, 8), data)
+    calls = []
+    recording_splu(monkeypatch, calls)
+    for K_D, iterations in zip((1e-3, 1e-6, 1e-9), EXTREME_ITERATIONS[forchheimer]):
+        calls.clear()
+        fields, report = newton_solve(disc, replace(params, K_D=K_D), data)
+        assert report.converged and report.iterations == iterations
+        assert interface_flux_residual(fields) <= 1e-10
+        assert all(r <= LU_RESIDUAL_TOL for r in report.linear_residuals)
+        # The Darcy block with partial pivoting, then no fresh reduced
+        # factor that falls back.
+        assert calls[0] == {} and all(is_ordered(kwargs) for kwargs in calls[1:])
+        assert len(calls) == 1 + sum(report.factored)
 
 
 def test_newton_rejects_a_non_finite_assembly(monkeypatch):
@@ -510,10 +632,10 @@ def test_refinement_keeps_the_darcy_factor_released(monkeypatch):
     exact, _ = newton_solve(mesh, params, data)
     seen = []
 
-    def perturbed_splu(M):
+    def perturbed_splu(M, **kwargs):
         seen.append(M.shape[0])
         scale = 1.0 if len(seen) % 2 else 1.0 + 1e-6
-        return splu(sp.csc_matrix(M * scale))
+        return splu(sp.csc_matrix(M * scale), **kwargs)
 
     monkeypatch.setattr(solver, "splu", perturbed_splu)
     fields, report = newton_solve(mesh, params, data)

@@ -28,6 +28,7 @@ from bfdarcy import (
     pressure_mean,
     save_mesh,
 )
+from bfdarcy.solver import Discretization
 from bfdarcy.verification import CSV_HEADER, compute_errors
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
@@ -293,6 +294,19 @@ def test_solution_invariants_on_a_manufactured_run():
     assert abs(pressure_mean(fields)) < 1e-10
     assert interface_flux_residual(fields) < 1e-12
     assert divergence_residual(fields, data) < 1e-10
+
+
+@pytest.mark.parametrize("degree, bound", [(8, 1e-12), (4, 1e-8)])
+def test_divergence_residual_uses_the_quadrature_of_the_solve(degree, bound):
+    # The Darcy load is assembled on the solve's quadrature, so the mean
+    # of g_D must be taken on the same one: a degree-6 projection reads
+    # 1.1e-11 against a degree-8 solve and 1.0e-7 against a degree-4 one.
+    params = PhysicalParams(mu=1.0, forchheimer=10.0, power=3.0, K_B=1.0, K_D=0.1)
+    _, data = manufactured_problem(params)
+    mesh = generate_stacked_rect(RECT_B, RECT_D, 8, 8, 8)
+    fields, report = newton_solve(Discretization.build(mesh, data, quad_degree=degree), params, data)
+    assert report.converged and fields.quad_degree == degree
+    assert divergence_residual(fields, data) <= bound
 
 
 def test_interface_normal_trace_matches_the_flux():
