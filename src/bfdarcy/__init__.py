@@ -46,7 +46,6 @@ from .solver import (
     SolverError,
     SingularSystemError,
     newton_solve,
-    sparse_lu_solve,
 )
 from .verification import (
     ExactSolution,
@@ -94,7 +93,6 @@ __all__ = [
     "SolverError",
     "SingularSystemError",
     "newton_solve",
-    "sparse_lu_solve",
     "ExactSolution",
     "ErrorReport",
     "manufactured_problem",

@@ -120,16 +120,15 @@ def inverse_tensor_field(K, pts):
     return np.broadcast_to(inv, (len(pts), 2, 2)).copy()
 
 
-def check_permeabilities(params, mesh, degree=6):
-    """Verify both permeability tensors are SPD at all quadrature points.
+def check_permeabilities(params, ws):
+    """Verify both permeability tensors are SPD at all quadrature points
+    of the Workspace ``ws``.
 
     A constant tensor is the same at every point, so it is checked once.
     """
-    rule = el.quad_rule(degree)
-    for name, K, region in (("K_B", params.K_B, "B"), ("K_D", params.K_D, "D")):
+    for name, K, qpts in (("K_B", params.K_B, ws.qpts_B), ("K_D", params.K_D, ws.qpts_D)):
         if callable(K):
-            tris = mesh.triangles[mesh.subdomain == region]
-            T = tensor_field(K, el.physical_points(mesh.vertices[tris], rule.bary).reshape(-1, 2))
+            T = tensor_field(K, qpts.reshape(-1, 2))
         else:
             T = tensor_field(K, np.zeros((1, 2)))
         if not np.isfinite(T).all():
@@ -390,7 +389,7 @@ class Workspace:
     threads at once.
     """
 
-    def __init__(self, mesh, interface, dofmap, degree=6):
+    def __init__(self, mesh, interface, dofmap, degree):
         self.mesh = mesh
         self.interface = interface
         self.dofmap = dofmap
@@ -770,8 +769,8 @@ def apply_constraints(ws, data, rhs, x):
     with x_c the constrained entries of the full vector ``x``, which must
     hold the prescribed values there (see ``prescribed_values``); its
     other entries are not read.  The pressure gauge, if any, is a free DOF
-    whose row and column stay empty; ``solver.sparse_lu_solve`` applies
-    the border.
+    whose row and column stay empty; the linear solve borders the system
+    with it (``solver.gauge_border``).
     """
     n = ws.free.size
     A = sp.csr_matrix((data[ws.ff_pos], ws.ff_indices, ws.ff_indptr), shape=(n, n))

@@ -8,12 +8,13 @@ vector drops to the tolerance; with a vanishing Forchheimer coefficient
 the operator is affine and a single solve is the exact discrete solution.
 
 The Darcy block of the linear system does not change with the iterate,
-so each solve factors it once (``DarcyBlock``) and every Newton step
-solves only for the Brinkman and multiplier unknowns, with the Darcy
-block's Schur complement on the multiplier block, factored in a fixed
-saddle-point order with diagonal pivots (``CondensedLayout``).  Once
-the iteration has settled, the Jacobian barely moves between steps, so
-a step first tries the previous step's factor with iterative refinement
+so each solve factors it once and every Newton step solves only for
+the Brinkman and multiplier unknowns, with the Darcy block's Schur
+complement on the multiplier block, factored in a fixed saddle-point
+order with diagonal pivots (``CondensedLayout``).  One
+``CondensedSolve`` per solve holds that state.  Once the iteration has
+settled, the Jacobian barely moves between steps, so a step first
+tries the previous step's factor with iterative refinement
 (the chord or Shamanskii idea; C. T. Kelley, Iterative Methods for
 Linear and Nonlinear Equations, SIAM 1995) and factors anew only when
 that fails.
@@ -113,7 +114,7 @@ class GaugeBorder:
     and delta is ``diagonal``.  The gauge of ``gauge_border`` has the
     triangle areas on the pressure DOFs in c and delta = 0, which keeps
     the mean-zero row exact; eliminating the Darcy unknowns gives a
-    border with a nonzero delta (see ``DarcyBlock``).  ``pin`` is the
+    border with a nonzero delta (see ``CondensedSolve``).  ``pin`` is the
     first nonzero of c.
     """
 
@@ -173,11 +174,13 @@ class BorderedLU:
     """The sparse LU of A, or of A with its gauge pins, and the solve with
     K = A or A bordered.
 
-    The factor uses COLAMD and partial pivoting, or with ``ordered`` A's
-    own order and its diagonal pivots (see ``_factor``): the order of a
+    ``sparse_lu_solve`` makes one of the reduced system of a
+    CondensedSolve, which holds it between Newton steps (``held``).  The
+    factor uses COLAMD and partial pivoting, or with ``ordered`` A's own
+    order and its diagonal pivots (see ``_factor``): the order of a
     CondensedLayout's reduced block, which pairs every zero pressure
     diagonal with a bubble eliminated before it.  Only a solve with it
-    shows whether such a factor is accurate (``sparse_lu_solve``).
+    shows whether such a factor is accurate.
 
     Without a border this factors A.  With one it factors
     M = A + e_j e_j^T + e_s e_s^T (j = ``border.pin``, s = ``border.slot``),
@@ -396,33 +399,40 @@ class CondensedLayout:
         )
 
 
-class DarcyBlock:
-    """The Darcy unknowns of one solve's free system, eliminated.
+class CondensedSolve:
+    """The linear solve of one Newton solve: the Darcy unknowns
+    eliminated once, and the reduced factor held between steps.
 
     The free u_D and p_D of the system of ``apply_constraints`` form a
     block A_DD that does not depend on the Newton iterate.  They meet the
     other unknowns only in the multiplier rows C_D = A[lambda, D] (and
-    the transposed columns) and, with a gauge border, in its coupling
-    c_D.  Built from a CondensedLayout and one Newton iteration's system
-    (A, b), this factors A_DD once, keeps
+    the transposed columns) and, with the gauge border of the free system
+    (``gauge``, from ``gauge_border``), in its coupling c_D.  Built from a
+    Discretization and the first Newton system (A, b), this factors A_DD
+    once, keeps
 
         X = A_DD^-1 C_D^T,  z = A_DD^-1 c_D,  y = A_DD^-1 b_D,
 
     and releases the factor.  ``sparse_lu_solve`` then solves, factors
     and refines only the reduced system (``reduced``, ``reduced_rhs``):
-    the other unknowns, with S_D = C_D X subtracted from the (empty)
-    multiplier block, bordered by ``border``, the gauge border of the
-    reduced system (coupling c_R - X^T c_D, diagonal delta + c_D . z).
-    x_D = y - X lambda - z x_s recovers the rest (``recover``).
+    the other unknowns, in the layout's elimination order, with
+    S_D = C_D X subtracted from the (empty) multiplier block, bordered by
+    ``border``, the gauge border of the reduced system (coupling
+    c_R - X^T c_D, diagonal delta + c_D . z).  x_D = y - X lambda - z x_s
+    recovers the rest (``recover``).  ``held`` is the BorderedLU of the
+    reduced system that the last step used, or None.
 
     b_D does not change across Newton iterations (the Forchheimer terms
     act on u_B only, and the lift uses fixed prescribed values), so ``y``
     serves every iteration; a right-hand side with another Darcy part is
-    rejected.
+    rejected.  The object belongs to one solve: it is never stored on
+    the shared Discretization.
     """
 
-    def __init__(self, layout, A, b, border=None):
-        self.layout = lo = layout
+    def __init__(self, disc, A, b):
+        self.layout = lo = disc.layout
+        self.gauge = gauge = gauge_border(disc.workspace)
+        self.held = None
         n_D, n_lam = lo.free_D.size, lo.lam_R.size
         matrix = sp.csc_matrix(
             (A.data[lo.dd_pos], lo.dd_indices, lo.dd_indptr), shape=(n_D, n_D)
@@ -432,8 +442,8 @@ class DarcyBlock:
         )
         self.b = b[lo.free_D]
         cols = [self.coupling.T.toarray(), self.b[:, None]]
-        if border is not None:
-            c_D = border.coupling[lo.free_D]
+        if gauge is not None:
+            c_D = gauge.coupling[lo.free_D]
             cols.append(c_D[:, None])
         lu = _factor(matrix)
         self.lu_nnz = int(lu.nnz)
@@ -442,14 +452,14 @@ class DarcyBlock:
         self.X, self.y = Y[:, :n_lam], Y[:, n_lam]
         self.schur = -(self.coupling @ self.X).ravel()
         self.z = self.c_D = self.border = None
-        if border is not None:
+        if gauge is not None:
             self.z, self.c_D = Y[:, n_lam + 1], c_D
-            c_R = border.coupling[lo.free_R]
+            c_R = gauge.coupling[lo.free_R]
             c_R[lo.lam_R] -= self.X.T @ c_D
             self.border = GaugeBorder(
-                int(np.flatnonzero(lo.free_R == border.slot)[0]),
+                int(np.flatnonzero(lo.free_R == gauge.slot)[0]),
                 c_R,
-                border.diagonal + c_D @ self.z,
+                gauge.diagonal + c_D @ self.z,
             )
 
     def reduced(self, A):
@@ -485,11 +495,11 @@ class DarcyBlock:
 class LinearSolve(NamedTuple):
     """What ``sparse_lu_solve`` returns.
 
-    ``residual`` is the normalized residual on the full (bordered)
-    system, ``lu_nnz`` nnz(L+U) of the factor that served, ``refinements``
-    the refinement steps run (those with an abandoned held or ordered
-    factor included), ``factored`` whether the call computed that factor and
-    ``factor`` the factor itself, to hold for a later call.
+    ``residual`` is the normalized residual on the full (bordered) free
+    system, ``lu_nnz`` nnz(L+U) of the reduced factor that served,
+    ``refinements`` the refinement steps run (those with an abandoned
+    held or ordered factor included) and ``factored`` whether the call
+    computed that factor.
     """
 
     x: np.ndarray
@@ -497,56 +507,43 @@ class LinearSolve(NamedTuple):
     lu_nnz: int
     refinements: int
     factored: bool
-    factor: BorderedLU
 
 
-def sparse_lu_solve(A, b, border=None, darcy=None, factor=None):
-    """Solve A x = b, or the bordered K x = b, by sparse LU and iterative
-    refinement.
+def sparse_lu_solve(A, b, solve):
+    """Solve the free system A x = b, bordered by the pressure gauge if
+    it has one, through the CondensedSolve ``solve`` of its Newton solve.
 
-    With a GaugeBorder the dense border row and column are not factored
-    (see ``BorderedLU``).  With a DarcyBlock of this system the Darcy
-    unknowns are not factored either: the solve and its refinement act
-    on the reduced system of ``darcy`` alone, and the Darcy part of x
-    comes from the block's once-per-solve quantities.
+    Only the reduced system of ``solve`` is factored and refined; the
+    Darcy part of x comes from the solve's once-per-solve quantities, and
+    the dense gauge border is never factored (see ``BorderedLU``).  The
+    factor ``solve.held`` of an earlier step, on the same pattern, is
+    tried first.  It serves only if refinement with it meets REFINE_TOL
+    under the rules of ``_refine``; otherwise the call releases it and
+    factors the reduced system in the layout's elimination order with
+    diagonal pivots, which keeps its fill fixed by the pattern, and
+    refines the same way, from the start.  That factor is held to the
+    same rule, and when it misses it is released and the system factored
+    with COLAMD and partial pivoting.  The factor that served becomes
+    ``solve.held``.
 
-    ``factor``, a BorderedLU that an earlier call returned for a system
-    on the same pattern with the same border (a previous Newton
-    iteration's), is tried first.  It serves only if refinement with it
-    meets REFINE_TOL under the rules of ``_refine``; otherwise the call
-    releases it and factors the system, as it does without one, and
-    refines the same way, from the start.  A reduced system is factored
-    first in the layout's elimination order with diagonal pivots, which
-    keeps its fill fixed by the pattern; that factor is held to the same
-    rule, and when it misses it is released and the system factored
-    with COLAMD and partial pivoting.  Without a DarcyBlock only the
-    pivoting factor is used.
-
-    Whichever factor served, the normalized residual on the full K must
-    meet LU_RESIDUAL_TOL.  Raises SingularSystemError on an exactly
+    Whichever factor served, the normalized residual on the full system
+    must meet LU_RESIDUAL_TOL.  Raises SingularSystemError on an exactly
     singular pivot or a non-finite solution and SolverError when the
     residual misses the bound (a NaN residual does).  Returns a
     LinearSolve.
     """
-    A = sp.csr_matrix(A)
-    b = np.asarray(b, dtype=float)
-    if darcy is None:
-        K, rhs, K_border = A, b, border
-    else:
-        K, rhs, K_border = darcy.reduced(A), darcy.reduced_rhs(b), darcy.border
-    norm = _norm_inf(K, K_border)
+    K, rhs, border = solve.reduced(A), solve.reduced_rhs(b), solve.border
+    norm = _norm_inf(K, border)
 
     def residual(x):
-        return _bordered_residual(K, x, rhs, K_border)
+        return _bordered_residual(K, x, rhs, border)
 
-    # The held factor, the ordered factor of a reduced block, and the
-    # pivoting factor, in turn: each serves if refinement with it meets
-    # REFINE_TOL, the last one always.
-    held = factor
+    # The held factor, the ordered factor and the pivoting factor, in
+    # turn: each serves if refinement with it meets REFINE_TOL, the last
+    # one always.
+    held = solve.held
     tries = [] if held is None else [lambda: held]
-    if darcy is not None:
-        tries.append(lambda: BorderedLU(K, K_border, ordered=True))
-    tries.append(lambda: BorderedLU(K, K_border))
+    tries += [lambda: BorderedLU(K, border, ordered=True), lambda: BorderedLU(K, border)]
     steps = 0
     for make in tries:
         factor = make()
@@ -555,15 +552,14 @@ def sparse_lu_solve(A, b, border=None, darcy=None, factor=None):
         if res <= REFINE_TOL or make is tries[-1]:
             break
         factor.release()
-    factored = factor is not held
+    solve.held = factor
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("sparse LU produced non-finite values")
-    if darcy is not None:
-        x = darcy.recover(x)
-        res = _normalized_residual(A, x, b, border)
+    x = solve.recover(x)
+    res = _normalized_residual(A, x, b, solve.gauge)
     if not res <= LU_RESIDUAL_TOL:
         raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
-    return LinearSolve(x, res, factor.nnz, steps, factored, factor)
+    return LinearSolve(x, res, factor.nnz, steps, factor is not held)
 
 
 @dataclass
@@ -613,12 +609,13 @@ class SolveReport:
     the factor that iteration used (of the reduced block, with the Darcy
     unknowns eliminated), the refinement steps it ran (see
     ``LinearSolve``) and whether it factored: an iteration that did not
-    reused the factor of an earlier one.  The reduced block is factored
-    in the layout's order with diagonal pivots, so its nnz(L+U) depends
-    on the mesh and the boundary-condition layout alone; only a factor
-    that fell back to partial pivoting reports another.
-    ``darcy_lu_nnz`` is nnz(L+U) of the Darcy block, factored once per
-    solve with partial pivoting, so it may move with rounding.
+    reused the factor its CondensedSolve held from an earlier one.  The
+    reduced block is factored in the layout's order with diagonal pivots,
+    so its nnz(L+U) depends on the mesh and the boundary-condition layout
+    alone; only a factor that fell back to partial pivoting reports
+    another.  ``darcy_lu_nnz`` is nnz(L+U) of the Darcy block, factored
+    once per solve (``CondensedSolve``) with partial pivoting, so it may
+    move with rounding.
     """
 
     iterations: int
@@ -697,8 +694,7 @@ def newton_solve(mesh, params, data, options=None):
     if not isinstance(disc, Discretization):
         disc = Discretization.build(mesh, data)
     mesh, interface, dofmap, ws = disc.mesh, disc.interface, disc.dofmap, disc.workspace
-    asm.check_permeabilities(params, mesh, ws.degree)
-    border = gauge_border(ws)
+    asm.check_permeabilities(params, ws)
 
     x = np.zeros(dofmap.n_total)
     init = np.asarray(opts.initial, dtype=float)
@@ -725,10 +721,7 @@ def newton_solve(mesh, params, data, options=None):
     refinements = []
     factored = []
     converged = False
-    darcy = None
-    # The factor held for the next linear solve, kept only while the
-    # iteration has settled (HOLD_INCREMENT).
-    factor = None
+    lin = None
 
     max_iter = 1 if affine else opts.max_iter
     for it in range(1, max_iter + 1):
@@ -741,11 +734,9 @@ def newton_solve(mesh, params, data, options=None):
         A, b = asm.apply_constraints(ws, values, rhs, x)
         del values, rhs
         try:
-            if darcy is None:
-                darcy = DarcyBlock(disc.layout, A, b, border)
-            x_free, res, nnz, steps, fresh, factor = sparse_lu_solve(
-                A, b, border, darcy=darcy, factor=factor
-            )
+            if lin is None:
+                lin = CondensedSolve(disc, A, b)
+            x_free, res, nnz, steps, fresh = sparse_lu_solve(A, b, lin)
         except SolverError as exc:
             raise SolverError(f"linear solve failed at Newton iteration {it}: {exc}") from exc
         # Nothing of this iteration's system outlives its solve.
@@ -772,8 +763,10 @@ def newton_solve(mesh, params, data, options=None):
         if inc <= opts.tol:
             converged = True
             break
+        # The factor is held for the next step only while the iteration
+        # has settled.
         if not inc <= HOLD_INCREMENT:
-            factor = None
+            lin.held = None
 
     fields = SolutionFields(
         x=x, dofmap=dofmap, mesh=mesh, interface=interface, quad_degree=ws.degree
@@ -788,20 +781,22 @@ def newton_solve(mesh, params, data, options=None):
         converged=converged,
         dof=dofmap.n_free,
         tol=opts.tol,
-        darcy_lu_nnz=darcy.lu_nnz,
+        darcy_lu_nnz=lin.lu_nnz,
     )
     return fields, report
 
 
-def nonlinear_residual(fields, params, data, workspace=None):
+def nonlinear_residual(disc, fields, params, data):
     """Max-norm of the nonlinear first-row residual on free velocity DOFs.
 
     Evaluates [a(u), v] + [b(v), (p, lam)] - [rhs, v] for every
     unconstrained velocity test function of the converged solution, on
-    the quadrature the solve assembled on.
+    the workspace of ``disc``, the Discretization the solve assembled on.
+    Raises ValueError when ``fields`` come from another quadrature.
     """
-    dofmap, mesh = fields.dofmap, fields.mesh
-    ws = workspace or asm.Workspace(mesh, fields.interface, dofmap, degree=fields.quad_degree)
+    dofmap, ws = disc.dofmap, disc.workspace
+    if fields.quad_degree != ws.degree:
+        raise ValueError(f"the fields were solved on degree {fields.quad_degree}, not {ws.degree}")
     act = asm.assemble_a_nonlinear(fields.x, params, ws)
     act += asm.assemble_b(ws) @ fields.x
     act -= asm.assemble_rhs(data, ws)

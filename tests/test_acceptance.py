@@ -307,7 +307,7 @@ def test_criterion_7_derivative_consistency():
     iface = build_interface(mesh)
     data = asm.ProblemData()
     dofmap = build_dofmap(mesh, iface, data)
-    ws = asm.Workspace(mesh, iface, dofmap)
+    ws = asm.Workspace(mesh, iface, dofmap, degree=6)
 
     rng = np.random.default_rng(5)
     w = rng.normal(size=dofmap.n_total)

@@ -83,16 +83,17 @@ def test_tensor_field_accepts_scalar_matrix_and_callable():
 
 
 def test_check_permeabilities_rejects_bad_tensors():
-    mesh, _, _, _ = setup()
+    mesh, iface, _, dofmap = setup()
+    ws = Workspace(mesh, iface, dofmap, degree=6)
     with pytest.raises(ValueError, match="symmetric"):
         check_permeabilities(
-            PhysicalParams(K_B=np.array([[1.0, 0.5], [0.0, 1.0]])), mesh
+            PhysicalParams(K_B=np.array([[1.0, 0.5], [0.0, 1.0]])), ws
         )
     with pytest.raises(ValueError, match="positive definite"):
         check_permeabilities(
-            PhysicalParams(K_D=np.array([[1.0, 0.0], [0.0, -2.0]])), mesh
+            PhysicalParams(K_D=np.array([[1.0, 0.0], [0.0, -2.0]])), ws
         )
-    check_permeabilities(PhysicalParams(K_B=0.1, K_D=1.0e-3), mesh)
+    check_permeabilities(PhysicalParams(K_B=0.1, K_D=1.0e-3), ws)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +109,7 @@ def test_physical_params_reject_non_finite_values(name, value):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_check_permeabilities_rejects_a_non_finite_callable(bad):
-    mesh, _, _, _ = setup()
+    mesh, iface, _, dofmap = setup()
 
     def K_fn(p):
         out = np.broadcast_to(np.eye(2), (len(p), 2, 2)).copy()
@@ -116,7 +117,7 @@ def test_check_permeabilities_rejects_a_non_finite_callable(bad):
         return out
 
     with pytest.raises(ValueError, match="K_B must be finite"):
-        check_permeabilities(PhysicalParams(K_B=K_fn), mesh)
+        check_permeabilities(PhysicalParams(K_B=K_fn), Workspace(mesh, iface, dofmap, degree=6))
 
 
 def test_constant_permeability_is_inverted_once_with_the_same_arithmetic():
@@ -129,7 +130,7 @@ def test_constant_permeability_is_inverted_once_with_the_same_arithmetic():
 
 
 def test_check_permeabilities_checks_a_callable_at_every_point():
-    mesh, _, _, _ = setup()
+    mesh, iface, _, dofmap = setup()
 
     def K_fn(p):
         out = np.broadcast_to(np.eye(2), (len(p), 2, 2)).copy()
@@ -137,7 +138,7 @@ def test_check_permeabilities_checks_a_callable_at_every_point():
         return out
 
     with pytest.raises(ValueError, match="K_D must be positive definite"):
-        check_permeabilities(PhysicalParams(K_D=K_fn), mesh)
+        check_permeabilities(PhysicalParams(K_D=K_fn), Workspace(mesh, iface, dofmap, degree=6))
 
 
 def test_problem_data_validation():
@@ -242,7 +243,7 @@ def test_pressure_rows_match_the_divergence_theorem():
     its vertex columns.
     """
     mesh, iface, data, dofmap = setup()
-    B = assemble_b(Workspace(mesh, iface, dofmap))
+    B = assemble_b(Workspace(mesh, iface, dofmap, degree=6))
 
     br, rt = dofmap.br, dofmap.rt
     n_vB = br.vertex_ids.size
@@ -265,7 +266,7 @@ def test_pressure_rows_match_the_divergence_theorem():
 
 def test_coupling_block_is_symmetric():
     mesh, iface, data, dofmap = setup()
-    B = assemble_b(Workspace(mesh, iface, dofmap))
+    B = assemble_b(Workspace(mesh, iface, dofmap, degree=6))
     assert abs(B - B.T).max() < 1e-13
 
 
@@ -273,7 +274,7 @@ def test_coupling_pattern_keeps_no_exact_zeros():
     # The coupling block depends on the mesh alone; its slots that sum to
     # exactly zero are left out of the workspace pattern.
     mesh, iface, data, dofmap = setup()
-    B = assemble_b(Workspace(mesh, iface, dofmap)).tocoo()
+    B = assemble_b(Workspace(mesh, iface, dofmap, degree=6)).tocoo()
     coupling = B.row >= dofmap.off_p
     assert coupling.any() and np.all(B.data[coupling] != 0.0)
 
@@ -285,7 +286,7 @@ def test_interface_rows_integrate_constant_normal_velocity():
     integral of its hat function: half the adjacent macro widths.
     """
     mesh, iface, data, dofmap = setup(nx=6)
-    B = assemble_b(Workspace(mesh, iface, dofmap))
+    B = assemble_b(Workspace(mesh, iface, dofmap, degree=6))
 
     def down(pts):
         return np.broadcast_to([0.0, -1.0], (len(pts), 2)).copy()
@@ -322,7 +323,7 @@ def test_interface_rows_match_reconstructed_traces():
     quadrature must reproduce the assembled rows exactly.
     """
     mesh, iface, data, dofmap = setup(nx=6)
-    B = assemble_b(Workspace(mesh, iface, dofmap))
+    B = assemble_b(Workspace(mesh, iface, dofmap, degree=6))
 
     def field(pts):
         x, y = pts[:, 0], pts[:, 1]
@@ -380,7 +381,7 @@ def test_operator_matches_a_coo_sum_of_element_matrices(mixed):
     iface = build_interface(mesh)
     dofmap = build_dofmap(mesh, iface, data)
     assert (dofmap.gauge_dof < 0) == mixed
-    ws = Workspace(mesh, iface, dofmap)
+    ws = Workspace(mesh, iface, dofmap, degree=6)
     n = dofmap.n_total
     w = np.random.default_rng(2).normal(size=n)
 
@@ -438,7 +439,7 @@ def test_velocity_jacobian_is_symmetric():
     params = PhysicalParams(mu=2.0, forchheimer=10.0, power=3.5, K_B=0.5, K_D=0.1)
     rng = np.random.default_rng(7)
     w = rng.normal(size=dofmap.n_total)
-    A = assemble_da(w, params, Workspace(mesh, iface, dofmap))
+    A = assemble_da(w, params, Workspace(mesh, iface, dofmap, degree=6))
     assert abs(A - A.T).max() < 1e-12
 
 
@@ -450,7 +451,7 @@ def test_jacobian_consistent_with_nonlinear_action():
     w = 0.5 * rng.normal(size=dofmap.n_total)
     delta = rng.normal(size=dofmap.n_total)
 
-    ws = Workspace(mesh, iface, dofmap)
+    ws = Workspace(mesh, iface, dofmap, degree=6)
     A = assemble_da(w, params, ws)
     eps = 1e-6
     fd = (
@@ -466,7 +467,7 @@ def test_nonlinear_action_is_linear_when_forchheimer_vanishes():
     params = PhysicalParams(forchheimer=0.0)
     rng = np.random.default_rng(11)
     u, v = rng.normal(size=(2, dofmap.n_total))
-    ws = Workspace(mesh, iface, dofmap)
+    ws = Workspace(mesh, iface, dofmap, degree=6)
     a_u = assemble_a_nonlinear(u, params, ws)
     a_v = assemble_a_nonlinear(v, params, ws)
     a_uv = assemble_a_nonlinear(u + 2.0 * v, params, ws)
@@ -523,7 +524,7 @@ def test_velocity_kernels_match_the_einsum_formulas(power, monkeypatch):
     params = PhysicalParams(
         mu=1.5, forchheimer=7.0, power=power, K_B=K_B, K_D=np.array([[0.5, 0.1], [-0.05, 0.2]])
     )
-    ws = Workspace(mesh, iface, dofmap)
+    ws = Workspace(mesh, iface, dofmap, degree=6)
     w = np.random.default_rng(13).normal(size=dofmap.n_total)
     w[dofmap.br.l2g[::5]] = 0.0
     lin_B, forch_B, da_D, rhs_B, act_B, act_D, small = einsum_kernels(w, params, ws)
@@ -555,11 +556,11 @@ def test_workspace_follows_the_permeability_of_each_call():
     mesh, iface, data, dofmap = setup()
     params = PhysicalParams(mu=1.0, forchheimer=10.0, power=3.0, K_B=0.1, K_D=0.1)
     u = np.random.default_rng(5).normal(size=dofmap.n_total)
-    shared = Workspace(mesh, iface, dofmap)
+    shared = Workspace(mesh, iface, dofmap, degree=6)
     assemble_a_nonlinear(u, params, shared)
 
     for changed in (replace(params, K_B=1.0), replace(params, K_D=1.0)):
-        fresh = Workspace(mesh, iface, dofmap)
+        fresh = Workspace(mesh, iface, dofmap, degree=6)
         np.testing.assert_array_equal(
             assemble_a_nonlinear(u, changed, shared),
             assemble_a_nonlinear(u, changed, fresh),
@@ -579,7 +580,7 @@ def test_forchheimer_energy_on_a_constant_field():
 
     p0 = PhysicalParams(mu=1.0, forchheimer=0.0, power=3.0)
     p1 = PhysicalParams(mu=1.0, forchheimer=5.0, power=3.0)
-    ws = Workspace(mesh, iface, dofmap)
+    ws = Workspace(mesh, iface, dofmap, degree=6)
     e0 = np.dot(assemble_a_nonlinear(x, p0, ws), x)
     e1 = np.dot(assemble_a_nonlinear(x, p1, ws), x)
     area_B = mesh.areas[mesh.subdomain == "B"].sum()
@@ -598,7 +599,7 @@ def test_rhs_sources_act_on_the_right_blocks():
     def g_D(pts):
         return np.full(len(pts), 2.0)
 
-    ws = Workspace(mesh, iface, dofmap)
+    ws = Workspace(mesh, iface, dofmap, degree=6)
     rhs = assemble_rhs(ProblemData(f_B=f_B), ws)
     # (f_B, v) loads only Brinkman velocity rows
     assert np.abs(rhs[dofmap.n_uB :]).max() == 0.0
@@ -627,7 +628,7 @@ def test_rhs_traction_loads_only_the_traction_boundary():
 
     data = ProblemData(velocity_bc={"GB_RIGHT": ("traction", pull)})
     dofmap = build_dofmap(mesh, iface, data)
-    rhs = assemble_rhs(data, Workspace(mesh, iface, dofmap))
+    rhs = assemble_rhs(data, Workspace(mesh, iface, dofmap, degree=6))
 
     # <t, v> with v the interpolated constant (1, 0) gives t_x * |GB_RIGHT|,
     # since the interpolant's trace on the side is exactly (1, 0)
@@ -652,7 +653,7 @@ def test_rhs_traction_loads_only_the_traction_boundary():
 
     # A workspace built for a layout where that side is essential has no
     # tables for its traction term and says so.
-    essential = Workspace(mesh, iface, build_dofmap(mesh, iface, ProblemData()))
+    essential = Workspace(mesh, iface, build_dofmap(mesh, iface, ProblemData()), degree=6)
     with pytest.raises(ValueError, match="GB_RIGHT"):
         assemble_rhs(data, essential)
 
@@ -664,7 +665,7 @@ def test_interface_traction_loads_interface_velocity_rows():
     iface = build_interface(mesh)
     dofmap = build_dofmap(mesh, iface, data)
 
-    ws = Workspace(mesh, iface, dofmap)
+    ws = Workspace(mesh, iface, dofmap, degree=6)
     with_t = assemble_rhs(data, ws)
     import dataclasses
 

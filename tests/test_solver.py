@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from bfdarcy import (
     newton_solve,
     prescribed_values,
     pressure_mean,
-    sparse_lu_solve,
 )
 from bfdarcy import solver
 from bfdarcy.assembly import Workspace, zero_scalar
@@ -60,16 +60,29 @@ def channel(nx=8, forchheimer=10.0):
 # ------------------------------------------------------------- sparse LU
 
 
+def refined_solve(A, b, border=None):
+    """Factor A (bordered by ``border``) with BorderedLU and refine on it:
+    (x, normalized residual, refinement steps, factor)."""
+    factor = solver.BorderedLU(A, border)
+    x, res, steps = solver._refine(
+        factor,
+        lambda x: solver._bordered_residual(A, x, b, border),
+        b,
+        solver._norm_inf(A, border),
+    )
+    return x, res, steps, factor
+
+
 def test_lu_solves_the_identity():
     A = sp.eye(5, format="csr")
     b = np.arange(5.0)
-    np.testing.assert_allclose(sparse_lu_solve(A, b).x, b, atol=1e-15)
+    np.testing.assert_allclose(solver.BorderedLU(A).solve(b), b, atol=1e-15)
 
 
 def test_lu_handles_a_zero_diagonal():
     # requires pivoting: the matrix swaps the two unknowns
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    x = sparse_lu_solve(A, np.array([1.0, 2.0])).x
+    x = solver.BorderedLU(A).solve(np.array([1.0, 2.0]))
     np.testing.assert_allclose(x, [2.0, 1.0], atol=1e-15)
 
 
@@ -82,20 +95,21 @@ def test_lu_matches_dense_solve_on_a_saddle_block():
     A = np.block([[K, B.T], [B, np.zeros((m, m))]])
     b = rng.normal(size=n + m)
 
-    x = sparse_lu_solve(sp.csr_matrix(A), b).x
+    x, res, _, _ = refined_solve(sp.csr_matrix(A), b)
     np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-8)
+    assert res <= LU_RESIDUAL_TOL
 
 
 def test_lu_rejects_singular_matrices():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularSystemError):
-        sparse_lu_solve(A, np.ones(2))
+        solver.BorderedLU(A)
     # a structurally empty row as well
     A = sp.lil_matrix((3, 3))
     A[0, 0] = 1.0
     A[1, 1] = 1.0
     with pytest.raises(SingularSystemError):
-        sparse_lu_solve(A.tocsr(), np.ones(3))
+        solver.BorderedLU(A.tocsr())
 
 
 class CountingLU:
@@ -136,14 +150,14 @@ def test_lu_solves_a_gauge_border_on_a_singular_block(delta, monkeypatch):
 
     monkeypatch.setattr(solver, "splu", counting_splu)
 
-    out = sparse_lu_solve(sp.csr_matrix(A), b, GaugeBorder(n, c, delta))
-    np.testing.assert_allclose(out.x, np.linalg.solve(K, b), rtol=1e-10, atol=1e-12)
-    assert out.residual <= LU_RESIDUAL_TOL
+    x, res, steps, factor = refined_solve(sp.csr_matrix(A), b, GaugeBorder(n, c, delta))
+    np.testing.assert_allclose(x, np.linalg.solve(K, b), rtol=1e-10, atol=1e-12)
+    assert res <= LU_RESIDUAL_TOL
     # one factor of the unbordered block, one two-column solve for the
     # border, one solve for b: the recovery is exact, so no refinement
     assert len(factors) == 1 and factors[0].solves == 2
-    assert out.lu_nnz == factors[0].nnz > 0
-    assert out.refinements == 0 and out.factored
+    assert factor.nnz == factors[0].nnz > 0
+    assert steps == 0
 
 
 def test_bordered_lu_pins_the_matrix_it_is_given(monkeypatch):
@@ -182,13 +196,13 @@ def test_lu_reports_whether_refinement_ran(monkeypatch):
     rng = np.random.default_rng(4)
     A = sp.csr_matrix(rng.normal(size=(40, 40)) + 40.0 * np.eye(40))
     b = rng.normal(size=40)
-    out = sparse_lu_solve(A, b)
-    assert out.refinements == 0 and out.residual <= LU_RESIDUAL_TOL
+    _, res, steps, _ = refined_solve(A, b)
+    assert steps == 0 and res <= LU_RESIDUAL_TOL
 
     monkeypatch.setattr(solver, "splu", lambda M: splu(sp.csc_matrix(M * (1.0 + 1e-6))))
-    out = sparse_lu_solve(A, b)
-    assert out.refinements >= 1 and out.residual <= REFINE_TOL
-    np.testing.assert_allclose(out.x, np.linalg.solve(A.toarray(), b), rtol=1e-10)
+    x, res, steps, _ = refined_solve(A, b)
+    assert steps >= 1 and res <= REFINE_TOL
+    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-10)
 
 
 def test_lu_error_is_a_solver_error():
@@ -196,19 +210,23 @@ def test_lu_error_is_a_solver_error():
 
 
 def test_lu_rejects_a_nan_residual(monkeypatch):
-    # A factor of the finite matrix gives a finite x for a matrix with a
-    # NaN entry, so only the residual shows the fault.
-    rng = np.random.default_rng(6)
-    clean = rng.normal(size=(20, 20)) + 20.0 * np.eye(20)
-    A = clean.copy()
-    A[3, 7] = np.nan
-    b = rng.normal(size=20)
-    held = solver.BorderedLU(sp.csc_matrix(clean))
-    with pytest.raises(SolverError):
-        sparse_lu_solve(sp.csr_matrix(A), b, factor=held)
-    monkeypatch.setattr(solver, "splu", lambda M: splu(sp.csc_matrix(clean)))
+    # Factors of the finite reduced block give a finite x for a system
+    # with a NaN entry in that block, so only the residual shows the
+    # fault: with a held factor, and with fresh factors only.
+    disc, A, b = newton_system(channel)
+    lin = solver.CondensedSolve(disc, A, b)
+    clean = lin.reduced(A)
+    solver.sparse_lu_solve(A, b, lin)
+    held = lin.held
+    pos = disc.layout.rr_pos
+    A.data[pos[pos < A.data.size][0]] = np.nan
+    monkeypatch.setattr(solver, "splu", lambda M, **kwargs: splu(clean, **kwargs))
     with pytest.raises(SolverError, match="residual nan"):
-        sparse_lu_solve(sp.csr_matrix(A), b)
+        solver.sparse_lu_solve(A, b, lin)
+    assert held.lu is None
+    lin.held = None
+    with pytest.raises(SolverError, match="residual nan"):
+        solver.sparse_lu_solve(A, b, lin)
 
 
 def test_gauge_solve_matches_the_factored_bordered_system():
@@ -219,7 +237,7 @@ def test_gauge_solve_matches_the_factored_bordered_system():
     dofmap = fields.dofmap
     assert dofmap.gauge_dof >= 0
 
-    ws = Workspace(mesh, fields.interface, dofmap)
+    ws = Workspace(mesh, fields.interface, dofmap, fields.quad_degree)
     values = assemble_da(fields.x, params, ws).data + assemble_b(ws).data
     A, b = apply_constraints(ws, values, assemble_rhs(data, ws), fields.x)
     # The border in the numbering of the free DOFs, the gauge included.
@@ -294,9 +312,10 @@ def test_newton_rejects_options_out_of_range(options):
 
 def test_newton_solution_zeroes_the_nonlinear_residual():
     mesh, params, data = manufactured(forchheimer=10.0, power=3.5)
-    fields, report = newton_solve(mesh, params, data, NewtonOptions(tol=1e-12))
+    disc = solver.Discretization.build(mesh, data)
+    fields, report = newton_solve(disc, params, data, NewtonOptions(tol=1e-12))
     assert report.converged
-    assert nonlinear_residual(fields, params, data) < 1e-10
+    assert nonlinear_residual(disc, fields, params, data) < 1e-10
 
 
 @pytest.mark.parametrize("degree", [4, 8])
@@ -305,8 +324,10 @@ def test_nonlinear_residual_uses_the_quadrature_of_the_solve(degree):
     disc = solver.Discretization.build(mesh, data, quad_degree=degree)
     fields, report = newton_solve(disc, params, data)
     assert report.converged
-    assert nonlinear_residual(fields, params, data) < 1e-10
+    assert nonlinear_residual(disc, fields, params, data) < 1e-10
     assert fields.quad_degree == degree
+    with pytest.raises(ValueError, match=f"degree {degree}, not 6"):
+        nonlinear_residual(solver.Discretization.build(mesh, data), fields, params, data)
 
 
 def test_newton_solution_is_initial_guess_independent():
@@ -441,23 +462,24 @@ def newton_system(problem, nx=8, forchheimer=1e3, seed=5):
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
 def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
     disc, A, b = newton_system(problem)
-    border = solver.gauge_border(disc.workspace)
-    darcy = solver.DarcyBlock(disc.layout, A, b, border)
-    fresh = sparse_lu_solve(A, b, border, darcy=darcy)
+    lin = solver.CondensedSolve(disc, A, b)
+    assert lin.held is None
+    fresh = solver.sparse_lu_solve(A, b, lin)
     assert fresh.factored and fresh.refinements == 0
+    factor = lin.held
 
     # The factor of the same system serves at once.
-    again = sparse_lu_solve(A, b, border, darcy=darcy, factor=fresh.factor)
-    assert not again.factored and again.factor is fresh.factor
+    again = solver.sparse_lu_solve(A, b, lin)
+    assert not again.factored and lin.held is factor
     assert again.lu_nnz == fresh.lu_nnz
     assert np.abs(again.x - fresh.x).max() <= 1e-12 * np.abs(fresh.x).max()
 
     # A factor of three times the matrix cuts the residual by less than
     # REFINE_MIN_RATE per step: the solve releases it and factors anew,
     # from the start, so the result is the fresh solve's.
-    bad = solver.BorderedLU(3.0 * darcy.reduced(A), darcy.border)
-    out = sparse_lu_solve(A, b, border, darcy=darcy, factor=bad)
-    assert out.factored and out.factor is not bad and out.refinements >= 1
+    bad = lin.held = solver.BorderedLU(3.0 * lin.reduced(A), lin.border)
+    out = solver.sparse_lu_solve(A, b, lin)
+    assert out.factored and lin.held is not bad and out.refinements >= 1
     assert bad.lu is None
     np.testing.assert_array_equal(out.x, fresh.x)
     assert out.residual == fresh.residual and out.lu_nnz == fresh.lu_nnz
@@ -466,13 +488,13 @@ def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
 def test_an_inaccurate_ordered_factor_falls_back_to_partial_pivoting(problem, monkeypatch):
     disc, A, b = newton_system(problem)
-    border = solver.gauge_border(disc.workspace)
-    darcy = solver.DarcyBlock(disc.layout, A, b, border)
+    lin = solver.CondensedSolve(disc, A, b)
     # The reference: the ordered call factors with partial pivoting, and
     # that factor serves at once.
     monkeypatch.setattr(solver, "splu", lambda M, **kwargs: splu(M))
-    ref = sparse_lu_solve(A, b, border, darcy=darcy)
+    ref = solver.sparse_lu_solve(A, b, lin)
     assert ref.factored and ref.refinements == 0
+    lin.held = None
 
     # An ordered factor of three times the matrix cuts the residual by
     # less than REFINE_MIN_RATE per step: the solve releases it and
@@ -490,9 +512,9 @@ def test_an_inaccurate_ordered_factor_falls_back_to_partial_pivoting(problem, mo
 
     monkeypatch.setattr(solver.BorderedLU, "release", spy_release)
     monkeypatch.setattr(solver, "splu", three_times)
-    out = sparse_lu_solve(A, b, border, darcy=darcy)
+    out = solver.sparse_lu_solve(A, b, lin)
     assert made == [True, False]
-    assert len(released) == 1 and released[0].lu is None and released[0] is not out.factor
+    assert len(released) == 1 and released[0].lu is None and released[0] is not lin.held
     assert out.factored and out.refinements >= 1
     np.testing.assert_array_equal(out.x, ref.x)
     assert out.residual == ref.residual and out.lu_nnz == ref.lu_nnz
@@ -520,15 +542,16 @@ def test_the_condensed_layout_pairs_each_pressure_with_a_bubble(problem):
 
 def test_the_reduced_gauge_border_sits_on_the_gauge_slot():
     disc, A, b = newton_system(manufactured)
-    border = solver.gauge_border(disc.workspace)
-    darcy = solver.DarcyBlock(disc.layout, A, b, border)
+    lin = solver.CondensedSolve(disc, A, b)
+    border = lin.gauge
+    np.testing.assert_array_equal(border.coupling, solver.gauge_border(disc.workspace).coupling)
     free_R = disc.layout.free_R
-    assert free_R[darcy.border.slot] == border.slot
-    assert darcy.border.slot == free_R.size - 1
+    assert free_R[lin.border.slot] == border.slot
+    assert lin.border.slot == free_R.size - 1
     # Off the multipliers, the reduced coupling is the full one, reordered.
     keep = np.ones(free_R.size, dtype=bool)
     keep[disc.layout.lam_R] = False
-    np.testing.assert_array_equal(darcy.border.coupling[keep], border.coupling[free_R][keep])
+    np.testing.assert_array_equal(lin.border.coupling[keep], border.coupling[free_R][keep])
 
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
@@ -612,13 +635,13 @@ def test_condensed_solve_matches_a_factored_free_system(mode):
         K = A + c @ e_s.T + e_s @ c.T
     x_ref = spsolve(sp.csc_matrix(K), b)
 
-    darcy = solver.DarcyBlock(disc.layout, A, b, border)
-    assert border is None or darcy.border.diagonal != 0.0
-    out = sparse_lu_solve(A, b, border, darcy=darcy)
+    lin = solver.CondensedSolve(disc, A, b)
+    assert border is None or lin.border.diagonal != 0.0
+    out = solver.sparse_lu_solve(A, b, lin)
     x_c = out.x
     assert np.abs(x_c - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
     assert out.residual <= 1e-14 and out.refinements == 0 and out.factored
-    assert 0 < out.lu_nnz and 0 < darcy.lu_nnz
+    assert 0 < out.lu_nnz and 0 < lin.lu_nnz
     full = np.abs(K @ x_c - b).max() / (abs(K).sum(axis=1).max() * np.abs(x_c).max()
                                         + np.abs(b).max())
     assert full == pytest.approx(out.residual, rel=1e-6, abs=1e-18)
@@ -749,3 +772,27 @@ def test_shared_discretization_rejects_another_layout():
     assert not sealed.gauge_pressure
     with pytest.raises(ValueError, match="essential boundary conditions"):
         newton_solve(disc, params, sealed)
+
+
+# --------------------------------------------------------------- tracing
+
+
+def test_benchmark_tracer_records_the_linear_solve_spans(monkeypatch):
+    # perfbench/spans.py wraps solver.sparse_lu_solve and solver.splu by
+    # name; a renamed solver function would leave its spans empty.
+    import bfdarcy
+    import bfdarcy.cli  # noqa: F401  (the tracer wraps the CLI too)
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    mesh, params, data = manufactured(nx=4)
+    tracer = spans.Tracer()
+    with tracer.installed(bfdarcy):
+        _, report = bfdarcy.solver.newton_solve(mesh, params, data)
+    assert bfdarcy.solver.splu is splu
+    names = [s.name for s in tracer.spans]
+    assert names.count("solver.newton") == 1
+    assert names.count("solver.lu") == report.iterations
+    assert names.count("solver.factor") == 1 + sum(report.factored)
+    assert names.count("solver.trisolve") >= names.count("solver.factor")
