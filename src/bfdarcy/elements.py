@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,29 @@ def _table_rule(degree, groups):
     return QuadratureRule(degree=degree, points=pts, weights=0.5 * wts)
 
 
+# Gauss-Jacobi nodes and weights on [-1, 1] for the weight (1 - t), the
+# values of scipy.special.roots_jacobi(n, 1.0, 0.0) to the last bit.  A
+# table keeps scipy.special out of the package's import.
+_GAUSS_JACOBI_1_0 = {
+    4: (
+        (-0.8857916077709646, -0.44631397272375245, 0.16718086473783364, 0.7204802713124389),
+        (0.5420276537259541, 0.8138582720410844, 0.5193901904329293, 0.12472388380003234),
+    ),
+    5: (
+        (-0.9203802858970626, -0.6039731642527836, -0.1240503795052277, 0.39092854670727223,
+         0.8029298284023472),
+        (0.3871263609066059, 0.6686985523774788, 0.5855479483386794, 0.2956354802904667,
+         0.0629916580867692),
+    ),
+    6: (
+        (-0.9413671456804301, -0.7038428006630314, -0.3260306194376914, 0.1173430375431003,
+         0.538467724060109, 0.8538913426394822),
+        (0.2892413229020356, 0.5421699889260747, 0.5631702151527953, 0.3946446035626208,
+         0.17582066220203585, 0.034953207254438116),
+    ),
+}
+
+
 def _conical_rule(degree):
     """Conical product Gauss rule: n Gauss-Legendre points along x times n
     Gauss-Jacobi(1, 0) points along y, n = (degree + 2) // 2, exact to
@@ -78,7 +100,7 @@ def _conical_rule(degree):
     n = (degree + 2) // 2
     s, ws = leggauss(n)
     xi, wxi = 0.5 * (s + 1.0), 0.5 * ws
-    t, wt = roots_jacobi(n, 1.0, 0.0)
+    t, wt = (np.array(a) for a in _GAUSS_JACOBI_1_0[n])
     eta, weta = 0.5 * (t + 1.0), 0.25 * wt
     X = np.outer(xi, 1.0 - eta).ravel()
     Y = np.tile(eta, n)

@@ -68,6 +68,10 @@ class Mesh:
         Boundary/interface tag, '' for untagged interior edges.
     h_B, h_D, h_Sigma : float
         Longest edge touching each region.
+
+    The unit edge normals of ``outward_normals`` are computed once, in
+    ``__post_init__``, and stored read-only; ``dataclasses.replace``
+    computes them anew for the copy.
     """
 
     vertices: np.ndarray
@@ -83,6 +87,22 @@ class Mesh:
     h_Sigma: float
     areas: np.ndarray = field(repr=False, default=None)
     edge_lengths: np.ndarray = field(repr=False, default=None)
+    _normals: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        t = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+        n = np.stack([t[:, 1], -t[:, 0]], axis=1)
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        # The edge (lo, hi) as stored has no preferred direction, so fix
+        # the sign against the outward normal of the first incident
+        # triangle, which defines the global orientation.
+        first = self.edge_tris[:, 0]
+        centroid = self.vertices[self.triangles[first]].mean(axis=1)
+        mid = 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
+        flip = np.sum(n * (mid - centroid), axis=1) < 0.0
+        n[flip] *= -1.0
+        n.flags.writeable = False
+        object.__setattr__(self, "_normals", n)
 
     @property
     def num_vertices(self):
@@ -101,19 +121,9 @@ class Mesh:
         return np.flatnonzero(self.edge_tags == tag)
 
     def outward_normals(self):
-        """Unit normals of all edges in the global orientation, (ne, 2)."""
-        t = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        n = np.stack([t[:, 1], -t[:, 0]], axis=1)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        # The edge (lo, hi) as stored has no preferred direction, so fix
-        # the sign against the outward normal of the first incident
-        # triangle, which defines the global orientation.
-        first = self.edge_tris[:, 0]
-        centroid = self.vertices[self.triangles[first]].mean(axis=1)
-        mid = 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
-        flip = np.sum(n * (mid - centroid), axis=1) < 0.0
-        n[flip] *= -1.0
-        return n
+        """Unit normals of all edges in the global orientation, (ne, 2),
+        read-only."""
+        return self._normals
 
 
 @dataclass(frozen=True)
@@ -166,13 +176,19 @@ def _signed_areas(vertices, triangles):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _build_topology(vertices, triangles, subdomain, tag_of_pair):
-    """Assemble the Mesh dataclass from a triangle soup and an edge-tag map."""
-    nt = triangles.shape[0]
-    # Edge opposite local vertex i connects the other two vertices.
+def _build_topology(vertices, triangles, subdomain, tag_pairs, tags):
+    """Assemble the Mesh dataclass from a triangle soup and tagged edges.
+
+    ``tag_pairs`` is a (k, 2) int array of vertex pairs, lower index
+    first, and ``tags`` the (k,) tag of each pair.
+    """
+    nv, nt = vertices.shape[0], triangles.shape[0]
+    # Edge opposite local vertex i connects the other two vertices.  The
+    # key lo * nv + hi sorts edges in the lexicographic (lo, hi) order.
     raw = triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
     lo = np.sort(raw, axis=1)
-    edges, tri_edges_flat = np.unique(lo, axis=0, return_inverse=True)
+    keys, tri_edges_flat = np.unique(lo[:, 0] * nv + lo[:, 1], return_inverse=True)
+    edges = np.stack([keys // nv, keys % nv], axis=1)
     tri_edges = tri_edges_flat.reshape(nt, 3)
 
     ne = edges.shape[0]
@@ -196,13 +212,13 @@ def _build_topology(vertices, triangles, subdomain, tag_of_pair):
     tri_edge_signs = np.where(edge_tris[tri_edges, 0] == np.arange(nt)[:, None], 1, -1)
 
     edge_tags = np.full(ne, "", dtype="<U9")
-    if tag_of_pair:
-        keys = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
-        for pair, tag in tag_of_pair.items():
-            idx = keys.get(pair)
-            if idx is None:
-                raise MeshFormatError(f"tagged edge {pair[0]}-{pair[1]} is not an edge of any triangle")
-            edge_tags[idx] = tag
+    tag_keys = tag_pairs[:, 0] * nv + tag_pairs[:, 1]
+    idx = np.minimum(np.searchsorted(keys, tag_keys), ne - 1)
+    missing = np.flatnonzero(keys[idx] != tag_keys)
+    if missing.size:
+        a, b = tag_pairs[missing[0]]
+        raise MeshFormatError(f"tagged edge {a}-{b} is not an edge of any triangle")
+    edge_tags[idx] = tags
 
     areas = _signed_areas(vertices, triangles)
     lengths = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
@@ -285,51 +301,35 @@ def generate_stacked_rect(rect_B, rect_D, nx, ny_B, ny_D, pattern="right"):
         # column i, row j of the grid
         return j * (nx + 1) + i
 
-    tris_b, tris_d = [], []
-    centers = []
-    ncorner = vertices.shape[0]
-    for j in range(ny):
-        region = tris_d if j < ny_D else tris_b
-        for i in range(nx):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            if pattern == "right":
-                region.append((a, b, c))
-                region.append((a, c, d))
-            else:
-                m = ncorner + len(centers)
-                centers.append(0.25 * (vertices[a] + vertices[b] + vertices[c] + vertices[d]))
-                region.append((a, b, m))
-                region.append((b, c, m))
-                region.append((c, d, m))
-                region.append((d, a, m))
-    if centers:
-        vertices = np.vstack([vertices, np.array(centers)])
+    # Corners of every cell, row by row: a b c d counterclockwise from
+    # the bottom left.
+    rows, cols = np.arange(ny), np.arange(nx)
+    a = vid(cols[None, :], rows[:, None]).ravel()
+    b, c, d = a + 1, a + nx + 2, a + nx + 1
+    if pattern == "right":
+        cell_tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 2, 3)
+    else:
+        m = vertices.shape[0] + np.arange(a.size)
+        centers = 0.25 * (vertices[a] + vertices[b] + vertices[c] + vertices[d])
+        vertices = np.vstack([vertices, centers])
+        cell_tris = np.stack([a, b, m, b, c, m, c, d, m, d, a, m], axis=1).reshape(-1, 4, 3)
 
     # B triangles first, so interface edge normals point out of B.
-    triangles = np.array(tris_b + tris_d, dtype=int)
-    subdomain = np.array(["B"] * len(tris_b) + ["D"] * len(tris_d))
+    n_d = nx * ny_D
+    triangles = np.concatenate([cell_tris[n_d:], cell_tris[:n_d]]).reshape(-1, 3)
+    per_cell = cell_tris.shape[1]
+    subdomain = np.repeat(np.array(["B", "D"]), [per_cell * nx * ny_B, per_cell * n_d])
 
-    tags = {}
+    in_b = rows >= ny_D
+    tag_pairs = [np.stack([vid(i, rows), vid(i, rows + 1)], axis=1) for i in (0, nx)]
+    tags = [np.where(in_b, "GB_LEFT", "GD_LEFT"), np.where(in_b, "GB_RIGHT", "GD_RIGHT")]
+    for j, tag in ((0, "GD_BOTTOM"), (ny, "GB_TOP"), (ny_D, "SIGMA")):
+        tag_pairs.append(np.stack([vid(cols, j), vid(cols + 1, j)], axis=1))
+        tags.append(np.full(nx, tag))
 
-    def tag_pair(a, b, tag):
-        key = (min(a, b), max(a, b))
-        tags[key] = tag
-
-    for j in range(ny):
-        band_b = j >= ny_D
-        left = "GB_LEFT" if band_b else "GD_LEFT"
-        right = "GB_RIGHT" if band_b else "GD_RIGHT"
-        tag_pair(vid(0, j), vid(0, j + 1), left)
-        tag_pair(vid(nx, j), vid(nx, j + 1), right)
-    for i in range(nx):
-        tag_pair(vid(i, 0), vid(i + 1, 0), "GD_BOTTOM")
-        tag_pair(vid(i, ny), vid(i + 1, ny), "GB_TOP")
-        tag_pair(vid(i, ny_D), vid(i + 1, ny_D), "SIGMA")
-
-    return _build_topology(vertices, triangles, subdomain, tags)
+    return _build_topology(
+        vertices, triangles, subdomain, np.concatenate(tag_pairs), np.concatenate(tags)
+    )
 
 
 def build_interface(mesh):
@@ -432,6 +432,8 @@ def load_mesh(path):
         nv, nt, ne = (int(tok) for tok in lines[1].split())
     except (ValueError, IndexError) as exc:
         raise MeshFormatError("count line must hold three integers: NV NT NE") from exc
+    if nt < 1 or min(nv, ne) < 0:
+        raise MeshFormatError(f"a mesh needs NT >= 1 triangles and NV, NE >= 0, got {nv} {nt} {ne}")
     if len(lines) != 2 + nv + nt + ne:
         raise MeshFormatError(
             f"expected {2 + nv + nt + ne} lines for NV={nv} NT={nt} NE={ne}, got {len(lines)}"
@@ -478,7 +480,9 @@ def load_mesh(path):
             f"negative area in triangle {bad}; vertices must be counterclockwise"
         )
 
-    mesh = _build_topology(vertices, triangles, subdomain, tags)
+    tag_pairs = np.array(list(tags), dtype=int).reshape(-1, 2)
+    tag_names = np.array(list(tags.values()), dtype=str)
+    mesh = _build_topology(vertices, triangles, subdomain, tag_pairs, tag_names)
     _validate_conformity(mesh)
     return mesh
 

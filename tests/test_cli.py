@@ -330,6 +330,14 @@ def test_sweep_on_a_custom_mesh_has_one_level(tmp_path):
     assert "one mesh" in res.stderr
 
 
+def test_custom_mesh_without_triangles_is_a_mesh_file_error(tmp_path, capsys):
+    (tmp_path / "empty.txt").write_text("bfdarcy-mesh v1\n0 0 0\n")
+    cfg = write_config(tmp_path, f"problem = custom\nmesh = {tmp_path / 'empty.txt'}\nF = 1\n")
+    code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+    assert code == cli.EXIT_IO
+    assert "NT >= 1" in capsys.readouterr().err
+
+
 def test_mesh_gen_rejects_odd_interface_count(tmp_path):
     cfg = write_config(tmp_path, "problem = example1_variant\nnx = 5\nmesh = m.txt\n")
     res = run_cli("mesh-gen", "--config", cfg, "--out", str(tmp_path))
@@ -338,6 +346,22 @@ def test_mesh_gen_rejects_odd_interface_count(tmp_path):
 
 
 # ------------------------------------------------------------------ shell
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # scipy.special would add about 0.1 s and 4 MB to every start-up, and
+    # no module of the package needs it
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import bfdarcy.cli; "
+        "print(bfdarcy.__file__); print('scipy.special' in sys.modules)"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code, PACKAGE_ROOT], capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    path, loaded = res.stdout.split()
+    assert Path(path).resolve().parents[1] == Path(PACKAGE_ROOT)
+    assert loaded == "False"
 
 
 def test_usage_errors(tmp_path):

@@ -17,7 +17,14 @@ from bfdarcy import (
     project_p0,
     quad_rule,
 )
-from bfdarcy.elements import br_basis, br_space, physical_points, rt0_basis, rt0_space
+from bfdarcy.elements import (
+    _GAUSS_JACOBI_1_0,
+    br_basis,
+    br_space,
+    physical_points,
+    rt0_basis,
+    rt0_space,
+)
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
@@ -56,6 +63,18 @@ def test_triangle_rule_is_a_proper_rule(degree):
 def test_high_degree_rules_are_plain_conical_products():
     # n x n Gauss points, n = (degree + 2) // 2, exact to degree 2n - 1
     assert [len(quad_rule(d)) for d in range(7, 11)] == [16, 25, 25, 36]
+
+
+def test_conical_rules_use_the_exact_gauss_jacobi_nodes():
+    # The table stands in for scipy.special.roots_jacobi, which the
+    # package does not import; it must match it to the last bit.
+    from scipy.special import roots_jacobi
+
+    assert sorted(_GAUSS_JACOBI_1_0) == sorted({(d + 2) // 2 for d in range(7, 11)})
+    for n, (nodes, weights) in _GAUSS_JACOBI_1_0.items():
+        t, w = roots_jacobi(n, 1.0, 0.0)
+        assert np.array_equal(np.array(nodes), t)
+        assert np.array_equal(np.array(weights), w)
 
 
 def test_triangle_rule_rejects_unsupported_degree():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -99,6 +100,78 @@ def test_generator_outward_normals_point_out_of_the_domain():
         ("GD_RIGHT", (1.0, 0.0)),
     ):
         np.testing.assert_allclose(normals[mesh.edges_with_tag(tag)], np.broadcast_to(expect, (mesh.edges_with_tag(tag).size, 2)), atol=1e-14)
+
+
+# SHA-256 of the save_mesh text, then of the bytes of edge_tris, tri_edges
+# and tri_edge_signs, recorded from the loop-based generator that the
+# array version replaced.
+GENERATOR_DIGESTS = {
+    ("right", 2, 1, 1): "c510ca374f4f07dfa34ae455e71c1336fb7d471c0cb9761a2cae4337e106a418",
+    ("right", 4, 3, 2): "2073eb4d478081ded009405d156d248fc0afab0aa82a4dda0c72aa236c928bda",
+    ("right", 6, 2, 5): "697d5d822c39534841fa6854ba262f3566680f7d498b54852a2fa62cd5518080",
+    ("crisscross", 2, 1, 1): "69e7a915799151e7c72242a28559eb641bb54dab2bbabffef742c0644f0f1401",
+    ("crisscross", 4, 3, 2): "031db04218c267d0fad811541ed790d53cfb8d381cb10945fd1657467d71a847",
+    ("crisscross", 6, 2, 5): "a6f7283de608da9cb189179881e9a3406e1a3e6d5ceb00111ffb38ca9995d390",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_DIGESTS))
+def test_generator_output_is_pinned_bit_for_bit(tmp_path, case):
+    pattern, nx, ny_B, ny_D = case
+    mesh = small_mesh(nx, ny_B, ny_D, pattern)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    digest = hashlib.sha256(path.read_bytes())
+    for array in (mesh.edge_tris, mesh.tri_edges, mesh.tri_edge_signs):
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == GENERATOR_DIGESTS[case]
+
+
+def reference_normals(mesh):
+    """Unit edge normals, flipped to point away from the first triangle."""
+    v, e = mesh.vertices, mesh.edges
+    t = v[e[:, 1]] - v[e[:, 0]]
+    n = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    centroid = v[mesh.triangles[mesh.edge_tris[:, 0]]].mean(axis=1)
+    mid = 0.5 * (v[e[:, 0]] + v[e[:, 1]])
+    n[np.sum(n * (mid - centroid), axis=1) < 0.0] *= -1.0
+    return n
+
+
+def renumbered(mesh, tmp_path, seed):
+    """Load ``mesh`` from a file that numbers its vertices in random order."""
+    old = np.random.default_rng(seed).permutation(mesh.num_vertices)
+    new = np.argsort(old)
+    tagged = np.flatnonzero(mesh.edge_tags != "")
+    lines = ["bfdarcy-mesh v1", f"{mesh.num_vertices} {mesh.num_triangles} {tagged.size}"]
+    lines += [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices[old]]
+    lines += [f"{i} {j} {k} {s}" for (i, j, k), s in zip(new[mesh.triangles], mesh.subdomain)]
+    lines += [f"{i} {j} {mesh.edge_tags[e]}" for e, (i, j) in zip(tagged, new[mesh.edges[tagged]])]
+    return load_mesh(rewrite(tmp_path / "renumbered.txt", lines))
+
+
+@pytest.mark.parametrize("pattern", ["right", "crisscross"])
+def test_outward_normals_are_stored_once_and_read_only(tmp_path, pattern):
+    mesh = small_mesh(nx=4, ny_B=3, ny_D=2, pattern=pattern)
+    for m in (mesh, renumbered(mesh, tmp_path, seed=7)):
+        normals = m.outward_normals()
+        np.testing.assert_array_equal(normals, reference_normals(m))
+        assert m.outward_normals() is normals
+        assert not normals.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            normals[0] = 0.0
+
+    # dataclasses.replace runs __post_init__, so the copy gets normals of
+    # its own geometry
+    tags = mesh.edge_tags.copy()
+    tags[mesh.edges_with_tag("GB_TOP")] = "GB_LEFT"
+    retagged = dataclasses.replace(mesh, edge_tags=tags)
+    np.testing.assert_array_equal(retagged.outward_normals(), mesh.outward_normals())
+    assert not retagged.outward_normals().flags.writeable
+    sheared = dataclasses.replace(mesh, vertices=mesh.vertices @ np.array([[1.0, 0.0], [0.5, 1.0]]))
+    np.testing.assert_array_equal(sheared.outward_normals(), reference_normals(sheared))
+    assert not np.array_equal(sheared.outward_normals(), mesh.outward_normals())
 
 
 def test_generator_input_validation():
@@ -247,6 +320,14 @@ def test_load_rejects_unknown_edge_tag(tmp_path):
     lines[-1] = lines[-1].rsplit(" ", 1)[0] + " GB_BELOW"
     with pytest.raises(MeshFormatError, match="edge line"):
         load_mesh(rewrite(path, lines))
+
+
+@pytest.mark.parametrize(
+    "body", [["0 0 0"], ["3 0 0", "0 0", "1 0", "0 1"]], ids=["empty", "vertices-only"]
+)
+def test_load_rejects_a_mesh_without_triangles(tmp_path, body):
+    with pytest.raises(MeshFormatError, match="NT >= 1"):
+        load_mesh(rewrite(tmp_path / "m.txt", ["bfdarcy-mesh v1", *body]))
 
 
 def test_load_rejects_tag_on_nonexistent_edge(tmp_path):
