@@ -38,6 +38,7 @@ from .assembly import (
     assemble_b,
     assemble_rhs,
     apply_constraints,
+    NewtonSystem,
 )
 from .solver import (
     Discretization,
@@ -87,6 +88,7 @@ __all__ = [
     "assemble_b",
     "assemble_rhs",
     "apply_constraints",
+    "NewtonSystem",
     "Discretization",
     "SolutionFields",
     "SolveReport",

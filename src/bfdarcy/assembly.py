@@ -14,7 +14,7 @@ The nonlinear operator on the velocity pair is
 and its Gateaux derivative at w adds the rank-one Forchheimer coupling
 F (p-2) (|w|^(p-4) (w . u) w, v).  The linearized step solves for the new
 iterate directly, with the correction F (p-2) (|w|^(p-2) w, v) on the
-right-hand side.
+right-hand side; ``NewtonSystem`` forms each step's system.
 
 Every matrix lives on the one CSR pattern a ``Workspace`` builds per
 mesh, and ``apply_constraints`` restricts it to the free DOFs by index.
@@ -192,12 +192,8 @@ class ProblemData:
         )
         return essential
 
-    @property
-    def bc_mode(self):
-        return "standard" if self.gauge_pressure else "mixed"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofMap:
     """Global numbering [u_B | u_D | p | lambda | gauge] of one
     boundary-condition layout.
@@ -628,7 +624,17 @@ def _velocity_linear_local(params, ws):
     return stiff + _gram(kphi, ws.phi), _gram(kpsi, ws.psi)
 
 
-def _forchheimer_local(w, params, ws):
+def _linear_data(params, ws):
+    """CSR data, on the workspace pattern, of the velocity blocks of Da at F = 0."""
+    loc_B, loc_D = _velocity_linear_local(params, ws)
+    return ws.scatter(ws.slots_B, loc_B) + ws.scatter(ws.slots_D, loc_D)
+
+
+def forchheimer_terms(w, params, ws):
+    """The Forchheimer terms of the Newton step at iterate ``w``, from one
+    evaluation of its field and weights: the CSR data, on the workspace
+    pattern, of the Forchheimer block of Da(w), and the right-hand-side
+    correction F (p-2) (|w|^(p-2) w, v_B) as a full vector."""
     F, p = params.forchheimer, params.power
     wfield, s_p2, s_p4 = _forchheimer_weights(w, params, ws)
     m, nb = ws.phi.shape[:2]
@@ -641,12 +647,9 @@ def _forchheimer_local(w, params, ws):
         loc[e] = _gram((F * s_p2[e] * wq)[:, None, :, None] * phi, phi)
         dots = phi[..., 0] * wfield[e, None, :, 0] + phi[..., 1] * wfield[e, None, :, 1]
         loc[e] += _gram((F * (p - 2.0) * s_p4[e] * wq)[:, None, :] * dots, dots)
-    return loc
-
-
-def forchheimer_data(w, params, ws):
-    """CSR data, on the workspace pattern, of the Forchheimer block of Da(w)."""
-    return ws.scatter(ws.slots_B, _forchheimer_local(w, params, ws))
+    data = ws.scatter(ws.slots_B, loc)
+    corr = _load(ws.phi, (F * (p - 2.0) * s_p2 * ws.wq_B)[..., None] * wfield)
+    return data, np.bincount(ws.dofmap.br.l2g.ravel(), corr.ravel(), minlength=ws.dofmap.n_total)
 
 
 def assemble_da(w, params, ws):
@@ -655,11 +658,34 @@ def assemble_da(w, params, ws):
 
     ``w`` is a full solution vector (only its u_B block matters).
     """
-    loc_B, loc_D = _velocity_linear_local(params, ws)
-    data = ws.scatter(ws.slots_B, loc_B) + ws.scatter(ws.slots_D, loc_D)
+    data = _linear_data(params, ws)
     if params.forchheimer > 0.0:
-        data += forchheimer_data(w, params, ws)
+        data += forchheimer_terms(w, params, ws)[0]
     return ws.csr(data)
+
+
+class NewtonSystem:
+    """The linear system of every Newton step of one solve.
+
+    Only the Forchheimer term changes from step to step: at the iterate
+    w the Jacobian gains F (p-2) (|w|^(p-4) (w . u) w, v) and the
+    right-hand side F (p-2) (|w|^(p-2) w, v).  The linear velocity blocks,
+    the coupling block and the load are assembled once, here.
+    """
+
+    def __init__(self, params, data, ws):
+        self.params = params
+        self.ws = ws
+        self.static = _linear_data(params, ws) + ws.b_data
+        self.load = assemble_rhs(data, ws)
+
+    def at(self, x):
+        """(values, rhs) of the step at iterate ``x``: CSR data on the
+        workspace pattern and the full load vector."""
+        if self.params.forchheimer == 0.0:
+            return self.static, self.load
+        data, corr = forchheimer_terms(x, self.params, self.ws)
+        return self.static + data, self.load + corr
 
 
 def assemble_b(ws):
@@ -704,14 +730,6 @@ def assemble_rhs(data, ws):
 
     _add_natural_bc(rhs, data, ws)
     return rhs
-
-
-def forchheimer_rhs(w, params, ws):
-    """The Newton right-hand-side correction F (p-2) (|w|^(p-2) w, v_B)."""
-    wfield, s_p2, _ = _forchheimer_weights(w, params, ws)
-    scale = params.forchheimer * (params.power - 2.0) * s_p2 * ws.wq_B
-    corr = _load(ws.phi, scale[..., None] * wfield)
-    return np.bincount(ws.dofmap.br.l2g.ravel(), corr.ravel(), minlength=ws.dofmap.n_total)
 
 
 def _add_natural_bc(rhs, data, ws):

@@ -36,14 +36,6 @@ class UsageError(ValueError):
     """Raised for bad command lines and bad configuration input."""
 
 
-def _parse_float(text):
-    return float(text)
-
-
-def _parse_int(text):
-    return int(text, 10)
-
-
 def _parse_bool(text):
     low = text.strip().lower()
     if low in ("true", "yes", "on", "1"):
@@ -81,32 +73,28 @@ def _parse_rect(text):
     return tuple(vals)
 
 
-def _parse_str(text):
-    return text
-
-
 # key -> (converter, RunConfig attribute)
 _KEYS = {
-    "problem": (_parse_str, "problem"),
-    "mu": (_parse_float, "mu"),
-    "F": (_parse_float, "forchheimer"),
-    "p": (_parse_float, "power"),
+    "problem": (str, "problem"),
+    "mu": (float, "mu"),
+    "F": (float, "forchheimer"),
+    "p": (float, "power"),
     "K_B": (_parse_tensor, "K_B"),
     "K_D": (_parse_tensor, "K_D"),
-    "nx": (_parse_int, "nx"),
-    "ny_B": (_parse_int, "ny_B"),
-    "ny_D": (_parse_int, "ny_D"),
-    "mesh": (_parse_str, "mesh_path"),
+    "nx": (int, "nx"),
+    "ny_B": (int, "ny_B"),
+    "ny_D": (int, "ny_D"),
+    "mesh": (str, "mesh_path"),
     "rect_B": (_parse_rect, "rect_B"),
     "rect_D": (_parse_rect, "rect_D"),
-    "pattern": (_parse_str, "pattern"),
-    "tol": (_parse_float, "tol"),
-    "max_iter": (_parse_int, "max_iter"),
+    "pattern": (str, "pattern"),
+    "tol": (float, "tol"),
+    "max_iter": (int, "max_iter"),
     "initial": (_parse_pair, "initial"),
-    "csv": (_parse_str, "csv_name"),
-    "vtk": (_parse_str, "vtk_name"),
+    "csv": (str, "csv_name"),
+    "vtk": (str, "vtk_name"),
     "quiet": (_parse_bool, "quiet"),
-    "levels": (_parse_int, "levels"),
+    "levels": (int, "levels"),
     "F_list": (_parse_floats, "F_list"),
     "K_D_list": (_parse_floats, "K_D_list"),
 }

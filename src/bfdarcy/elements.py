@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Quadrature on the reference triangle {x>=0, y>=0, x+y<=1}.
 
@@ -280,7 +280,7 @@ def rt0_basis(verts, signs, pts):
     return vals, div
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BRSpace:
     """Degree-of-freedom layout of the Bernardi-Raugel space on region B.
 
@@ -297,7 +297,7 @@ class BRSpace:
     edge_local: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RT0Space:
     """Degree-of-freedom layout of the Raviart-Thomas space on region D."""
 

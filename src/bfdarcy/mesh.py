@@ -44,7 +44,7 @@ class MeshConformityError(ValueError):
     """Raised for meshes that parse but violate conformity requirements."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangulation of the two-subdomain geometry.
 
@@ -126,7 +126,7 @@ class Mesh:
         return self._normals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterfaceData:
     """Ordered interface edges, their doubled-grid pairing and multiplier nodes.
 
@@ -335,6 +335,10 @@ def generate_stacked_rect(rect_B, rect_D, nx, ny_B, ny_D, pattern="right"):
 def build_interface(mesh):
     """Order the interface edges, pair them into macro edges, locate nodes.
 
+    Every check of the SIGMA edges lives here: they must exist, be even in
+    number, each border one B and one D triangle, and form one straight
+    horizontal segment with the B region above it.
+
     Returns
     -------
     InterfaceData
@@ -342,6 +346,12 @@ def build_interface(mesh):
     sig = mesh.edges_with_tag("SIGMA")
     if sig.size == 0:
         raise MeshConformityError("mesh has no interface edges tagged SIGMA")
+    one_sided = mesh.edge_tris[sig, 1] < 0
+    if one_sided.any():
+        i, j = mesh.edges[sig[np.argmax(one_sided)]]
+        raise MeshConformityError(
+            f"non-matching interface: SIGMA edge {i}-{j} borders only one triangle"
+        )
     if sig.size % 2 != 0:
         raise MeshConformityError(f"interface edge count must be even, got {sig.size}")
 
@@ -420,8 +430,9 @@ def load_mesh(path):
         indices or unknown tags.
     MeshConformityError
         For meshes that parse but are not valid: clockwise triangles
-        ("negative area"), interface edges without one triangle on each
-        side ("non-matching interface"), or over-shared edges.
+        ("negative area"), an interface ``build_interface`` rejects
+        (such as "non-matching interface"), over-shared edges, or
+        boundary tags missing or on interior edges.
     """
     with open(path) as fh:
         raw = [ln.strip() for ln in fh]
@@ -488,34 +499,16 @@ def load_mesh(path):
 
 
 def _validate_conformity(mesh):
+    build_interface(mesh)
     boundary = mesh.edge_tris[:, 1] == -1
     untagged_boundary = boundary & (mesh.edge_tags == "")
-    sig = mesh.edge_tags == "SIGMA"
-
-    if np.any(sig & boundary):
-        e = int(np.flatnonzero(sig & boundary)[0])
-        i, j = mesh.edges[e]
-        raise MeshConformityError(
-            f"non-matching interface: SIGMA edge {i}-{j} borders only one triangle"
-        )
-    if sig.any():
-        tris = mesh.edge_tris[np.flatnonzero(sig)]
-        is_b = mesh.subdomain[tris] == "B"
-        if not np.all(is_b.sum(axis=1) == 1):
-            raise MeshConformityError(
-                "non-matching interface: a SIGMA edge needs one B and one D triangle"
-            )
-    else:
-        raise MeshConformityError("mesh has no interface edges tagged SIGMA")
-    if int(sig.sum()) % 2 != 0:
-        raise MeshConformityError(f"interface edge count must be even, got {int(sig.sum())}")
     if untagged_boundary.any():
         e = int(np.flatnonzero(untagged_boundary)[0])
         i, j = mesh.edges[e]
         raise MeshConformityError(
             f"boundary edge {i}-{j} carries no tag (non-matching interface or missing tag)"
         )
-    interior_tagged = ~boundary & (mesh.edge_tags != "") & ~sig
+    interior_tagged = ~boundary & (mesh.edge_tags != "") & (mesh.edge_tags != "SIGMA")
     if interior_tagged.any():
         e = int(np.flatnonzero(interior_tagged)[0])
         i, j = mesh.edges[e]

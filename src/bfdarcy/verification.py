@@ -16,6 +16,10 @@ import numpy as np
 from . import assembly as asm
 from . import elements as el
 
+# Gauss points per interface edge of the multiplier error and the
+# interface flux residual.
+CHECK_EDGE_POINTS = 6
+
 
 @dataclass(frozen=True)
 class ExactSolution:
@@ -179,7 +183,7 @@ class ErrorReport:
     e_lam_h1: float
 
 
-def compute_errors(fields, exact, report=None, degree=8, edge_points=6):
+def compute_errors(fields, exact, report=None, degree=8):
     """Errors of a discrete solution against an exact one.
 
     Velocity errors are measured in H1 (Brinkman) and H(div) (Darcy)
@@ -231,7 +235,7 @@ def compute_errors(fields, exact, report=None, degree=8, edge_points=6):
 
     # Multiplier: piecewise linear on the macro grid against the exact
     # trace, integrated edge by edge on the fine interface grid.
-    t, w = el.edge_rule(edge_points)
+    t, w = el.edge_rule(CHECK_EDGE_POINTS)
     xl, xr = iface.x_left, iface.x_right
     xq = xl[:, None] + t[None, :] * (xr - xl)[:, None]
     wts = (xr - xl)[:, None] * w[None, :]
@@ -319,7 +323,7 @@ def interface_normal_trace(fields, samples_per_edge=11):
     return x.ravel(), vals.ravel()
 
 
-def interface_flux_residual(fields, edge_points=6):
+def interface_flux_residual(fields):
     """Mass-conservation defect of a solution across the interface.
 
     Returns the max over multiplier hat functions xi of
@@ -330,7 +334,7 @@ def interface_flux_residual(fields, edge_points=6):
     cl, cr, amp, lens = _brinkman_trace_coeffs(fields)
     mean_D = _interface_signs(fields) * fields.u_D[dofmap.rt.edge_local[iface.edge_ids]] / lens
 
-    s, w = el.edge_rule(edge_points)
+    s, w = el.edge_rule(CHECK_EDGE_POINTS)
     gap = (
         np.outer(cl, 1.0 - s)
         + np.outer(cr, s)

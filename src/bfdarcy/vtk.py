@@ -27,7 +27,7 @@ def _format_rows(rows, fmt="%.9e"):
     return template % tuple(rows.ravel().tolist())
 
 
-def write_solution_vtk(path, fields, title="coupled filtration fields"):
+def write_solution_vtk(path, fields):
     """Write velocities and pressure to a legacy unstructured-grid file.
 
     Point data: `velocity_brinkman` (zero at vertices outside the upper
@@ -60,7 +60,7 @@ def write_solution_vtk(path, fields, title="coupled filtration fields"):
 
     parts = [
         "# vtk DataFile Version 3.0",
-        title,
+        "coupled filtration fields",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",
@@ -83,7 +83,7 @@ def write_solution_vtk(path, fields, title="coupled filtration fields"):
         fh.write("\n".join(parts) + "\n")
 
 
-def write_multiplier_vtk(path, fields, title="interface multiplier"):
+def write_multiplier_vtk(path, fields):
     """Write the multiplier as a polyline along the interface."""
     iface = fields.interface
     lam = fields.lam
@@ -93,7 +93,7 @@ def write_multiplier_vtk(path, fields, title="interface multiplier"):
     )
     parts = [
         "# vtk DataFile Version 3.0",
-        title,
+        "interface multiplier",
         "ASCII",
         "DATASET POLYDATA",
         f"POINTS {n} double",

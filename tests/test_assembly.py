@@ -28,12 +28,10 @@ from bfdarcy.assembly import (
     FORCHHEIMER_CHUNK,
     SPEED_FLOOR,
     Workspace,
-    _forchheimer_local,
     _velocity_linear_local,
     apply_constraints,
     check_permeabilities,
-    forchheimer_data,
-    forchheimer_rhs,
+    forchheimer_terms,
     inverse_tensor_field,
     tensor_field,
     zero_scalar,
@@ -154,10 +152,8 @@ def test_problem_data_validation():
 
 def test_problem_data_gauge_detection():
     assert ProblemData().gauge_pressure is True
-    assert ProblemData().bc_mode == "standard"
     mixed = ProblemData(velocity_bc={"GB_RIGHT": ("traction", zero_vector)})
     assert mixed.gauge_pressure is False
-    assert mixed.bc_mode == "mixed"
     mixed2 = ProblemData(darcy_bc={"GD_BOTTOM": ("pressure", zero_scalar)})
     assert mixed2.gauge_pressure is False
 
@@ -395,7 +391,7 @@ def test_operator_matches_a_coo_sum_of_element_matrices(mixed):
 
     l2g_B, l2g_D = dofmap.br.l2g, dofmap.off_uD + dofmap.rt.l2g
     loc_B, loc_D = _velocity_linear_local(params, ws)
-    loc_B = loc_B + _forchheimer_local(w, params, ws)
+    loc_B = loc_B + einsum_kernels(w, params, ws)[1]
     da_ref = coo([
         (l2g_B[:, :, None], l2g_B[:, None, :], loc_B),
         (l2g_D[:, :, None], l2g_D[:, None, :], loc_D),
@@ -537,15 +533,13 @@ def test_velocity_kernels_match_the_einsum_formulas(power, monkeypatch):
     # The 36 Brinkman triangles in one chunk, then in uneven chunks of 5.
     for chunk in (FORCHHEIMER_CHUNK, 5):
         monkeypatch.setattr("bfdarcy.assembly.FORCHHEIMER_CHUNK", chunk)
-        close(forchheimer_data(w, params, ws), ws.scatter(ws.slots_B, forch_B))
+        data, corr = forchheimer_terms(w, params, ws)
+        close(data, ws.scatter(ws.slots_B, forch_B))
+        close(corr, np.bincount(l2g_B.ravel(), rhs_B.ravel(), minlength=dofmap.n_total))
         close(
             assemble_da(w, params, ws).data,
             ws.scatter(ws.slots_B, lin_B + forch_B) + ws.scatter(ws.slots_D, da_D),
         )
-    close(
-        forchheimer_rhs(w, params, ws),
-        np.bincount(l2g_B.ravel(), rhs_B.ravel(), minlength=dofmap.n_total),
-    )
     act = np.zeros(dofmap.n_total)
     np.add.at(act, l2g_B, act_B)
     np.add.at(act, l2g_D, act_D)

@@ -18,6 +18,7 @@ from bfdarcy import (
     load_mesh,
     save_mesh,
 )
+from bfdarcy.mesh import _build_topology
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
@@ -411,10 +412,30 @@ def test_build_interface_rejects_odd_interface():
 
 
 def test_build_interface_rejects_crooked_interface():
-    # a mesh whose SIGMA edges are not collinear: tag a top edge as SIGMA
+    # a mesh whose SIGMA edges are not collinear: tag an interior edge of
+    # the B region as SIGMA (a boundary edge is rejected as one-sided)
     mesh = small_mesh(nx=4)
     tags = mesh.edge_tags.copy()
-    tags[mesh.edges_with_tag("GB_TOP")[0]] = "SIGMA"
+    interior_B = (mesh.edge_tris[:, 1] >= 0) & (mesh.subdomain[mesh.edge_tris[:, 0]] == "B")
+    tags[np.flatnonzero(interior_B & (tags == ""))[0]] = "SIGMA"
     tags[mesh.edges_with_tag("SIGMA")[0]] = ""
     with pytest.raises(MeshConformityError, match="horizontal"):
         build_interface(dataclasses.replace(mesh, edge_tags=tags))
+
+
+def test_build_interface_rejects_an_interface_on_the_boundary():
+    # The bottom edges tagged SIGMA form an even, straight, contiguous
+    # segment, and with the D triangles first the missing neighbour (-1)
+    # of each would index the last triangle, a B triangle above them.
+    mesh = generate_stacked_rect((0, 1, 0, 1), (0, 1, -1, 0), 2, 1, 1)
+    order = np.argsort(mesh.subdomain != "D", kind="stable")
+    tags = mesh.edge_tags.copy()
+    tags[tags == "SIGMA"] = ""
+    tags[tags == "GD_BOTTOM"] = "SIGMA"
+    kept = tags != ""
+    moved = _build_topology(
+        mesh.vertices, mesh.triangles[order], mesh.subdomain[order], mesh.edges[kept], tags[kept]
+    )
+    assert moved.subdomain[-1] == "B"
+    with pytest.raises(MeshConformityError, match="non-matching interface"):
+        build_interface(moved)

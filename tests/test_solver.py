@@ -16,10 +16,8 @@ from bfdarcy import (
     PhysicalParams,
     SingularSystemError,
     SolverError,
+    NewtonSystem,
     apply_constraints,
-    assemble_b,
-    assemble_da,
-    assemble_rhs,
     generate_stacked_rect,
     heterogeneous_flow_problem,
     interface_flux_residual,
@@ -238,8 +236,8 @@ def test_gauge_solve_matches_the_factored_bordered_system():
     assert dofmap.gauge_dof >= 0
 
     ws = Workspace(mesh, fields.interface, dofmap, fields.quad_degree)
-    values = assemble_da(fields.x, params, ws).data + assemble_b(ws).data
-    A, b = apply_constraints(ws, values, assemble_rhs(data, ws), fields.x)
+    values, rhs = NewtonSystem(params, data, ws).at(fields.x)
+    A, b = apply_constraints(ws, values, rhs, fields.x)
     # The border in the numbering of the free DOFs, the gauge included.
     p_dofs = np.searchsorted(ws.free, dofmap.off_p + np.arange(dofmap.n_p))
     gauge = np.searchsorted(ws.free, dofmap.gauge_dof)
@@ -453,9 +451,7 @@ def newton_system(problem, nx=8, forchheimer=1e3, seed=5):
     ws, dofmap = disc.workspace, disc.dofmap
     x = np.random.default_rng(seed).normal(size=dofmap.n_total)
     x[dofmap.constrained] = prescribed_values(dofmap, mesh, data)
-    values = assemble_da(x, params, ws).data + assemble_b(ws).data
-    rhs = assemble_rhs(data, ws) + solver.asm.forchheimer_rhs(x, params, ws)
-    A, b = apply_constraints(ws, values, rhs, x)
+    A, b = apply_constraints(ws, *NewtonSystem(params, data, ws).at(x), x)
     return disc, A, b
 
 
@@ -597,18 +593,37 @@ def test_channel_extremes_converge_on_ordered_factors(forchheimer, monkeypatch):
 def test_newton_rejects_a_non_finite_assembly(monkeypatch):
     mesh, params, data = channel(forchheimer=1e3)
     calls = []
-    forchheimer_data = solver.asm.forchheimer_data
+    forchheimer_terms = solver.asm.forchheimer_terms
 
     def poisoned(w, params, ws):
         calls.append(1)
-        out = forchheimer_data(w, params, ws)
+        out, corr = forchheimer_terms(w, params, ws)
         if len(calls) == 2:
             out[out.size // 2] = np.nan
-        return out
+        return out, corr
 
-    monkeypatch.setattr(solver.asm, "forchheimer_data", poisoned)
+    monkeypatch.setattr(solver.asm, "forchheimer_terms", poisoned)
     with pytest.raises(SolverError, match="not finite at Newton iteration 2"):
         newton_solve(mesh, params, data)
+
+
+@pytest.mark.parametrize("forchheimer", [0.0, 1e3])
+def test_each_newton_step_evaluates_the_forchheimer_weights_once(forchheimer, monkeypatch):
+    mesh, params, data = channel(forchheimer=forchheimer)
+    calls = []
+    weights = solver.asm._forchheimer_weights
+
+    def counted(w, params, ws):
+        calls.append(1)
+        return weights(w, params, ws)
+
+    monkeypatch.setattr(solver.asm, "_forchheimer_weights", counted)
+    _, report = newton_solve(mesh, params, data)
+    assert report.converged
+    if forchheimer == 0.0:
+        assert report.iterations == 1 and calls == []
+    else:
+        assert report.iterations > 1 and len(calls) == report.iterations
 
 
 @pytest.mark.parametrize("mode", ["constraint", "mixed"])
@@ -623,9 +638,7 @@ def test_condensed_solve_matches_a_factored_free_system(mode):
     ws, dofmap = disc.workspace, disc.dofmap
     x = np.random.default_rng(5).normal(size=dofmap.n_total)
     x[dofmap.constrained] = prescribed_values(dofmap, mesh, data)
-    values = assemble_da(x, params, ws).data + assemble_b(ws).data
-    rhs = assemble_rhs(data, ws) + solver.asm.forchheimer_rhs(x, params, ws)
-    A, b = apply_constraints(ws, values, rhs, x)
+    A, b = apply_constraints(ws, *NewtonSystem(params, data, ws).at(x), x)
     border = solver.gauge_border(ws)
     assert (border is None) == (mode == "mixed")
     K = A
@@ -762,6 +775,15 @@ def test_shared_discretization_reproduces_mesh_first_solves(threads):
                 np.testing.assert_array_equal(new[key], value)
 
 
+def test_discretizations_compare_by_identity():
+    # Array fields make a field-wise == ambiguous; two builds are two
+    # objects, and each can key a cache.
+    mesh, params, data = manufactured(nx=4)
+    a, b = solver.Discretization.build(mesh, data), solver.Discretization.build(mesh, data)
+    assert a != b and a == a
+    assert {a: 1, b: 2}[a] == 1
+
+
 def test_shared_discretization_rejects_another_layout():
     mesh, params, data = channel()
     disc = solver.Discretization.build(mesh, data)
@@ -796,3 +818,8 @@ def test_benchmark_tracer_records_the_linear_solve_spans(monkeypatch):
     assert names.count("solver.lu") == report.iterations
     assert names.count("solver.factor") == 1 + sum(report.factored)
     assert names.count("solver.trisolve") >= names.count("solver.factor")
+    # Set-up runs once per solve, the restriction once per Newton step.
+    for once in ("mesh.interface", "assembly.dofmap", "assembly.workspace",
+                 "assembly.check_perm", "assembly.rhs"):
+        assert names.count(once) == 1, once
+    assert names.count("assembly.constraints") == report.iterations
