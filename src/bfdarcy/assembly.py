@@ -358,8 +358,19 @@ def prescribed_values(dofmap, mesh, data):
 
 
 class Workspace:
-    """Per-mesh assembly context: basis tables, the operator's CSR pattern
-    and the restriction to free DOFs.
+    """Per-mesh assembly context: basis coefficients and tables, the
+    operator's CSR pattern and the restriction to free DOFs.
+
+    On the Brinkman triangles it keeps the Bernardi-Raugel coefficients on
+    the reference monomials (``coef_B``, ``gcoef_B``, see
+    ``elements.br_coefficients``) and the basis values at the quadrature
+    points (``phi``), which the Forchheimer terms and the loads integrate
+    against.  The gradient blocks (stiffness, pressure coupling, the
+    viscous part of ``assemble_a_nonlinear``) use the coefficients with
+    ``grad_gram``, the 4x4 Gram sum_q w_q b_s b_t of the gradient monomials
+    on the reference rule; the element weights are 2 |T| times the rule's.
+    On the Darcy triangles it keeps the Raviart-Thomas tables ``psi`` and
+    ``div_psi``.
 
     The spaces on a fixed mesh give an operator whose sparsity never
     changes, so the pattern is built once here.  Each velocity block has
@@ -400,8 +411,10 @@ class Workspace:
         self.area_B = mesh.areas[tb]
         self.qpts_B = el.physical_points(self.verts_B, rule.bary)
         self.wq_B = 2.0 * self.area_B[:, None] * rule.weights[None, :]
-        self.phi, self.gphi = el.br_basis(self.verts_B, self.signs_B, rule.bary)
-        self.div_phi = self.gphi[..., 0, 0] + self.gphi[..., 1, 1]
+        self.coef_B, self.gcoef_B = el.br_coefficients(self.verts_B, self.signs_B)
+        self.phi = el.br_values(self.coef_B, rule.bary)
+        b = el.gradient_monomials(rule.bary)
+        self.grad_gram = (rule.weights[:, None] * b).T @ b
 
         td = rt.tri_ids
         self.verts_D = mesh.vertices[mesh.triangles[td]]
@@ -618,10 +631,34 @@ def _forchheimer_weights(w, params, ws):
 
 
 def _velocity_linear_local(params, ws):
-    kphi = _apply_tensor(ws.wq_B[..., None, None] * ws.kinv_B(params), ws.phi)
+    """Element matrices of the velocity blocks at F = 0, (m, 9, 9) on B and
+    (m, 3, 3) on D.
+
+    On B both terms are reference Grams of the rule contracted with the
+    basis coefficients: mu (grad phi_a, grad phi_b) with the 4x4 Gram of
+    the gradient monomials, and (K_B^-1 phi_a, phi_b) with the 12x12 Gram
+    of the value monomials times the vector components, weighted by
+    K_B^-1 at each point.
+    """
+    m, nq = ws.wq_B.shape
+    g = ws.gcoef_B.reshape(m, 9, 4, 4)
+    stiff = _gram((params.mu * 2.0 * ws.area_B)[:, None, None, None] * (ws.grad_gram @ g), g)
+
+    # T = w_q K_B^-1 at each point; gram[(t, i), (s, j)] = sum_q P_t P_s T_ij.
+    # One small product per triangle: a single (4 m, nq) x (nq, 36) product
+    # is large enough for BLAS to start its own threads, which then compete
+    # with the solves of the CLI's thread pool.
+    P = el.value_monomials(ws.rule.bary)
+    T = (ws.wq_B[..., None, None] * ws.kinv_B(params)).reshape(m, nq, 4)
+    gram = T.transpose(0, 2, 1) @ (P[:, :, None] * P[:, None, :]).reshape(nq, 36)
+    gram = gram.reshape(m, 2, 2, 6, 6).transpose(0, 3, 1, 4, 2).reshape(m, 12, 12)
+    v = ws.coef_B.reshape(m, 9, 12)
+    # Row a of v @ gram^T is T phi_a against the value monomials, so the
+    # entry (a, b) is phi_b . T phi_a, as _apply_tensor has it on D.
+    kblock = _gram(v @ gram.transpose(0, 2, 1), v)
+
     kpsi = _apply_tensor(ws.wq_D[..., None, None] * ws.kinv_D(params), ws.psi)
-    stiff = _gram(params.mu * ws.wq_B[:, None, :, None, None] * ws.gphi, ws.gphi)
-    return stiff + _gram(kphi, ws.phi), _gram(kpsi, ws.psi)
+    return stiff + kblock, _gram(kpsi, ws.psi)
 
 
 def _linear_data(params, ws):
@@ -701,7 +738,14 @@ def assemble_b(ws):
 
 def _coupling_entries(ws):
     n = ws.interface.normal
-    ent_pB = -np.einsum("maq,mq->ma", ws.div_phi, ws.wq_B)
+    # div phi_a at the points, from the trace of its gradient
+    # coefficients, integrated on the rule.  A vertex function's integral
+    # is zero in exact arithmetic, and whether its round-off comes out
+    # exactly zero decides whether it enters the pattern: summing point
+    # values keeps the pattern of the generated meshes.
+    trace = ws.gcoef_B[..., 0, 0] + ws.gcoef_B[..., 1, 1]
+    div_q = trace @ el.gradient_monomials(ws.rule.bary).T
+    ent_pB = -np.einsum("maq,mq->ma", div_q, ws.wq_B)
     ent_pD = -ws.div_psi * ws.area_D[:, None]
     tr_B = np.einsum("maqd,d->maq", ws.sphi, n)
     hat = ws.swts[..., None] * ws.shat
@@ -763,13 +807,14 @@ def assemble_a_nonlinear(u, params, ws):
 
     cu = u[: dof.n_uB][dof.br.l2g]
     ufield = _field(cu, ws.phi)
-    ugrad = _field(cu, ws.gphi)
+    ugrad = _field(cu, ws.gcoef_B).reshape(-1, 4, 4)  # on the gradient monomials
     force = (ws.kinv_B(params) @ ufield[..., None])[..., 0]
     if params.forchheimer > 0.0:
         s_p2, _ = _speed_weights(ufield, params.power)
         force += params.forchheimer * s_p2[..., None] * ufield
-    wq = ws.wq_B[..., None]
-    ent = _load(ws.gphi, params.mu * wq[..., None] * ugrad) + _load(ws.phi, wq * force)
+    scale = (params.mu * 2.0 * ws.area_B)[:, None, None]
+    ent = _load(ws.gcoef_B, scale * (ws.grad_gram @ ugrad))
+    ent += _load(ws.phi, ws.wq_B[..., None] * force)
     np.add.at(out, dof.br.l2g, ent)
 
     dfield = _field(u[dof.off_uD : dof.off_uD + dof.n_uD][dof.rt.l2g], ws.psi)

@@ -6,6 +6,16 @@ uses lowest order Raviart-Thomas elements.  Pressures are piecewise
 constant.  All edge-based quantities refer to the mesh's global edge
 orientation, so coefficients are single-valued across element boundaries.
 
+On an affine triangle every Bernardi-Raugel function is a polynomial in
+the barycentric coordinates eta_i: ``br_coefficients`` gives, per
+triangle, its constant vector coefficients on the six value monomials
+(eta_0, eta_1, eta_2, eta_1 eta_2, eta_2 eta_0, eta_0 eta_1) and the
+constant 2x2 coefficients of its gradient on the four gradient monomials
+(1, eta_0, eta_1, eta_2).  Tables at points (``br_values``, ``br_basis``)
+are matrix products of these coefficients with the monomials at the
+points, and integrals of products reduce to small reference Grams of a
+quadrature rule.
+
 Local DOF ordering on a triangle: six vertex dofs
 (v0x, v0y, v1x, v1y, v2x, v2y) followed by three bubbles, one per edge,
 edge ``i`` being opposite vertex ``i``.  The bubble on edge ``e`` is
@@ -163,7 +173,7 @@ def edge_rule(n):
 
 def physical_points(verts, bary):
     """Map barycentric points to physical ones, (m, 3, 2) x (nq, 3) -> (m, nq, 2)."""
-    return np.einsum("qi,mid->mqd", bary, verts)
+    return bary @ verts
 
 
 def triangle_geometry(verts):
@@ -195,6 +205,86 @@ def triangle_geometry(verts):
     return areas, grad_eta, edge_len, normal_out
 
 
+# A Bernardi-Raugel function on an affine triangle is a P1 vector field
+# plus normal edge bubbles, so each of the nine local functions is a sum
+# of the six value monomials (eta_0, eta_1, eta_2, eta_1 eta_2, eta_2 eta_0,
+# eta_0 eta_1), each times a constant vector, and its gradient a sum of the
+# four gradient monomials (1, eta_0, eta_1, eta_2), each times a constant
+# 2x2 matrix.  Monomial 3 + j is the bubble product of edge j.
+_EDGES = np.arange(3)
+# (edge j, vertex x) pairs with x on edge j: the bubble gradient of edge j
+# carries eta_x times grad eta_y, y the edge's other vertex 3 - j - x.
+_BUBBLE_EDGE, _BUBBLE_ETA = np.nonzero(1 - np.eye(3, dtype=int))
+_BUBBLE_GRAD = 3 - _BUBBLE_EDGE - _BUBBLE_ETA
+_ADJACENT = 1.0 - np.eye(3)
+
+
+def value_monomials(bary):
+    """The six value monomials at barycentric points, (..., 3) -> (..., 6)."""
+    bary = np.asarray(bary, dtype=float)
+    return np.concatenate([bary, bary[..., [1, 2, 0]] * bary[..., [2, 0, 1]]], axis=-1)
+
+
+def gradient_monomials(bary):
+    """The four gradient monomials at barycentric points, (..., 3) -> (..., 4)."""
+    bary = np.asarray(bary, dtype=float)
+    return np.concatenate([np.ones(bary.shape[:-1] + (1,)), bary], axis=-1)
+
+
+def br_coefficients(verts, signs):
+    """Coefficients of the nine Bernardi-Raugel basis functions of each
+    triangle on the reference monomials.
+
+    Parameters
+    ----------
+    verts : (m, 3, 2) array
+    signs : (m, 3) array
+        Global orientation sign of the edge opposite each vertex.
+
+    Returns
+    -------
+    coef : (m, 9, 6, 2)
+        ``coef[:, a, s]`` is the vector multiplying value monomial s in
+        basis function a.
+    gcoef : (m, 9, 4, 2, 2)
+        ``gcoef[:, a, t, r, c]`` multiplies gradient monomial t in the
+        derivative of component r of basis function a along x_c.
+    """
+    m = verts.shape[0]
+    _, geta, lens, nout = triangle_geometry(verts)
+    ng = signs[..., None] * nout
+    coef = np.zeros((m, 9, 6, 2))
+    gcoef = np.zeros((m, 9, 4, 2, 2))
+
+    # The bubble on edge j is (6 / |e_j|) eta_a eta_b n_j, of unit flux;
+    # its gradient is the bubble vector times eta_b grad eta_a + eta_a
+    # grad eta_b.
+    bubble = (6.0 / lens)[..., None] * ng
+    coef[:, 6 + _EDGES, 3 + _EDGES] = bubble
+    outer = bubble[:, :, None, :, None] * geta[:, None, :, None, :]  # (m, j, l, r, c)
+    gcoef[:, 6 + _BUBBLE_EDGE, 1 + _BUBBLE_ETA] = outer[:, _BUBBLE_EDGE, _BUBBLE_GRAD]
+
+    # Vertex functions carry a bubble correction on their two adjacent
+    # edges so that their edge fluxes vanish and the DOF matrix is the
+    # identity: component c of vertex i loses (|e_j| / 2) n_j[c] times
+    # bubble j.
+    vertex_dofs = np.arange(6)
+    coef[:, vertex_dofs, vertex_dofs // 2, vertex_dofs % 2] = 1.0
+    gcoef[:, vertex_dofs, 0, vertex_dofs % 2] = geta[:, vertex_dofs // 2]
+    # corr[:, 2 i + c, j]: the multiple of bubble j in vertex function (i, c).
+    corr = -0.5 * (lens[:, None, :] * ng.transpose(0, 2, 1))[:, None] * _ADJACENT[:, None, :]
+    corr = corr.reshape(m, 6, 3)
+    coef[:, :6, 3:] = (corr @ coef[:, 6:, 3:].reshape(m, 3, 6)).reshape(m, 6, 3, 2)
+    gcoef[:, :6, 1:] = (corr @ gcoef[:, 6:, 1:].reshape(m, 3, 12)).reshape(m, 6, 3, 2, 2)
+    return coef, gcoef
+
+
+def br_values(coef, bary):
+    """Basis values from value coefficients: (m, 9, 6, 2) coefficients at
+    shared (nq, 3) or per-triangle (m, nq, 3) points -> (m, 9, nq, 2)."""
+    return value_monomials(bary)[..., None, :, :] @ coef
+
+
 def br_basis(verts, signs, bary):
     """Evaluate the nine Bernardi-Raugel basis functions on each triangle.
 
@@ -212,45 +302,10 @@ def br_basis(verts, signs, bary):
     grads : (m, 9, nq, 2, 2)
         ``grads[..., r, c]`` is the derivative of component r along x_c.
     """
-    m = verts.shape[0]
-    bary = np.asarray(bary, dtype=float)
-    if bary.ndim == 2:
-        bary = np.broadcast_to(bary[None], (m,) + bary.shape)
-    nq = bary.shape[1]
-    _, geta, lens, nout = triangle_geometry(verts)
-    ng = signs[..., None] * nout
-
-    vals = np.zeros((m, 9, nq, 2))
-    grads = np.zeros((m, 9, nq, 2, 2))
-
-    for i in range(3):
-        a, b = (i + 1) % 3, (i + 2) % 3
-        sc = 6.0 / lens[:, i]
-        blob = bary[:, :, a] * bary[:, :, b]
-        vals[:, 6 + i] = sc[:, None, None] * blob[..., None] * ng[:, i][:, None, :]
-        gblob = (
-            bary[:, :, b, None] * geta[:, None, a, :]
-            + bary[:, :, a, None] * geta[:, None, b, :]
-        )
-        grads[:, 6 + i] = (
-            sc[:, None, None, None] * ng[:, i][:, None, :, None] * gblob[:, :, None, :]
-        )
-
-    # Vertex functions carry a bubble correction on their two adjacent
-    # edges so that their edge fluxes vanish and the DOF matrix is the
-    # identity.
-    for i in range(3):
-        for c in range(2):
-            k = 2 * i + c
-            vals[:, k, :, c] = bary[:, :, i]
-            grads[:, k, :, c, :] = geta[:, None, i, :]
-            for j in range(3):
-                if j == i:
-                    continue
-                coef = 0.5 * lens[:, j] * ng[:, j, c]
-                vals[:, k] -= coef[:, None, None] * vals[:, 6 + j]
-                grads[:, k] -= coef[:, None, None, None] * grads[:, 6 + j]
-    return vals, grads
+    coef, gcoef = br_coefficients(verts, signs)
+    m = coef.shape[0]
+    grads = gradient_monomials(bary)[..., None, :, :] @ gcoef.reshape(m, 9, 4, 4)
+    return br_values(coef, bary), grads.reshape(grads.shape[:3] + (2, 2))
 
 
 def rt0_basis(verts, signs, pts):

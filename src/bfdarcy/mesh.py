@@ -14,6 +14,7 @@ the edge opposite local vertex ``i`` coincides with the outward normal of
 ``t`` and -1 otherwise.
 """
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -420,6 +421,83 @@ def save_mesh(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
+# Indices written as decimal numbers of at most 18 digits: np.fromstring
+# reads them in one call with the values int() gives, and none overflows.
+_PLAIN_INDICES = re.compile(r"-?[0-9]{1,18}(?: -?[0-9]{1,18})*")
+
+# Joins the lines of a block into one string to split; a NUL is no
+# whitespace, so it stays a token of its own between two lines.
+_LINE_BREAK = "\x00"
+
+
+def _tokens(lines, width):
+    """The whitespace-separated tokens of ``lines``, line after line, or
+    None when some line holds another number of tokens than ``width``."""
+    n = len(lines)
+    tokens = f" {_LINE_BREAK} ".join(lines).split()
+    # n - 1 breaks, every (width + 1)-th token: no line holds a break token
+    # of its own, so the breaks lie between lines and each line holds
+    # exactly ``width`` tokens.
+    if n and (
+        len(tokens) != n * (width + 1) - 1
+        or tokens.count(_LINE_BREAK) != n - 1
+        or tokens[width :: width + 1].count(_LINE_BREAK) != n - 1
+    ):
+        return None
+    del tokens[width :: width + 1]
+    return tokens
+
+
+def _indexed_lines(lines, width, names):
+    """Parse lines of ``width - 1`` integers and one name from ``names``:
+    the (n, width - 1) int array and the (n,) str array of names, or None
+    when some line does not parse that way."""
+    tokens = _tokens(lines, width)
+    if tokens is None:
+        return None
+    last = tokens[width - 1 :: width]
+    if not set(last) <= set(names):
+        return None
+    del tokens[width - 1 :: width]
+    text = " ".join(tokens)
+    try:
+        if _PLAIN_INDICES.fullmatch(text):
+            index = np.fromstring(text, dtype=int, sep=" ")
+        else:
+            index = np.fromiter(map(int, tokens), dtype=int, count=len(tokens))
+    except (ValueError, OverflowError):
+        return None
+    return index.reshape(len(lines), width - 1), np.array(last, dtype=str)
+
+
+def _raise_at_bad_triangle_line(lines):
+    """Raise the error of the first triangle line that does not parse."""
+    for r, ln in enumerate(lines):
+        tok = ln.split()
+        if len(tok) != 4 or tok[3] not in SUBDOMAIN_TAGS:
+            raise MeshFormatError(f"triangle line {r}: expected 'i j k B|D', got {ln!r}")
+        try:
+            index = [int(tok[0]), int(tok[1]), int(tok[2])]
+        except ValueError as exc:
+            raise MeshFormatError(f"triangle line {r}: bad vertex index in {ln!r}") from exc
+        # an index beyond the int range raises OverflowError, as storing it does
+        np.array(index, dtype=int)
+
+
+def _raise_at_bad_edge_line(lines, nv):
+    """Raise the error of the first edge line that does not parse."""
+    for r, ln in enumerate(lines):
+        tok = ln.split()
+        if len(tok) != 3 or tok[2] not in BOUNDARY_TAGS:
+            raise MeshFormatError(f"edge line {r}: expected 'i j TAG', got {ln!r}")
+        try:
+            i, j = int(tok[0]), int(tok[1])
+        except ValueError as exc:
+            raise MeshFormatError(f"edge line {r}: bad vertex index in {ln!r}") from exc
+        if not (0 <= i < nv and 0 <= j < nv) or i == j:
+            raise MeshFormatError(f"edge line {r}: vertex index out of range")
+
+
 def load_mesh(path):
     """Read a mesh in the ASCII v1 format and validate conformity.
 
@@ -435,8 +513,7 @@ def load_mesh(path):
         boundary tags missing or on interior edges.
     """
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln]
+        lines = list(filter(None, map(str.strip, fh)))
     if not lines or lines[0] != FORMAT_HEADER:
         raise MeshFormatError(f"not a {FORMAT_HEADER!r} file: bad header")
     try:
@@ -450,39 +527,40 @@ def load_mesh(path):
             f"expected {2 + nv + nt + ne} lines for NV={nv} NT={nt} NE={ne}, got {len(lines)}"
         )
 
+    vertex_lines = lines[2 : 2 + nv]
+    triangle_lines = lines[2 + nv : 2 + nv + nt]
+    edge_lines = lines[2 + nv + nt :]
+
+    tokens = _tokens(vertex_lines, 2)
     try:
-        vertices = np.array(
-            [[float(t) for t in ln.split()] for ln in lines[2 : 2 + nv]], dtype=float
-        ).reshape(nv, 2)
+        if tokens is None:
+            raise ValueError("a vertex line without two tokens")
+        vertices = np.fromiter(map(float, tokens), dtype=float, count=2 * nv).reshape(nv, 2)
     except ValueError as exc:
         raise MeshFormatError("vertex lines must hold two floats: x y") from exc
 
-    triangles = np.empty((nt, 3), dtype=int)
-    subdomain = np.empty(nt, dtype="<U1")
-    for r, ln in enumerate(lines[2 + nv : 2 + nv + nt]):
-        tok = ln.split()
-        if len(tok) != 4 or tok[3] not in SUBDOMAIN_TAGS:
-            raise MeshFormatError(f"triangle line {r}: expected 'i j k B|D', got {ln!r}")
-        try:
-            triangles[r] = [int(tok[0]), int(tok[1]), int(tok[2])]
-        except ValueError as exc:
-            raise MeshFormatError(f"triangle line {r}: bad vertex index in {ln!r}") from exc
-        subdomain[r] = tok[3]
+    parsed = _indexed_lines(triangle_lines, 4, SUBDOMAIN_TAGS)
+    if parsed is None:
+        _raise_at_bad_triangle_line(triangle_lines)
+    triangles, subdomain = parsed[0], parsed[1].astype("<U1")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
         raise MeshFormatError("triangle vertex index out of range")
 
-    tags = {}
-    for r, ln in enumerate(lines[2 + nv + nt :]):
-        tok = ln.split()
-        if len(tok) != 3 or tok[2] not in BOUNDARY_TAGS:
-            raise MeshFormatError(f"edge line {r}: expected 'i j TAG', got {ln!r}")
-        try:
-            i, j = int(tok[0]), int(tok[1])
-        except ValueError as exc:
-            raise MeshFormatError(f"edge line {r}: bad vertex index in {ln!r}") from exc
-        if not (0 <= i < nv and 0 <= j < nv) or i == j:
-            raise MeshFormatError(f"edge line {r}: vertex index out of range")
-        tags[(min(i, j), max(i, j))] = tok[2]
+    parsed = _indexed_lines(edge_lines, 3, BOUNDARY_TAGS)
+    if parsed is None:
+        _raise_at_bad_edge_line(edge_lines, nv)
+    pairs, names = parsed
+    outside = ((pairs < 0) | (pairs >= nv)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
+    if outside.any():
+        raise MeshFormatError(f"edge line {int(np.argmax(outside))}: vertex index out of range")
+    # An edge tagged twice keeps its last tag, listed where it first appears.
+    pairs = np.sort(pairs, axis=1)
+    keys = pairs[:, 0] * nv + pairs[:, 1]
+    _, first = np.unique(keys, return_index=True)
+    _, last = np.unique(keys[::-1], return_index=True)
+    order = np.argsort(first)
+    tag_pairs = pairs[first[order]]
+    tag_names = names[keys.size - 1 - last[order]]
 
     areas = _signed_areas(vertices, triangles)
     if np.any(areas <= 0.0):
@@ -491,8 +569,6 @@ def load_mesh(path):
             f"negative area in triangle {bad}; vertices must be counterclockwise"
         )
 
-    tag_pairs = np.array(list(tags), dtype=int).reshape(-1, 2)
-    tag_names = np.array(list(tags.values()), dtype=str)
     mesh = _build_topology(vertices, triangles, subdomain, tag_pairs, tag_names)
     _validate_conformity(mesh)
     return mesh

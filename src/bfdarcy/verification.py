@@ -203,10 +203,14 @@ def compute_errors(fields, exact, report=None, degree=8):
     signs = mesh.tri_edge_signs[br.tri_ids]
     wq = 2.0 * mesh.areas[br.tri_ids][:, None] * rule.weights[None, :]
     pts = el.physical_points(verts, rule.bary)
-    phi, gphi = el.br_basis(verts, signs, rule.bary)
-    cu = u_B[br.l2g]
-    uh = np.einsum("ma,maqd->mqd", cu, phi)
-    guh = np.einsum("ma,maqij->mqij", cu, gphi)
+    # u_h and grad u_h on the reference monomials of each triangle, then
+    # at the points: no table of the nine basis functions is formed.
+    coef, gcoef = el.br_coefficients(verts, signs)
+    cu = u_B[br.l2g][:, None, :]
+    m = cu.shape[0]
+    uh = el.value_monomials(rule.bary) @ (cu @ coef.reshape(m, 9, 12)).reshape(m, 6, 2)
+    guh = el.gradient_monomials(rule.bary) @ (cu @ gcoef.reshape(m, 9, 16)).reshape(m, 4, 4)
+    guh = guh.reshape(m, -1, 2, 2)
     flat = pts.reshape(-1, 2)
     du = uh - np.asarray(exact.u_B(flat)).reshape(uh.shape)
     dgu = guh - np.asarray(exact.grad_u_B(flat)).reshape(guh.shape)

@@ -38,8 +38,16 @@ from bfdarcy.assembly import (
     zero_vector,
 )
 
+from test_elements import loop_br_basis
+
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
+
+
+def oracle_tables(ws):
+    """The Brinkman basis values and gradients at the workspace's points,
+    from the loop oracle rather than the workspace's coefficients."""
+    return loop_br_basis(ws.verts_B, ws.signs_B, ws.rule.bary)
 
 
 def setup(nx=4, ny_B=2, ny_D=2):
@@ -397,8 +405,10 @@ def test_operator_matches_a_coo_sum_of_element_matrices(mixed):
         (l2g_D[:, :, None], l2g_D[:, None, :], loc_D),
     ])
     nrm = iface.normal
+    _, gphi = oracle_tables(ws)
+    div_phi = gphi[..., 0, 0] + gphi[..., 1, 1]
     half = [
-        (ws.p_dof_B[:, None], l2g_B, -np.einsum("maq,mq->ma", ws.div_phi, ws.wq_B)),
+        (ws.p_dof_B[:, None], l2g_B, -np.einsum("maq,mq->ma", div_phi, ws.wq_B)),
         (ws.p_dof_D[:, None], l2g_D, -ws.div_psi * ws.area_D[:, None]),
         (ws.snodes[:, None, :], ws.sl2g_B[:, :, None],
          np.einsum("maqd,d,mqj,mq->maj", ws.sphi, nrm, ws.shat, ws.swts)),
@@ -476,7 +486,7 @@ def einsum_kernels(w, params, ws):
     element matrices on D, the Newton rhs correction on B, the nonlinear
     action on B and D, and where the iterate is below SPEED_FLOOR."""
     F, p = params.forchheimer, params.power
-    phi, gphi, psi, wq_B, wq_D = ws.phi, ws.gphi, ws.psi, ws.wq_B, ws.wq_D
+    (phi, gphi), psi, wq_B, wq_D = oracle_tables(ws), ws.psi, ws.wq_B, ws.wq_D
     kinv_B, kinv_D = ws.kinv_B(params), ws.kinv_D(params)
     cw = w[: ws.dofmap.n_uB][ws.dofmap.br.l2g]
     cd = w[ws.dofmap.off_uD : ws.dofmap.off_uD + ws.dofmap.n_uD][ws.dofmap.rt.l2g]

@@ -17,13 +17,16 @@ from bfdarcy import (
     project_p0,
     quad_rule,
 )
+from bfdarcy.assembly import _edge_bary
 from bfdarcy.elements import (
     _GAUSS_JACOBI_1_0,
     br_basis,
+    br_coefficients,
     br_space,
     physical_points,
     rt0_basis,
     rt0_space,
+    triangle_geometry,
 )
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
@@ -145,6 +148,104 @@ def edge_flux_functionals(verts, vector_field_at):
         vals = vector_field_at(pts)
         fluxes[j] = np.linalg.norm(b - a) * np.einsum("q,qd,d->", w, vals, nrm)
     return fluxes
+
+
+def loop_br_basis(verts, signs, bary):
+    """Oracle of ``br_basis``: the nine Bernardi-Raugel functions and their
+    gradients filled in point by point, one whole-array pass per bubble
+    and per vertex correction, with the returns of ``br_basis``."""
+    m = verts.shape[0]
+    bary = np.asarray(bary, dtype=float)
+    if bary.ndim == 2:
+        bary = np.broadcast_to(bary[None], (m,) + bary.shape)
+    nq = bary.shape[1]
+    _, geta, lens, nout = triangle_geometry(verts)
+    ng = signs[..., None] * nout
+
+    vals = np.zeros((m, 9, nq, 2))
+    grads = np.zeros((m, 9, nq, 2, 2))
+
+    for i in range(3):
+        a, b = (i + 1) % 3, (i + 2) % 3
+        sc = 6.0 / lens[:, i]
+        blob = bary[:, :, a] * bary[:, :, b]
+        vals[:, 6 + i] = sc[:, None, None] * blob[..., None] * ng[:, i][:, None, :]
+        gblob = (
+            bary[:, :, b, None] * geta[:, None, a, :]
+            + bary[:, :, a, None] * geta[:, None, b, :]
+        )
+        grads[:, 6 + i] = (
+            sc[:, None, None, None] * ng[:, i][:, None, :, None] * gblob[:, :, None, :]
+        )
+
+    for i in range(3):
+        for c in range(2):
+            k = 2 * i + c
+            vals[:, k, :, c] = bary[:, :, i]
+            grads[:, k, :, c, :] = geta[:, None, i, :]
+            for j in range(3):
+                if j == i:
+                    continue
+                coef = 0.5 * lens[:, j] * ng[:, j, c]
+                vals[:, k] -= coef[:, None, None] * vals[:, 6 + j]
+                grads[:, k] -= coef[:, None, None, None] * grads[:, 6 + j]
+    return vals, grads
+
+
+def oracle_mesh():
+    """A crisscross mesh whose interior vertices are moved off the grid, so
+    the triangles have no common shape and edge signs of both kinds."""
+    mesh = small_mesh(nx=6, ny_B=3, ny_D=3, pattern="crisscross")
+    tagged = mesh.edges[mesh.edge_tags != ""].ravel()
+    inner = np.setdiff1d(np.arange(mesh.num_vertices), tagged)
+    vertices = mesh.vertices.copy()
+    vertices[inner] += np.random.default_rng(17).uniform(-0.04, 0.04, size=(inner.size, 2))
+    return vertices[mesh.triangles], mesh.tri_edge_signs, mesh
+
+
+def assert_tables_match(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("degree", range(1, 11))
+def test_br_basis_matches_the_loop_oracle_on_every_rule(degree):
+    verts, signs, _ = oracle_mesh()
+    bary = quad_rule(degree).bary
+    assert_tables_match(br_basis(verts, signs, bary), loop_br_basis(verts, signs, bary))
+
+
+def test_br_basis_matches_the_loop_oracle_at_per_triangle_edge_points():
+    # Edge points in the local vertex order of each incident triangle, as
+    # the interface and natural boundary tables evaluate the basis.
+    verts, signs, mesh = oracle_mesh()
+    tri = np.concatenate([mesh.edge_tris[:, 0], mesh.edge_tris[mesh.edge_tris[:, 1] >= 0, 1]])
+    edges = np.concatenate([mesh.edges, mesh.edges[mesh.edge_tris[:, 1] >= 0]])
+    bary = _edge_bary(mesh, edges, tri, 5)
+    assert bary.shape == (tri.size, 5, 3)
+    assert_tables_match(
+        br_basis(verts[tri], signs[tri], bary), loop_br_basis(verts[tri], signs[tri], bary)
+    )
+
+
+def test_br_coefficients_are_polynomial_coefficients():
+    # Monomial 3 + j is the bubble product of edge j, and the gradient
+    # coefficients of a vertex function's P1 part sit on the monomial 1.
+    verts, signs, _ = oracle_mesh()
+    coef, gcoef = br_coefficients(verts, signs)
+    assert coef.shape == (verts.shape[0], 9, 6, 2)
+    assert gcoef.shape == (verts.shape[0], 9, 4, 2, 2)
+    np.testing.assert_array_equal(coef[:, 6:, :3], 0.0)
+    np.testing.assert_array_equal(gcoef[:, 6:, 0], 0.0)
+    for j in range(3):
+        others = [s for s in range(3, 6) if s != 3 + j]
+        np.testing.assert_array_equal(coef[:, 6 + j, others], 0.0)
+        np.testing.assert_array_equal(gcoef[:, 6 + j, 1 + j], 0.0)
+    _, geta, _, _ = triangle_geometry(verts)
+    for k in range(6):
+        np.testing.assert_array_equal(coef[:, k, k // 2, k % 2], 1.0)
+        np.testing.assert_array_equal(gcoef[:, k, 0, k % 2], geta[:, k // 2])
 
 
 @settings(max_examples=30, deadline=None)

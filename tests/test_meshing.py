@@ -324,6 +324,41 @@ def test_load_rejects_unknown_edge_tag(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "block, edits, message",
+    [
+        ("triangle", {3: "0 1 x B", 5: "0 1 2 X"}, "triangle line 3: bad vertex index in '0 1 x B'"),
+        ("triangle", {3: "0 1 2", 5: "0 1 x B"}, "triangle line 3: expected 'i j k B|D', got '0 1 2'"),
+        ("triangle", {2: "0\t1  2 B", 4: "0 1 2 B D"}, "triangle line 4: expected 'i j k B|D'"),
+        ("edge", {1: "0 9999 GD_BOTTOM", 4: "0 1"}, "edge line 1: vertex index out of range"),
+        ("edge", {1: "0 1 GD_BOTTOM", 4: "0 x GD_BOTTOM"}, "edge line 4: bad vertex index in '0 x GD_BOTTOM'"),
+        ("edge", {2: "3 3 GD_BOTTOM"}, "edge line 2: vertex index out of range"),
+    ],
+)
+def test_load_names_the_first_bad_line_of_a_block(tmp_path, block, edits, message):
+    mesh = small_mesh()
+    lines, path = lines_of(mesh, tmp_path)
+    start = 2 + mesh.num_vertices + (mesh.num_triangles if block == "edge" else 0)
+    for r, text in edits.items():
+        lines[start + r] = text
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(rewrite(path, lines))
+    assert str(info.value).startswith(message)
+
+
+def test_load_keeps_the_last_tag_of_an_edge_tagged_twice(tmp_path):
+    mesh = small_mesh()
+    lines, path = lines_of(mesh, tmp_path)
+    nv, nt, ne = (int(t) for t in lines[1].split())
+    i, j, tag = lines[-1].split()
+    # The same edge, reversed and with another tag, ahead of its own line.
+    lines.insert(2 + nv + nt, f"{j} {i} GB_TOP")
+    lines[1] = f"{nv} {nt} {ne + 1}"
+    back = load_mesh(rewrite(path, lines))
+    for name in ("vertices", "triangles", "subdomain", "edges", "edge_tags", "edge_tris"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(mesh, name))
+
+
+@pytest.mark.parametrize(
     "body", [["0 0 0"], ["3 0 0", "0 0", "1 0", "0 1"]], ids=["empty", "vertices-only"]
 )
 def test_load_rejects_a_mesh_without_triangles(tmp_path, body):

@@ -28,8 +28,10 @@ from bfdarcy import (
     pressure_mean,
     save_mesh,
 )
+from bfdarcy.elements import br_coefficients, physical_points, quad_rule
 from bfdarcy.solver import Discretization
 from bfdarcy.verification import CSV_HEADER, compute_errors
+from test_elements import loop_br_basis
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
@@ -220,6 +222,31 @@ def test_compute_errors_report_content():
     assert err.e_lam_l2 < err.e_lam < err.e_lam_h1
 
 
+def table_error_uB(fields, exact, degree=8):
+    """The H1 error of u_B from tables of the nine basis functions at every
+    point, the loop oracle's, summed point by point."""
+    mesh, br = fields.mesh, fields.dofmap.br
+    rule = quad_rule(degree)
+    verts = mesh.vertices[mesh.triangles[br.tri_ids]]
+    phi, gphi = loop_br_basis(verts, mesh.tri_edge_signs[br.tri_ids], rule.bary)
+    wq = 2.0 * mesh.areas[br.tri_ids][:, None] * rule.weights[None, :]
+    pts = physical_points(verts, rule.bary).reshape(-1, 2)
+    cu = fields.u_B[br.l2g]
+    du = np.einsum("ma,maqd->mqd", cu, phi) - exact.u_B(pts).reshape(wq.shape + (2,))
+    dgu = np.einsum("ma,maqij->mqij", cu, gphi) - exact.grad_u_B(pts).reshape(wq.shape + (2, 2))
+    return np.sqrt(
+        np.einsum("mqd,mqd,mq->", du, du, wq) + np.einsum("mqij,mqij,mq->", dgu, dgu, wq)
+    )
+
+
+@pytest.mark.parametrize("nx", [8, 16])
+def test_brinkman_error_matches_the_table_oracle(nx):
+    fields, report, exact, _ = solve_manufactured(nx)
+    for degree in (8, 10):
+        got = compute_errors(fields, exact, report, degree=degree).e_uB
+        assert got == pytest.approx(table_error_uB(fields, exact, degree), rel=1e-12, abs=0)
+
+
 def test_error_norms_do_not_depend_on_the_rule_beyond_degree_8():
     fields, report, exact, _ = solve_manufactured(4)
     err8 = compute_errors(fields, exact, report, degree=8)
@@ -294,6 +321,35 @@ def test_solution_invariants_on_a_manufactured_run():
     assert abs(pressure_mean(fields)) < 1e-10
     assert interface_flux_residual(fields) < 1e-12
     assert divergence_residual(fields, data) < 1e-10
+
+
+def brinkman_divergence(fields):
+    """max over Brinkman triangles of |integral of div u_B,h|, from the
+    gradient coefficients: the monomials (1, eta_0, eta_1, eta_2)
+    integrate to |T| (1, 1/3, 1/3, 1/3)."""
+    mesh, br = fields.mesh, fields.dofmap.br
+    tri = br.tri_ids
+    _, gcoef = br_coefficients(mesh.vertices[mesh.triangles[tri]], mesh.tri_edge_signs[tri])
+    trace = gcoef[..., 0, 0] + gcoef[..., 1, 1]
+    integrals = mesh.areas[tri][:, None] * (trace @ np.array([1.0, 1 / 3, 1 / 3, 1 / 3]))
+    return np.abs(np.einsum("ma,ma->m", fields.u_B[br.l2g], integrals)).max()
+
+
+@pytest.mark.parametrize(
+    "case", ["study nx=8", "study nx=32", "channel F=0", "channel F=1e3", "channel F=1e4"]
+)
+def test_brinkman_velocity_is_divergence_free_on_every_triangle(case):
+    # The Brinkman pressure rows hold (q, div u_B) = 0 for every piecewise
+    # constant q, so each triangle's divergence integral vanishes.
+    kind, value = case.split(" ")
+    if kind == "study":
+        fields, _, _, _ = solve_manufactured(int(value.split("=")[1]))
+    else:
+        params, data, (rect_B, rect_D) = heterogeneous_flow_problem(float(value.split("=")[1]))
+        mesh = generate_stacked_rect(rect_B, rect_D, 32, 16, 16)
+        fields, report = newton_solve(mesh, params, data)
+        assert report.converged
+    assert brinkman_divergence(fields) <= 1e-12 * np.abs(fields.u_B).max()
 
 
 @pytest.mark.parametrize("degree, bound", [(8, 1e-12), (4, 1e-8)])
