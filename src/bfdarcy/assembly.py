@@ -444,9 +444,10 @@ class Workspace:
         # Brinkman traces: the nine basis functions of the incident B
         # triangle at the edge points.
         bary = _edge_bary(mesh, iface.edge_verts, iface.tri_B, EDGE_POINTS)
-        self.sphi, _ = el.br_basis(
-            mesh.vertices[mesh.triangles[iface.tri_B]], mesh.tri_edge_signs[iface.tri_B], bary
+        coef, _ = el.br_coefficients(
+            mesh.vertices[mesh.triangles[iface.tri_B]], mesh.tri_edge_signs[iface.tri_B]
         )
+        self.sphi = el.br_values(coef, bary)
         self.sl2g_B = dof.br.l2g[np.searchsorted(dof.br.tri_ids, iface.tri_B)]
 
         self.spsi, _ = el.rt0_basis(
@@ -487,7 +488,7 @@ class Workspace:
             verts, signs = mesh.vertices[mesh.triangles[tri]], mesh.tri_edge_signs[tri]
             if tag in GAMMA_B_TAGS:
                 bary = _edge_bary(mesh, mesh.edges[eids], tri, EDGE_POINTS)
-                basis, _ = el.br_basis(verts, signs, bary)
+                basis = el.br_values(el.br_coefficients(verts, signs)[0], bary)
                 l2g = dof.br.l2g[np.searchsorted(dof.br.tri_ids, tri)]
             else:
                 psi, _ = el.rt0_basis(verts, signs, pts)

@@ -14,7 +14,6 @@ the edge opposite local vertex ``i`` coincides with the outward normal of
 ``t`` and -1 otherwise.
 """
 
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -421,10 +420,6 @@ def save_mesh(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
-# Indices written as decimal numbers of at most 18 digits: np.fromstring
-# reads them in one call with the values int() gives, and none overflows.
-_PLAIN_INDICES = re.compile(r"-?[0-9]{1,18}(?: -?[0-9]{1,18})*")
-
 # Joins the lines of a block into one string to split; a NUL is no
 # whitespace, so it stays a token of its own between two lines.
 _LINE_BREAK = "\x00"
@@ -448,26 +443,21 @@ def _tokens(lines, width):
     return tokens
 
 
-def _indexed_lines(lines, width, names):
-    """Parse lines of ``width - 1`` integers and one name from ``names``:
-    the (n, width - 1) int array and the (n,) str array of names, or None
-    when some line does not parse that way."""
-    tokens = _tokens(lines, width)
+def _triangle_block(lines):
+    """The (n, 3) vertex indices and (n,) subdomain tags of the triangle
+    lines, or None when some line does not parse that way."""
+    tokens = _tokens(lines, 4)
     if tokens is None:
         return None
-    last = tokens[width - 1 :: width]
-    if not set(last) <= set(names):
+    tags = tokens[3::4]
+    if not set(tags) <= set(SUBDOMAIN_TAGS):
         return None
-    del tokens[width - 1 :: width]
-    text = " ".join(tokens)
+    del tokens[3::4]
     try:
-        if _PLAIN_INDICES.fullmatch(text):
-            index = np.fromstring(text, dtype=int, sep=" ")
-        else:
-            index = np.fromiter(map(int, tokens), dtype=int, count=len(tokens))
+        index = np.fromiter(map(int, tokens), dtype=int, count=len(tokens))
     except (ValueError, OverflowError):
         return None
-    return index.reshape(len(lines), width - 1), np.array(last, dtype=str)
+    return index.reshape(len(lines), 3), np.array(tags, dtype="<U1")
 
 
 def _raise_at_bad_triangle_line(lines):
@@ -482,20 +472,6 @@ def _raise_at_bad_triangle_line(lines):
             raise MeshFormatError(f"triangle line {r}: bad vertex index in {ln!r}") from exc
         # an index beyond the int range raises OverflowError, as storing it does
         np.array(index, dtype=int)
-
-
-def _raise_at_bad_edge_line(lines, nv):
-    """Raise the error of the first edge line that does not parse."""
-    for r, ln in enumerate(lines):
-        tok = ln.split()
-        if len(tok) != 3 or tok[2] not in BOUNDARY_TAGS:
-            raise MeshFormatError(f"edge line {r}: expected 'i j TAG', got {ln!r}")
-        try:
-            i, j = int(tok[0]), int(tok[1])
-        except ValueError as exc:
-            raise MeshFormatError(f"edge line {r}: bad vertex index in {ln!r}") from exc
-        if not (0 <= i < nv and 0 <= j < nv) or i == j:
-            raise MeshFormatError(f"edge line {r}: vertex index out of range")
 
 
 def load_mesh(path):
@@ -539,28 +515,25 @@ def load_mesh(path):
     except ValueError as exc:
         raise MeshFormatError("vertex lines must hold two floats: x y") from exc
 
-    parsed = _indexed_lines(triangle_lines, 4, SUBDOMAIN_TAGS)
+    parsed = _triangle_block(triangle_lines)
     if parsed is None:
         _raise_at_bad_triangle_line(triangle_lines)
-    triangles, subdomain = parsed[0], parsed[1].astype("<U1")
+    triangles, subdomain = parsed
     if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
         raise MeshFormatError("triangle vertex index out of range")
 
-    parsed = _indexed_lines(edge_lines, 3, BOUNDARY_TAGS)
-    if parsed is None:
-        _raise_at_bad_edge_line(edge_lines, nv)
-    pairs, names = parsed
-    outside = ((pairs < 0) | (pairs >= nv)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
-    if outside.any():
-        raise MeshFormatError(f"edge line {int(np.argmax(outside))}: vertex index out of range")
-    # An edge tagged twice keeps its last tag, listed where it first appears.
-    pairs = np.sort(pairs, axis=1)
-    keys = pairs[:, 0] * nv + pairs[:, 1]
-    _, first = np.unique(keys, return_index=True)
-    _, last = np.unique(keys[::-1], return_index=True)
-    order = np.argsort(first)
-    tag_pairs = pairs[first[order]]
-    tag_names = names[keys.size - 1 - last[order]]
+    tags = {}
+    for r, ln in enumerate(edge_lines):
+        tok = ln.split()
+        if len(tok) != 3 or tok[2] not in BOUNDARY_TAGS:
+            raise MeshFormatError(f"edge line {r}: expected 'i j TAG', got {ln!r}")
+        try:
+            i, j = int(tok[0]), int(tok[1])
+        except ValueError as exc:
+            raise MeshFormatError(f"edge line {r}: bad vertex index in {ln!r}") from exc
+        if not (0 <= i < nv and 0 <= j < nv) or i == j:
+            raise MeshFormatError(f"edge line {r}: vertex index out of range")
+        tags[(min(i, j), max(i, j))] = tok[2]
 
     areas = _signed_areas(vertices, triangles)
     if np.any(areas <= 0.0):
@@ -569,6 +542,8 @@ def load_mesh(path):
             f"negative area in triangle {bad}; vertices must be counterclockwise"
         )
 
+    tag_pairs = np.array(list(tags), dtype=int).reshape(-1, 2)
+    tag_names = np.array(list(tags.values()), dtype=str)
     mesh = _build_topology(vertices, triangles, subdomain, tag_pairs, tag_names)
     _validate_conformity(mesh)
     return mesh

@@ -38,7 +38,7 @@ from bfdarcy.assembly import (
     zero_vector,
 )
 
-from test_elements import loop_br_basis
+from br_oracle import loop_br_basis
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)

@@ -31,7 +31,7 @@ from bfdarcy import (
 from bfdarcy.elements import br_coefficients, physical_points, quad_rule
 from bfdarcy.solver import Discretization
 from bfdarcy.verification import CSV_HEADER, compute_errors
-from test_elements import loop_br_basis
+from br_oracle import loop_br_basis
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
