@@ -365,24 +365,24 @@ class Workspace:
     the reference monomials (``coef_B``, ``gcoef_B``, see
     ``elements.br_coefficients``) and the basis values at the quadrature
     points (``phi``), which the Forchheimer terms and the loads integrate
-    against.  The gradient blocks (stiffness, pressure coupling, the
-    viscous part of ``assemble_a_nonlinear``) use the coefficients with
-    ``grad_gram``, the 4x4 Gram sum_q w_q b_s b_t of the gradient monomials
-    on the reference rule; the element weights are 2 |T| times the rule's.
-    On the Darcy triangles it keeps the Raviart-Thomas tables ``psi`` and
-    ``div_psi``.
+    against.  The gradient blocks (stiffness and the viscous part of
+    ``assemble_a_nonlinear``) use the coefficients with ``grad_gram``,
+    the 4x4 Gram sum_q w_q b_s b_t of the gradient monomials on the
+    reference rule; the element weights are 2 |T| times the rule's.
+    On the Darcy triangles it keeps the Raviart-Thomas table ``psi``.
 
     The spaces on a fixed mesh give an operator whose sparsity never
     changes, so the pattern is built once here.  Each velocity block has
     a slot array (``slots_B``, ``slots_D``) mapping its element entries to
     positions in the CSR ``data``; assembling is one ``np.bincount`` per
-    block.  The coupling block depends on the mesh alone, so its data
-    (``b_data``) is assembled here once, and its entries that are exactly
-    zero are left out of the pattern.  ``free`` lists the unconstrained
-    DOFs (the gauge scalar included), and ``apply_constraints`` gathers
-    the free-free submatrix and lifts the constrained columns with index
-    arrays built here.  The edge tables of the natural boundary terms are
-    kept per boundary tag in ``natural``.  ``degree`` is the degree of the
+    block.  The coupling block depends on the mesh alone and follows from
+    the degrees of freedom (``_coupling_entries``); its data (``b_data``)
+    is assembled here once, and the pattern holds its slots whose entries
+    sum to nonzero.  ``free`` lists the unconstrained DOFs (the gauge
+    scalar included), and ``apply_constraints`` gathers the free-free
+    submatrix and lifts the constrained columns with index arrays built
+    here.  The edge tables of the natural boundary terms are kept per
+    boundary tag in ``natural``.  ``degree`` is the degree of the
     triangle quadrature rule every integral is assembled on.
 
     Index and position arrays the per-iteration gathers use are 32-bit,
@@ -422,7 +422,7 @@ class Workspace:
         self.area_D = mesh.areas[td]
         self.qpts_D = el.physical_points(self.verts_D, rule.bary)
         self.wq_D = 2.0 * self.area_D[:, None] * rule.weights[None, :]
-        self.psi, self.div_psi = el.rt0_basis(self.verts_D, self.signs_D, self.qpts_D)
+        self.psi, _ = el.rt0_basis(self.verts_D, self.signs_D, self.qpts_D)
 
         self.p_dof_B = dofmap.off_p + tb
         self.p_dof_D = dofmap.off_p + td
@@ -432,8 +432,9 @@ class Workspace:
         self._build_pattern()
 
     def _build_interface_tables(self):
+        """Edge points, weights, Brinkman traces and global DOFs of the
+        interface edges, for the interface traction of ``assemble_rhs``."""
         iface, mesh, dof = self.interface, self.mesh, self.dofmap
-        ns = iface.num_edges
         t, w = el.edge_rule(EDGE_POINTS)
         eids = iface.edge_ids
         a = mesh.vertices[iface.edge_verts[:, 0]]
@@ -449,22 +450,6 @@ class Workspace:
         )
         self.sphi = el.br_values(coef, bary)
         self.sl2g_B = dof.br.l2g[np.searchsorted(dof.br.tri_ids, iface.tri_B)]
-
-        self.spsi, _ = el.rt0_basis(
-            mesh.vertices[mesh.triangles[iface.tri_D]],
-            mesh.tri_edge_signs[iface.tri_D],
-            self.spts,
-        )
-        self.sl2g_D = dof.off_uD + dof.rt.l2g[np.searchsorted(dof.rt.tri_ids, iface.tri_D)]
-
-        # Multiplier hats: each interface edge lies in macro edge k // 2
-        # and sees exactly the two hats of that macro edge's ends.
-        macro = np.arange(ns) // 2
-        xl = iface.nodes_x[macro]
-        xr = iface.nodes_x[macro + 1]
-        frac = (self.spts[..., 0] - xl[:, None]) / (xr - xl)[:, None]
-        self.shat = np.stack([1.0 - frac, frac], axis=2)  # (ns, nqe, 2)
-        self.snodes = dof.off_lam + np.stack([macro, macro + 1], axis=1)
 
     def _build_boundary_tables(self):
         """Edge points, weights, normals, basis traces and global DOFs of
@@ -501,37 +486,22 @@ class Workspace:
         n = dof.n_total
         l2g_B = dof.br.l2g
         l2g_D = dof.off_uD + dof.rt.l2g
-        # Coupling entries in the order of _coupling_entries: pressure
-        # rows against both velocities, then multiplier rows against both
-        # interface traces; the transposed entries follow.
-        coupling = [
-            np.broadcast_arrays(self.p_dof_B[:, None], l2g_B),
-            np.broadcast_arrays(self.p_dof_D[:, None], l2g_D),
-            np.broadcast_arrays(self.snodes[:, None, :], self.sl2g_B[:, :, None]),
-            np.broadcast_arrays(self.snodes[:, None, :], self.sl2g_D[:, :, None]),
-        ]
-        rows_b = np.concatenate([r.ravel() for r, _ in coupling])
-        cols_b = np.concatenate([c.ravel() for _, c in coupling])
-        rows_b, cols_b = np.concatenate([rows_b, cols_b]), np.concatenate([cols_b, rows_b])
-        # Coupling entries that are exactly zero, such as multiplier rows
-        # against x-components of Brinkman vertex functions on a
-        # horizontal interface, stay out of the pattern.
-        entries = _coupling_entries(self)
-        kept = entries != 0.0
-        blocks = [
-            np.broadcast_arrays(l2g_B[:, :, None], l2g_B[:, None, :]),
-            np.broadcast_arrays(l2g_D[:, :, None], l2g_D[:, None, :]),
-            (rows_b[kept], cols_b[kept]),
-        ]
-        keys = np.concatenate([r.ravel() * n + c.ravel() for r, c in blocks])
-        keys, slots = np.unique(keys, return_inverse=True)
+        # The coupling slots are those whose entries sum to nonzero: the
+        # middle vertex of a macro edge of two equally long edges meets
+        # neither of its hats.
+        rows_b, cols_b, vals_b = _coupling_entries(self)
+        keys_b, at = np.unique(rows_b * n + cols_b, return_inverse=True)
+        vals_b = np.bincount(at, vals_b)
+        kept = vals_b != 0.0
+        velocity = [(l2g[:, :, None] * n + l2g[:, None, :]).ravel() for l2g in (l2g_B, l2g_D)]
+        keys, slots = np.unique(np.concatenate(velocity + [keys_b[kept]]), return_inverse=True)
         rows, cols = np.divmod(keys, n)
         self.nnz = keys.size
         self.indices = cols.astype(np.intc)
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        sizes = np.cumsum([r.size for r, _ in blocks])
-        self.slots_B, self.slots_D, slots_b = np.split(slots.astype(np.intc), sizes[:-1])
-        self.b_data = self.scatter(slots_b, entries[kept])
+        sizes = np.cumsum([k.size for k in velocity])
+        self.slots_B, self.slots_D, slots_b = np.split(slots.astype(np.intc), sizes)
+        self.b_data = self.scatter(slots_b, vals_b[kept])
 
         is_free = np.ones(n, dtype=bool)
         is_free[dof.constrained] = False
@@ -738,23 +708,50 @@ def assemble_b(ws):
 
 
 def _coupling_entries(ws):
-    n = ws.interface.normal
-    # div phi_a at the points, from the trace of its gradient
-    # coefficients, integrated on the rule.  A vertex function's integral
-    # is zero in exact arithmetic, and whether its round-off comes out
-    # exactly zero decides whether it enters the pattern: summing point
-    # values keeps the pattern of the generated meshes.
-    trace = ws.gcoef_B[..., 0, 0] + ws.gcoef_B[..., 1, 1]
-    div_q = trace @ el.gradient_monomials(ws.rule.bary).T
-    ent_pB = -np.einsum("maq,mq->ma", div_q, ws.wq_B)
-    ent_pD = -ws.div_psi * ws.area_D[:, None]
-    tr_B = np.einsum("maqd,d->maq", ws.sphi, n)
-    hat = ws.swts[..., None] * ws.shat
-    ent_sB = tr_B @ hat  # (ns, 9, 2)
-    tr_D = np.einsum("maqd,d->maq", ws.spsi, n)
-    ent_sD = -tr_D @ hat  # (ns, 3, 2)
-    ent = np.concatenate([e.ravel() for e in (ent_pB, ent_pD, ent_sB, ent_sD)])
-    return np.concatenate([ent, ent])
+    """Rows, columns and values of the coupling block, both halves, from
+    the degrees of freedom; entries at one position add up.
+
+    Bubbles and RT0 functions carry unit flux through their own edge along
+    its global normal and vertex functions none, so a triangle's pressure
+    row holds -s, s the edge's orientation sign, on its three edge DOFs.
+    On interface edge a-b of length L, with eps = +-1 its global normal
+    against n = (0, -1) and h_a, h_b the two hats of its macro edge at a
+    and b, the multiplier rows hold +-eps (h_a + h_b) / 2 on the bubble
+    and the RT0 flux, and n_y L (h_a - h_b) / 12 and its negative on the
+    y-components at a and b: a vertex function's trace is its hat minus
+    three times the edge's bubble t (1 - t).
+    """
+    mesh, iface, dof = ws.mesh, ws.interface, ws.dofmap
+    br, rt = dof.br, dof.rt
+    p_rows = np.repeat(np.concatenate([ws.p_dof_B, ws.p_dof_D]), 3)
+    p_cols = np.concatenate([br.l2g[:, 6:], dof.off_uD + rt.l2g]).ravel()
+    p_vals = -np.concatenate([ws.signs_B, ws.signs_D]).ravel().astype(float)
+
+    # Both hats of each macro edge at its left, middle and right node; the
+    # interface is straight, so the middle values are length ratios.
+    eids = iface.edge_ids
+    L = mesh.edge_lengths[eids]
+    pairs = L.reshape(-1, 2)
+    middle = pairs[:, ::-1] / pairs.sum(axis=1, keepdims=True)
+    hats = np.stack(np.broadcast_arrays([1.0, 0.0], middle, [0.0, 1.0]), axis=1)
+    h_a, h_b = hats[:, :2].reshape(-1, 2), hats[:, 1:].reshape(-1, 2)
+    eps = np.where(mesh.edge_tris[eids, 0] == iface.tri_B, 1.0, -1.0)[:, None]
+    flux = eps * 0.5 * (h_a + h_b)
+    vertex = iface.normal[1] * L[:, None] * (h_a - h_b) / 12.0
+    s_vals = np.stack([flux, -flux, vertex, -vertex], axis=1)  # (ns, 4 columns, 2 hats)
+    y_a, y_b = 2 * br.vertex_local[iface.edge_verts.T] + 1
+    s_cols = np.stack(
+        [2 * br.vertex_ids.size + br.edge_local[eids], dof.off_uD + rt.edge_local[eids], y_a, y_b],
+        axis=1,
+    )
+    macro = np.arange(iface.num_edges) // 2
+    s_rows = dof.off_lam + np.stack([macro, macro + 1], axis=1)
+    s_rows, s_cols = np.broadcast_arrays(s_rows[:, None, :], s_cols[:, :, None])
+
+    rows = np.concatenate([p_rows, s_rows.ravel()])
+    cols = np.concatenate([p_cols, s_cols.ravel()])
+    vals = np.concatenate([p_vals, s_vals.ravel()])
+    return np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([vals, vals])
 
 
 def assemble_rhs(data, ws):

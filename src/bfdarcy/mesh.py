@@ -66,12 +66,16 @@ class Mesh:
         +1 where the global edge normal is outward for the triangle.
     edge_tags : (ne,) str array
         Boundary/interface tag, '' for untagged interior edges.
+    areas : (nt,) float array
+        Signed triangle areas.
+    edge_lengths : (ne,) float array
     h_B, h_D, h_Sigma : float
         Longest edge touching each region.
 
-    The unit edge normals of ``outward_normals`` are computed once, in
-    ``__post_init__``, and stored read-only; ``dataclasses.replace``
-    computes them anew for the copy.
+    The areas, edge lengths, mesh sizes and the read-only unit edge
+    normals of ``outward_normals`` follow from the fields above and are
+    computed in ``__post_init__``, so ``dataclasses.replace`` computes
+    them anew for the copy.
     """
 
     vertices: np.ndarray
@@ -82,17 +86,28 @@ class Mesh:
     tri_edges: np.ndarray
     tri_edge_signs: np.ndarray
     edge_tags: np.ndarray
-    h_B: float
-    h_D: float
-    h_Sigma: float
-    areas: np.ndarray = field(repr=False, default=None)
-    edge_lengths: np.ndarray = field(repr=False, default=None)
+    areas: np.ndarray = field(init=False, repr=False)
+    edge_lengths: np.ndarray = field(init=False, repr=False)
+    h_B: float = field(init=False)
+    h_D: float = field(init=False)
+    h_Sigma: float = field(init=False)
     _normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        n = np.stack([t[:, 1], -t[:, 0]], axis=1)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        lengths = np.linalg.norm(t, axis=1)
+        object.__setattr__(self, "areas", _signed_areas(self.vertices, self.triangles))
+        object.__setattr__(self, "edge_lengths", lengths)
+        # The subdomain of each incident triangle, '' for a missing one.
+        sides = np.where(self.edge_tris >= 0, self.subdomain[self.edge_tris], "")
+        for name, on in (
+            ("h_B", (sides == "B").any(axis=1)),
+            ("h_D", (sides == "D").any(axis=1)),
+            ("h_Sigma", self.edge_tags == "SIGMA"),
+        ):
+            object.__setattr__(self, name, float(lengths[on].max()) if on.any() else 0.0)
+
+        n = np.stack([t[:, 1], -t[:, 0]], axis=1) / lengths[:, None]
         # The edge (lo, hi) as stored has no preferred direction, so fix
         # the sign against the outward normal of the first incident
         # triangle, which defines the global orientation.
@@ -220,23 +235,6 @@ def _build_topology(vertices, triangles, subdomain, tag_pairs, tags):
         raise MeshFormatError(f"tagged edge {a}-{b} is not an edge of any triangle")
     edge_tags[idx] = tags
 
-    areas = _signed_areas(vertices, triangles)
-    lengths = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
-
-    is_b_tri = subdomain == "B"
-    edge_touches_b = np.zeros(ne, dtype=bool)
-    edge_touches_d = np.zeros(ne, dtype=bool)
-    for k in range(2):
-        t = edge_tris[:, k]
-        valid = t >= 0
-        edge_touches_b[valid] |= is_b_tri[t[valid]]
-        edge_touches_d[valid] |= ~is_b_tri[t[valid]]
-
-    h_B = float(lengths[edge_touches_b].max()) if edge_touches_b.any() else 0.0
-    h_D = float(lengths[edge_touches_d].max()) if edge_touches_d.any() else 0.0
-    sig = edge_tags == "SIGMA"
-    h_Sigma = float(lengths[sig].max()) if sig.any() else 0.0
-
     return Mesh(
         vertices=vertices,
         triangles=triangles,
@@ -246,11 +244,6 @@ def _build_topology(vertices, triangles, subdomain, tag_pairs, tags):
         tri_edges=tri_edges,
         tri_edge_signs=tri_edge_signs,
         edge_tags=edge_tags,
-        h_B=h_B,
-        h_D=h_D,
-        h_Sigma=h_Sigma,
-        areas=areas,
-        edge_lengths=lengths,
     )
 
 

@@ -282,8 +282,8 @@ def _saddle_order(ws, reduced, rows, cols):
     in the order its factor eliminates it, given the free system's
     pattern (``rows``, ``cols``, positions in ``ws.free``).
 
-    A Brinkman pressure has a zero diagonal and meets the velocity, up to
-    round-off, only through the three edge bubbles of its triangle.  So
+    A Brinkman pressure has a zero diagonal and meets the velocity,
+    exactly, only through the three edge bubbles of its triangle.  So
     each pressure is matched to one free bubble of its own triangle (a
     maximum bipartite matching); the velocity and pressure graph, each
     pair merged into one node, is ordered by minimum degree (SuperLU's

@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfdarcy import (
     PhysicalParams,
@@ -17,6 +19,7 @@ from bfdarcy import (
     assemble_rhs,
     build_dofmap,
     build_interface,
+    edge_rule,
     generate_stacked_rect,
     heterogeneous_flow_problem,
     interpolate_br,
@@ -37,6 +40,7 @@ from bfdarcy.assembly import (
     zero_scalar,
     zero_vector,
 )
+from bfdarcy.elements import rt0_basis
 
 from br_oracle import loop_br_basis
 
@@ -243,12 +247,16 @@ def test_pressure_rows_match_the_divergence_theorem():
     Every basis velocity has a known outward flux through each element
     edge: Brinkman vertex functions have none, bubbles and RT0 functions
     exactly one unit through their own edge.  The pressure row of an
-    element therefore holds -sign on its bubble/flux columns and zero on
-    its vertex columns.
+    element therefore holds exactly -sign on its bubble/flux columns and
+    no entry on its vertex columns.
     """
     mesh, iface, data, dofmap = setup()
-    B = assemble_b(Workspace(mesh, iface, dofmap, degree=6))
+    assert_pressure_rows(assemble_b(Workspace(mesh, iface, dofmap, degree=6)), mesh, dofmap)
 
+
+def assert_pressure_rows(B, mesh, dofmap):
+    """The pressure rows of B hold exactly -sign on the edge DOFs of their
+    triangle, and no vertex column is in the pattern."""
     br, rt = dofmap.br, dofmap.rt
     n_vB = br.vertex_ids.size
 
@@ -265,7 +273,11 @@ def test_pressure_rows_match_the_divergence_theorem():
             expect[tri, col] = -float(mesh.tri_edge_signs[tri, loc])
 
     got = B[dofmap.off_p : dofmap.off_p + dofmap.n_p, :]
-    assert abs(got - expect.tocsr()).max() < 1e-12
+    expect = expect.tocsr()
+    expect.sort_indices()
+    np.testing.assert_array_equal(got.indptr, expect.indptr)
+    np.testing.assert_array_equal(got.indices, expect.indices)
+    np.testing.assert_array_equal(got.data, expect.data)
 
 
 def test_coupling_block_is_symmetric():
@@ -281,6 +293,55 @@ def test_coupling_pattern_keeps_no_exact_zeros():
     B = assemble_b(Workspace(mesh, iface, dofmap, degree=6)).tocoo()
     coupling = B.row >= dofmap.off_p
     assert coupling.any() and np.all(B.data[coupling] != 0.0)
+
+
+def test_pattern_size_on_the_benchmark_meshes():
+    """Pins nnz of the operator pattern on the study and channel nx=32
+    meshes of perfbench, so that a change of the pattern is an edit here."""
+    _, study = manufactured_problem(PhysicalParams())
+    _, channel, (rect_B, rect_D) = heterogeneous_flow_problem(0.0)
+    for mesh, data, nnz in (
+        (generate_stacked_rect(RECT_B, RECT_D, 32, 32, 32), study, 134_886),
+        (generate_stacked_rect(rect_B, rect_D, 32, 16, 16), channel, 67_974),
+    ):
+        iface = build_interface(mesh)
+        assert Workspace(mesh, iface, build_dofmap(mesh, iface, data), degree=6).nnz == nnz
+
+
+def coupling_on(mesh, data):
+    iface = build_interface(mesh)
+    dofmap = build_dofmap(mesh, iface, data)
+    return assemble_b(Workspace(mesh, iface, dofmap, degree=6)), dofmap
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    channel=st.booleans(),
+    pattern=st.sampled_from(["right", "crisscross"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_coupling_pattern_is_fixed_by_the_topology(channel, pattern, seed):
+    """Moving the interior vertices keeps the coupling pattern and the
+    pressure rows: both follow from the degrees of freedom, with no entry
+    whose presence depends on round-off."""
+    if channel:
+        _, data, (rect_B, rect_D) = heterogeneous_flow_problem(0.0)
+        mesh = generate_stacked_rect(rect_B, rect_D, 16, 8, 8, pattern=pattern)
+    else:
+        data = ProblemData()
+        mesh = generate_stacked_rect(RECT_B, RECT_D, 8, 8, 8, pattern=pattern)
+    fixed = np.zeros(mesh.num_vertices, dtype=bool)
+    fixed[mesh.edges[(mesh.edge_tris[:, 1] < 0) | (mesh.edge_tags == "SIGMA")]] = True
+    shift = np.random.default_rng(seed).uniform(-1.0, 1.0, size=mesh.vertices.shape)
+    shift[fixed] = 0.0
+    jittered = replace(mesh, vertices=mesh.vertices + 0.1 * mesh.edge_lengths.min() * shift)
+    assert jittered.areas.min() > 0.0
+
+    B0, _ = coupling_on(mesh, data)
+    B, dofmap = coupling_on(jittered, data)
+    np.testing.assert_array_equal(B.indptr, B0.indptr)
+    np.testing.assert_array_equal(B.indices, B0.indices)
+    assert_pressure_rows(B, jittered, dofmap)
 
 
 def test_interface_rows_integrate_constant_normal_velocity():
@@ -345,8 +406,6 @@ def test_interface_rows_match_reconstructed_traces():
     )
     rows_D = (B @ x_full)[dofmap.off_lam : dofmap.off_lam + dofmap.n_lam]
 
-    from bfdarcy import edge_rule
-
     t, w = edge_rule(6)
     xl, xr = iface.x_left, iface.x_right
     lens = xr - xl
@@ -371,6 +430,56 @@ def test_interface_rows_match_reconstructed_traces():
 # ------------------------------------------------------ fixed pattern
 
 
+def coo(blocks, n):
+    """The n x n CSR sum of (rows, cols, values) blocks that broadcast."""
+    rows, cols, vals = zip(*(np.broadcast_arrays(*blk) for blk in blocks))
+    return sp.coo_matrix(
+        (np.concatenate([v.ravel() for v in vals]),
+         (np.concatenate([r.ravel() for r in rows]), np.concatenate([c.ravel() for c in cols]))),
+        shape=(n, n),
+    ).tocsr()
+
+
+def quadrature_coupling(ws):
+    """(rows, cols, values) blocks of the coupling block, both halves, by
+    quadrature: -(q, div v) on the workspace's rule, with the Brinkman
+    divergence from the loop oracle and the Darcy one from ``rt0_basis``,
+    and <v . n, xi> on a 6-point edge rule with the loop oracle's and
+    ``rt0_basis``' values and the multiplier hats of ``hat_values``."""
+    mesh, iface, dof = ws.mesh, ws.interface, ws.dofmap
+    br, rt = dof.br, dof.rt
+    _, gphi = oracle_tables(ws)
+    div_phi = gphi[..., 0, 0] + gphi[..., 1, 1]
+    _, div_psi = rt0_basis(ws.verts_D, ws.signs_D, ws.qpts_D)
+
+    t, w = edge_rule(6)
+    xq = iface.x_left[:, None] + t[None, :] * (iface.x_right - iface.x_left)[:, None]
+    pts = np.stack([xq, np.full_like(xq, iface.y)], axis=2)
+    wq = (iface.x_right - iface.x_left)[:, None] * w[None, :]
+    hats = np.stack([iface.hat_values(xq, k) for k in range(iface.num_nodes)], axis=2)
+    verts_B = mesh.vertices[mesh.triangles[iface.tri_B]]
+    # barycentric coordinates of the edge points in the Brinkman triangle
+    lhs = np.concatenate([verts_B.transpose(0, 2, 1), np.ones((iface.num_edges, 1, 3))], axis=1)
+    rhs = np.concatenate([pts.transpose(0, 2, 1), np.ones((iface.num_edges, 1, t.size))], axis=1)
+    bary = np.linalg.solve(lhs, rhs).transpose(0, 2, 1)
+    phi, _ = loop_br_basis(verts_B, mesh.tri_edge_signs[iface.tri_B], bary)
+    psi, _ = rt0_basis(
+        mesh.vertices[mesh.triangles[iface.tri_D]], mesh.tri_edge_signs[iface.tri_D], pts
+    )
+    nodes = dof.off_lam + np.arange(iface.num_nodes)
+    half = [
+        (ws.p_dof_B[:, None], br.l2g, -np.einsum("maq,mq->ma", div_phi, ws.wq_B)),
+        (ws.p_dof_D[:, None], dof.off_uD + rt.l2g, -np.einsum("ma,mq->ma", div_psi, ws.wq_D)),
+    ]
+    for basis, l2g, sign in (
+        (phi, br.l2g[np.searchsorted(br.tri_ids, iface.tri_B)], 1.0),
+        (psi, dof.off_uD + rt.l2g[np.searchsorted(rt.tri_ids, iface.tri_D)], -1.0),
+    ):
+        trace = np.einsum("maqd,d->maq", basis, iface.normal)
+        half.append((nodes, l2g[:, :, None], sign * np.einsum("maq,mqk,mq->mak", trace, hats, wq)))
+    return half + [(c, r, v) for r, c, v in half]
+
+
 @pytest.mark.parametrize("mixed", [False, True], ids=["gauge", "mixed"])
 def test_operator_matches_a_coo_sum_of_element_matrices(mixed):
     """assemble_da and assemble_b on the workspace pattern against COO sums
@@ -389,33 +498,14 @@ def test_operator_matches_a_coo_sum_of_element_matrices(mixed):
     n = dofmap.n_total
     w = np.random.default_rng(2).normal(size=n)
 
-    def coo(blocks):
-        rows, cols, vals = zip(*(np.broadcast_arrays(*blk) for blk in blocks))
-        return sp.coo_matrix(
-            (np.concatenate([v.ravel() for v in vals]),
-             (np.concatenate([r.ravel() for r in rows]), np.concatenate([c.ravel() for c in cols]))),
-            shape=(n, n),
-        ).tocsr()
-
     l2g_B, l2g_D = dofmap.br.l2g, dofmap.off_uD + dofmap.rt.l2g
     loc_B, loc_D = _velocity_linear_local(params, ws)
     loc_B = loc_B + einsum_kernels(w, params, ws)[1]
     da_ref = coo([
         (l2g_B[:, :, None], l2g_B[:, None, :], loc_B),
         (l2g_D[:, :, None], l2g_D[:, None, :], loc_D),
-    ])
-    nrm = iface.normal
-    _, gphi = oracle_tables(ws)
-    div_phi = gphi[..., 0, 0] + gphi[..., 1, 1]
-    half = [
-        (ws.p_dof_B[:, None], l2g_B, -np.einsum("maq,mq->ma", div_phi, ws.wq_B)),
-        (ws.p_dof_D[:, None], l2g_D, -ws.div_psi * ws.area_D[:, None]),
-        (ws.snodes[:, None, :], ws.sl2g_B[:, :, None],
-         np.einsum("maqd,d,mqj,mq->maj", ws.sphi, nrm, ws.shat, ws.swts)),
-        (ws.snodes[:, None, :], ws.sl2g_D[:, :, None],
-         -np.einsum("maqd,d,mqj,mq->maj", ws.spsi, nrm, ws.shat, ws.swts)),
-    ]
-    b_ref = coo(half + [(c, r, v) for r, c, v in half])
+    ], n)
+    b_ref = coo(quadrature_coupling(ws), n)
 
     Da, B = assemble_da(w, params, ws), assemble_b(ws)
     assert Da.has_canonical_format and B.has_canonical_format
@@ -435,6 +525,24 @@ def test_operator_matches_a_coo_sum_of_element_matrices(mixed):
     assert abs(A_ff - K[free][:, free]).max() <= 1e-13 * abs(K).max()
     b_expect = rhs[free] - K[free][:, c] @ x_c
     np.testing.assert_allclose(b_f, b_expect, rtol=0, atol=1e-12 * np.abs(b_expect).max())
+
+
+@pytest.mark.parametrize("pattern", ["right", "crisscross"])
+def test_coupling_matches_quadrature_on_a_graded_interface(pattern):
+    """On a mesh graded in x the two edges of a macro edge differ in
+    length, so the middle vertex meets both hats; the entries from the
+    degrees of freedom still match the quadrature reference."""
+    mesh = generate_stacked_rect(RECT_B, RECT_D, 8, 3, 2, pattern=pattern)
+    x, y = mesh.vertices.T
+    graded = replace(mesh, vertices=np.stack([-0.5 + (x + 0.5) ** 1.5, y], axis=1))
+    iface = build_interface(graded)
+    dofmap = build_dofmap(graded, iface, ProblemData())
+    ws = Workspace(graded, iface, dofmap, degree=6)
+    B, b_ref = assemble_b(ws), coo(quadrature_coupling(ws), dofmap.n_total)
+    assert abs(B - b_ref).max() <= 1e-13 * abs(b_ref).max()
+    middle = dofmap.br.vertex_local[iface.edge_verts[0::2, 1]]
+    lam_rows = B[dofmap.off_lam : dofmap.off_lam + dofmap.n_lam]
+    assert np.all(lam_rows[:, 2 * middle + 1].toarray().any(axis=0))
 
 
 # ------------------------------------------------------- nonlinear blocks

@@ -175,6 +175,25 @@ def test_outward_normals_are_stored_once_and_read_only(tmp_path, pattern):
     assert not np.array_equal(sheared.outward_normals(), mesh.outward_normals())
 
 
+@pytest.mark.parametrize("pattern", ["right", "crisscross"])
+def test_replace_vertices_recomputes_the_geometry(pattern):
+    """A copy with mapped vertices has the areas, edge lengths, mesh sizes
+    and normals of a mesh built on the mapped vertices."""
+    mesh = small_mesh(nx=4, ny_B=3, ny_D=2, pattern=pattern)
+    tagged = np.flatnonzero(mesh.edge_tags != "")
+    for mapping in ([[2.0, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.5, 1.0]]):
+        vertices = mesh.vertices @ np.array(mapping)
+        copy = dataclasses.replace(mesh, vertices=vertices)
+        built = _build_topology(
+            vertices, mesh.triangles, mesh.subdomain, mesh.edges[tagged], mesh.edge_tags[tagged]
+        )
+        for name in ("areas", "edge_lengths", "h_B", "h_D", "h_Sigma"):
+            np.testing.assert_array_equal(getattr(copy, name), getattr(built, name))
+        np.testing.assert_array_equal(copy.outward_normals(), built.outward_normals())
+        assert not np.array_equal(copy.edge_lengths, mesh.edge_lengths)
+        assert copy.h_B != mesh.h_B
+
+
 def test_generator_input_validation():
     with pytest.raises(ValueError, match="even"):
         small_mesh(nx=3)
