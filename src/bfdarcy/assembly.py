@@ -369,7 +369,9 @@ class Workspace:
     ``assemble_a_nonlinear``) use the coefficients with ``grad_gram``,
     the 4x4 Gram sum_q w_q b_s b_t of the gradient monomials on the
     reference rule; the element weights are 2 |T| times the rule's.
-    On the Darcy triangles it keeps the Raviart-Thomas table ``psi``.
+    On the Darcy triangles it keeps the Raviart-Thomas coefficients on
+    the barycentric coordinates (``coef_D``).  ``_mass_block`` forms the
+    K^-1 mass blocks of both spaces from the coefficients.
 
     The spaces on a fixed mesh give an operator whose sparsity never
     changes, so the pattern is built once here.  Each velocity block has
@@ -382,7 +384,8 @@ class Workspace:
     scalar included), and ``apply_constraints`` gathers the free-free
     submatrix and lifts the constrained columns with index arrays built
     here.  The edge tables of the natural boundary terms are kept per
-    boundary tag in ``natural``.  ``degree`` is the degree of the
+    boundary tag in ``natural``, and that of the interface traction in
+    ``interface_edges`` (``_edge_table``).  ``degree`` is the degree of the
     triangle quadrature rule every integral is assembled on.
 
     Index and position arrays the per-iteration gathers use are 32-bit,
@@ -422,42 +425,20 @@ class Workspace:
         self.area_D = mesh.areas[td]
         self.qpts_D = el.physical_points(self.verts_D, rule.bary)
         self.wq_D = 2.0 * self.area_D[:, None] * rule.weights[None, :]
-        self.psi, _ = el.rt0_basis(self.verts_D, self.signs_D, self.qpts_D)
+        # An RT0 function is affine, so its coefficient on eta_i is its
+        # value at vertex P_i.
+        self.coef_D, _ = el.rt0_basis(self.verts_D, self.signs_D, self.verts_D)
 
         self.p_dof_B = dofmap.off_p + tb
         self.p_dof_D = dofmap.off_p + td
 
-        self._build_interface_tables()
-        self._build_boundary_tables()
+        self._build_edge_tables()
         self._build_pattern()
 
-    def _build_interface_tables(self):
-        """Edge points, weights, Brinkman traces and global DOFs of the
-        interface edges, for the interface traction of ``assemble_rhs``."""
-        iface, mesh, dof = self.interface, self.mesh, self.dofmap
-        t, w = el.edge_rule(EDGE_POINTS)
-        eids = iface.edge_ids
-        a = mesh.vertices[iface.edge_verts[:, 0]]
-        b = mesh.vertices[iface.edge_verts[:, 1]]
-        self.spts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-        self.swts = mesh.edge_lengths[eids][:, None] * w[None, :]
-
-        # Brinkman traces: the nine basis functions of the incident B
-        # triangle at the edge points.
-        bary = _edge_bary(mesh, iface.edge_verts, iface.tri_B, EDGE_POINTS)
-        coef, _ = el.br_coefficients(
-            mesh.vertices[mesh.triangles[iface.tri_B]], mesh.tri_edge_signs[iface.tri_B]
-        )
-        self.sphi = el.br_values(coef, bary)
-        self.sl2g_B = dof.br.l2g[np.searchsorted(dof.br.tri_ids, iface.tri_B)]
-
-    def _build_boundary_tables(self):
-        """Edge points, weights, normals, basis traces and global DOFs of
-        every boundary tag with natural data in this layout (its edge DOFs
-        are free), for the natural terms of ``assemble_rhs``: Brinkman
-        basis values for a traction, Darcy normal traces for a pressure."""
+    def _build_edge_tables(self):
+        """Edge tables of every boundary tag with natural data in this
+        layout (its edge DOFs are free) and of the interface traction."""
         mesh, dof = self.mesh, self.dofmap
-        normals = mesh.outward_normals()
         edge_dofs = {
             **{tag: 2 * dof.br.vertex_ids.size + dof.br.edge_local for tag in GAMMA_B_TAGS},
             **{tag: dof.off_uD + dof.rt.edge_local for tag in GAMMA_D_TAGS},
@@ -467,19 +448,28 @@ class Workspace:
             eids = mesh.edges_with_tag(tag)
             if eids.size == 0 or (dof.constrained == dofs[eids[0]]).any():
                 continue
-            pts, wts = _edge_points(mesh, eids, EDGE_POINTS)
-            nrm = np.repeat(normals[eids][:, None, :], pts.shape[1], axis=1)
-            tri = mesh.edge_tris[eids, 0]
+            self.natural[tag] = self._edge_table(eids, mesh.edge_tris[eids, 0], tag in GAMMA_B_TAGS)
+        iface = self.interface
+        self.interface_edges = self._edge_table(iface.edge_ids, iface.tri_B, True)
+
+    def _edge_table(self, eids, tri, brinkman):
+        """Points, normals, weights, basis traces and global DOFs on the
+        edges ``eids``, each seen from its triangle ``tri``: the values of
+        the nine Bernardi-Raugel functions of a Brinkman triangle, or the
+        normal trace of the one Raviart-Thomas function of the edge, 1/|e|
+        along the global normal (the other two have none on it)."""
+        mesh, dof = self.mesh, self.dofmap
+        pts, wts = _edge_points(mesh, eids, EDGE_POINTS)
+        nrm = np.repeat(mesh.outward_normals()[eids][:, None, :], EDGE_POINTS, axis=1)
+        if brinkman:
+            bary = _edge_bary(mesh, mesh.edges[eids], tri, EDGE_POINTS)
             verts, signs = mesh.vertices[mesh.triangles[tri]], mesh.tri_edge_signs[tri]
-            if tag in GAMMA_B_TAGS:
-                bary = _edge_bary(mesh, mesh.edges[eids], tri, EDGE_POINTS)
-                basis = el.br_values(el.br_coefficients(verts, signs)[0], bary)
-                l2g = dof.br.l2g[np.searchsorted(dof.br.tri_ids, tri)]
-            else:
-                psi, _ = el.rt0_basis(verts, signs, pts)
-                basis = np.einsum("maqd,mqd->maq", psi, nrm)
-                l2g = dof.off_uD + dof.rt.l2g[np.searchsorted(dof.rt.tri_ids, tri)]
-            self.natural[tag] = (pts, nrm, wts, basis, l2g)
+            basis = el.br_values(el.br_coefficients(verts, signs)[0], bary)
+            l2g = dof.br.l2g[np.searchsorted(dof.br.tri_ids, tri)]
+        else:
+            basis = np.repeat(1.0 / mesh.edge_lengths[eids][:, None, None], EDGE_POINTS, axis=2)
+            l2g = dof.off_uD + dof.rt.edge_local[eids][:, None]
+        return pts, nrm, wts, basis, l2g
 
     def _build_pattern(self):
         dof = self.dofmap
@@ -589,10 +579,22 @@ def _gram(left, right):
     return left.reshape(m, left.shape[1], -1) @ right.transpose(0, 2, 1)
 
 
-def _apply_tensor(T, basis):
-    """T applied pointwise to every vector basis function,
-    (m, nq, 2, 2) x (m, nb, nq, 2) -> (m, nb, nq, 2)."""
-    return (basis.transpose(0, 2, 1, 3) @ T.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3)
+def _mass_block(coef, wq, kinv, monomials):
+    """Element matrices sum_q w_q phi_b . K^-1 phi_a, (m, nb, nb), of the
+    functions with coefficients ``coef`` (m, nb, k, 2) on k monomials,
+    from the weights ``wq`` (m, nq), K^-1 (m, nq, 2, 2) and the monomials
+    (nq, k) at the quadrature points."""
+    m, nb, k = coef.shape[:3]
+    # T = w_q K^-1 at each point; gram[(t, i), (s, j)] = sum_q P_t P_s T_ij.
+    # One small product per triangle: a single (4 m, nq) x (nq, k^2) product
+    # is large enough for BLAS to start its own threads, which then compete
+    # with the solves of the CLI's thread pool.
+    T = (wq[..., None, None] * kinv).reshape(m, -1, 4)
+    gram = T.transpose(0, 2, 1) @ (monomials[:, :, None] * monomials[:, None, :]).reshape(-1, k * k)
+    gram = gram.reshape(m, 2, 2, k, k).transpose(0, 3, 1, 4, 2).reshape(m, 2 * k, 2 * k)
+    v = coef.reshape(m, nb, 2 * k)
+    # Row a of v @ gram^T is T phi_a against the monomials.
+    return _gram(v @ gram.transpose(0, 2, 1), v)
 
 
 def _forchheimer_weights(w, params, ws):
@@ -605,31 +607,18 @@ def _velocity_linear_local(params, ws):
     """Element matrices of the velocity blocks at F = 0, (m, 9, 9) on B and
     (m, 3, 3) on D.
 
-    On B both terms are reference Grams of the rule contracted with the
-    basis coefficients: mu (grad phi_a, grad phi_b) with the 4x4 Gram of
-    the gradient monomials, and (K_B^-1 phi_a, phi_b) with the 12x12 Gram
-    of the value monomials times the vector components, weighted by
-    K_B^-1 at each point.
+    Every term is a reference Gram of the rule contracted with the basis
+    coefficients: mu (grad phi_a, grad phi_b) on B with the 4x4 Gram of
+    the gradient monomials, and the K^-1 mass blocks (``_mass_block``) on
+    the six value monomials on B and the three barycentric coordinates
+    on D.
     """
-    m, nq = ws.wq_B.shape
+    m = ws.wq_B.shape[0]
     g = ws.gcoef_B.reshape(m, 9, 4, 4)
     stiff = _gram((params.mu * 2.0 * ws.area_B)[:, None, None, None] * (ws.grad_gram @ g), g)
-
-    # T = w_q K_B^-1 at each point; gram[(t, i), (s, j)] = sum_q P_t P_s T_ij.
-    # One small product per triangle: a single (4 m, nq) x (nq, 36) product
-    # is large enough for BLAS to start its own threads, which then compete
-    # with the solves of the CLI's thread pool.
-    P = el.value_monomials(ws.rule.bary)
-    T = (ws.wq_B[..., None, None] * ws.kinv_B(params)).reshape(m, nq, 4)
-    gram = T.transpose(0, 2, 1) @ (P[:, :, None] * P[:, None, :]).reshape(nq, 36)
-    gram = gram.reshape(m, 2, 2, 6, 6).transpose(0, 3, 1, 4, 2).reshape(m, 12, 12)
-    v = ws.coef_B.reshape(m, 9, 12)
-    # Row a of v @ gram^T is T phi_a against the value monomials, so the
-    # entry (a, b) is phi_b . T phi_a, as _apply_tensor has it on D.
-    kblock = _gram(v @ gram.transpose(0, 2, 1), v)
-
-    kpsi = _apply_tensor(ws.wq_D[..., None, None] * ws.kinv_D(params), ws.psi)
-    return stiff + kblock, _gram(kpsi, ws.psi)
+    bary = ws.rule.bary
+    kblock = _mass_block(ws.coef_B, ws.wq_B, ws.kinv_B(params), el.value_monomials(bary))
+    return stiff + kblock, _mass_block(ws.coef_D, ws.wq_D, ws.kinv_D(params), bary)
 
 
 def _linear_data(params, ws):
@@ -762,13 +751,15 @@ def assemble_rhs(data, ws):
     fB = np.asarray(data.f_B(ws.qpts_B.reshape(-1, 2))).reshape(ws.qpts_B.shape)
     np.add.at(rhs, dof.br.l2g, _load(ws.phi, ws.wq_B[..., None] * fB))
     fD = np.asarray(data.f_D(ws.qpts_D.reshape(-1, 2))).reshape(ws.qpts_D.shape)
-    np.add.at(rhs, dof.off_uD + dof.rt.l2g, _load(ws.psi, ws.wq_D[..., None] * fD))
+    moments = ws.rule.bary.T @ (ws.wq_D[..., None] * fD)  # (m, 3, 2) on eta_i
+    np.add.at(rhs, dof.off_uD + dof.rt.l2g, _load(ws.coef_D, moments))
     gD = np.asarray(data.g_D(ws.qpts_D.reshape(-1, 2))).reshape(ws.wq_D.shape)
     np.add.at(rhs, ws.p_dof_D, -np.einsum("mq,mq->m", gD, ws.wq_D))
 
     if data.interface_traction is not None:
-        tv = np.asarray(data.interface_traction(ws.spts.reshape(-1, 2))).reshape(ws.spts.shape)
-        np.add.at(rhs, ws.sl2g_B, _load(ws.sphi, ws.swts[..., None] * tv))
+        pts, _, wts, basis, l2g = ws.interface_edges
+        tv = np.asarray(data.interface_traction(pts.reshape(-1, 2))).reshape(pts.shape)
+        np.add.at(rhs, l2g, _load(basis, wts[..., None] * tv))
 
     _add_natural_bc(rhs, data, ws)
     return rhs
@@ -815,9 +806,11 @@ def assemble_a_nonlinear(u, params, ws):
     ent += _load(ws.phi, ws.wq_B[..., None] * force)
     np.add.at(out, dof.br.l2g, ent)
 
-    dfield = _field(u[dof.off_uD : dof.off_uD + dof.n_uD][dof.rt.l2g], ws.psi)
-    force = (ws.kinv_D(params) @ dfield[..., None])[..., 0]
-    np.add.at(out, dof.off_uD + dof.rt.l2g, _load(ws.psi, ws.wq_D[..., None] * force))
+    # The Darcy term is linear: coefficients times the K_D^-1 mass block,
+    # whose entry (b, a) is phi_a . K_D^-1 phi_b.
+    cd = u[dof.off_uD : dof.off_uD + dof.n_uD][dof.rt.l2g][:, None, :]
+    loc = _mass_block(ws.coef_D, ws.wq_D, ws.kinv_D(params), ws.rule.bary)
+    np.add.at(out, dof.off_uD + dof.rt.l2g, (cd @ loc)[:, 0])
     return out
 
 

@@ -224,9 +224,10 @@ def compute_errors(fields, exact, report=None, degree=8):
     signs = mesh.tri_edge_signs[rt.tri_ids]
     wq = 2.0 * mesh.areas[rt.tri_ids][:, None] * rule.weights[None, :]
     pts = el.physical_points(verts, rule.bary)
-    psi, _ = el.rt0_basis(verts, signs, pts)
-    cd = u_D[rt.l2g]
-    uh = np.einsum("ma,maqd->mqd", cd, psi)
+    # u_h on the barycentric coordinates: RT0 coefficients are vertex values.
+    coef, _ = el.rt0_basis(verts, signs, verts)
+    cd = u_D[rt.l2g][:, None, :]
+    uh = rule.bary @ (cd @ coef.reshape(-1, 3, 6)).reshape(-1, 3, 2)
     divh = _darcy_divergence(fields)
     flat = pts.reshape(-1, 2)
     du = uh - np.asarray(exact.u_D(flat)).reshape(uh.shape)

@@ -594,7 +594,8 @@ def einsum_kernels(w, params, ws):
     element matrices on D, the Newton rhs correction on B, the nonlinear
     action on B and D, and where the iterate is below SPEED_FLOOR."""
     F, p = params.forchheimer, params.power
-    (phi, gphi), psi, wq_B, wq_D = oracle_tables(ws), ws.psi, ws.wq_B, ws.wq_D
+    (phi, gphi), wq_B, wq_D = oracle_tables(ws), ws.wq_B, ws.wq_D
+    psi, _ = rt0_basis(ws.verts_D, ws.signs_D, ws.qpts_D)
     kinv_B, kinv_D = ws.kinv_B(params), ws.kinv_D(params)
     cw = w[: ws.dofmap.n_uB][ws.dofmap.br.l2g]
     cd = w[ws.dofmap.off_uD : ws.dofmap.off_uD + ws.dofmap.n_uD][ws.dofmap.rt.l2g]
@@ -731,6 +732,20 @@ def test_rhs_sources_act_on_the_right_blocks():
     np.testing.assert_allclose(p_rows[is_d], -2.0 * mesh.areas[is_d], atol=1e-14)
     np.testing.assert_allclose(p_rows[~is_d], 0.0, atol=1e-14)
 
+    def f_D(pts):
+        return np.stack([pts[:, 0] * pts[:, 1], 1.0 + pts[:, 0] ** 2], axis=1)
+
+    rhs = assemble_rhs(ProblemData(f_D=f_D), ws)
+    # (f_D, v) loads only Darcy velocity rows, as the Raviart-Thomas
+    # values at the quadrature points integrate it
+    rows = slice(dofmap.off_uD, dofmap.off_uD + dofmap.n_uD)
+    assert not np.concatenate([rhs[: rows.start], rhs[rows.stop :]]).any()
+    psi, _ = rt0_basis(ws.verts_D, ws.signs_D, ws.qpts_D)
+    fq = f_D(ws.qpts_D.reshape(-1, 2)).reshape(ws.qpts_D.shape)
+    load = np.einsum("maqd,mqd,mq->ma", psi, fq, ws.wq_D)
+    ref = np.bincount(dofmap.rt.l2g.ravel(), load.ravel(), minlength=dofmap.n_uD)
+    assert np.abs(rhs[rows] - ref).max() <= 1e-13 * np.abs(ref).max()
+
 
 def test_rhs_traction_loads_only_the_traction_boundary():
     mesh, iface, _, _ = setup()
@@ -768,6 +783,36 @@ def test_rhs_traction_loads_only_the_traction_boundary():
     essential = Workspace(mesh, iface, build_dofmap(mesh, iface, ProblemData()), degree=6)
     with pytest.raises(ValueError, match="GB_RIGHT"):
         assemble_rhs(data, essential)
+
+
+def test_rhs_darcy_pressure_loads_only_the_pressure_boundary():
+    mesh, iface, _, _ = setup()
+
+    def pbar(pts):
+        return 1.0 + pts[:, 0]
+
+    data = ProblemData(darcy_bc={"GD_BOTTOM": ("pressure", pbar)})
+    dofmap = build_dofmap(mesh, iface, data)
+    rhs = assemble_rhs(data, Workspace(mesh, iface, dofmap, degree=6))
+
+    # -<pbar, v . n> with v the interpolated constant (0.2, 0.7): its
+    # normal trace on the bottom is exactly v . n = -0.7, and pbar is
+    # linear, so the edge midpoints integrate it exactly.
+    def v(pts):
+        return np.broadcast_to([0.2, 0.7], (len(pts), 2)).copy()
+
+    c = np.zeros(dofmap.n_total)
+    c[dofmap.off_uD : dofmap.off_uD + dofmap.n_uD] = interpolate_rt0(v, mesh, dofmap.rt)
+    eids = mesh.edges_with_tag("GD_BOTTOM")
+    mid = mesh.vertices[mesh.edges[eids]].mean(axis=1)
+    integral = np.dot(mesh.edge_lengths[eids], pbar(mid))
+    assert np.dot(c, rhs) == pytest.approx(0.7 * integral, rel=1e-12)
+
+    # nothing lands outside the Raviart-Thomas rows of that boundary
+    mask = np.zeros(dofmap.n_total, dtype=bool)
+    mask[dofmap.off_uD + dofmap.rt.edge_local[eids]] = True
+    assert np.abs(rhs[~mask]).max() == 0.0
+    assert (rhs[mask] < 0.0).all()
 
 
 def test_interface_traction_loads_interface_velocity_rows():

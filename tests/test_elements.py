@@ -273,6 +273,22 @@ def test_rt0_basis_flux_duality_and_divergence(coords):
         assert div == pytest.approx(1.0 / area, rel=1e-10)
         assert div_reported[0, a] == pytest.approx(div, rel=1e-10)
 
+    # Each function is affine, so its values at the vertices, times the
+    # barycentric coordinates, reproduce it: at the points of every
+    # triangle rule and at per-triangle points on the three edges.
+    signs = np.array([[1, -1, 1]])
+    coef, _ = rt0_basis(verts, signs, verts)
+    t, _ = edge_rule(4)
+    on_edges = np.zeros((1, 3, t.size, 3))
+    for i in range(3):
+        on_edges[0, i, :, (i + 1) % 3] = 1.0 - t
+        on_edges[0, i, :, (i + 2) % 3] = t
+    tables = [quad_rule(d).bary[None] for d in range(1, 11)] + [on_edges.reshape(1, -1, 3)]
+    for bary in tables:
+        ref, _ = rt0_basis(verts, signs, physical_points(verts, bary))
+        got = np.einsum("mqi,maid->maqd", bary, coef)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
 
 def test_br_basis_respects_global_edge_orientation():
     # on a shared mesh edge the bubble of each incident triangle must
