@@ -46,6 +46,7 @@ from .solver import (
     SolveReport,
     SolverError,
     SingularSystemError,
+    StaticSystem,
     newton_solve,
 )
 from .verification import (
@@ -94,6 +95,7 @@ __all__ = [
     "SolveReport",
     "SolverError",
     "SingularSystemError",
+    "StaticSystem",
     "newton_solve",
     "ExactSolution",
     "ErrorReport",

@@ -667,13 +667,15 @@ class NewtonSystem:
     Only the Forchheimer term changes from step to step: at the iterate
     w the Jacobian gains F (p-2) (|w|^(p-4) (w . u) w, v) and the
     right-hand side F (p-2) (|w|^(p-2) w, v).  The linear velocity blocks,
-    the coupling block and the load are assembled once, here.
+    the coupling block and the load are assembled once, here.  A solve
+    that shares the F = 0 data with others passes it as ``static``, which
+    must be that of ``params`` on ``ws``; nothing writes to it.
     """
 
-    def __init__(self, params, data, ws):
+    def __init__(self, params, data, ws, static=None):
         self.params = params
         self.ws = ws
-        self.static = _linear_data(params, ws) + ws.b_data
+        self.static = _linear_data(params, ws) + ws.b_data if static is None else static
         self.load = assemble_rhs(data, ws)
 
     def at(self, x):
@@ -828,5 +830,11 @@ def apply_constraints(ws, data, rhs, x):
     """
     n = ws.free.size
     A = sp.csr_matrix((data[ws.ff_pos], ws.ff_indices, ws.ff_indptr), shape=(n, n))
-    lift = np.bincount(ws.lift_rows, data[ws.lift_pos] * x[ws.lift_cols], minlength=n)
-    return A, rhs[ws.free] - lift
+    return A, lifted_rhs(ws, data, rhs, x)
+
+
+def lifted_rhs(ws, data, rhs, x):
+    """b_f = rhs[free] - A_fc x_c, the right-hand side of
+    ``apply_constraints``, without forming A_ff."""
+    lift = np.bincount(ws.lift_rows, data[ws.lift_pos] * x[ws.lift_cols], minlength=ws.free.size)
+    return rhs[ws.free] - lift

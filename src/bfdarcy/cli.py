@@ -364,13 +364,16 @@ def cmd_sweep(cfg, levels, out_dir, quiet):
         raise UsageError(f"need >= 1 level, got {levels}")
 
     # Every cell of a level solves on one shared discretization, built
-    # here before any cell starts; the cells only read it.
+    # here before any cell starts, and every cell of a (level, K_D) group
+    # on one shared StaticSystem, which F does not change; the cells only
+    # read both.
     opts = cfg.newton_options()
     _, layout, _ = _problem_data(cfg, forchheimer=cfg.F_list[0], K_D=K_D_list[0])
     discs = [
         slv.Discretization.build(_build_mesh(cfg, nx=4 * 2**lvl), layout)
         for lvl in range(levels)
     ]
+    groups = [(ki, lvl) for ki in range(len(K_D_list)) for lvl in range(levels)]
     cells = [
         (fi, ki, lvl)
         for fi in range(len(cfg.F_list))
@@ -378,10 +381,16 @@ def cmd_sweep(cfg, levels, out_dir, quiet):
         for lvl in range(levels)
     ]
 
+    def build(group):
+        ki, lvl = group
+        params, data, _ = _problem_data(cfg, forchheimer=cfg.F_list[0], K_D=K_D_list[ki])
+        return slv.StaticSystem.build(discs[lvl], params, data)
+
     def run(cell):
         fi, ki, lvl = cell
         params, data, _ = _problem_data(cfg, forchheimer=cfg.F_list[fi], K_D=K_D_list[ki])
-        fields, report = slv.newton_solve(discs[lvl], params, data, opts)
+        linear = statics[(ki, lvl)].result()
+        fields, report = slv.newton_solve(discs[lvl], params, data, opts, linear)
         if not report.converged:
             raise slv.SolverError(
                 f"no convergence for F={cfg.F_list[fi]:g}, "
@@ -390,8 +399,11 @@ def cmd_sweep(cfg, levels, out_dir, quiet):
         return report.iterations
 
     # SuperLU releases the interpreter lock, so cells overlap up to one
-    # thread per core; more threads only add memory.
+    # thread per core; more threads only add memory.  The pool starts
+    # tasks in the order they are submitted, so every StaticSystem is
+    # being built before any cell waits for it.
     with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(cells))) as pool:
+        statics = {group: pool.submit(build, group) for group in groups}
         futures = {cell: pool.submit(run, cell) for cell in cells}
 
     lines = ["F,K_D," + ",".join(names)]

@@ -10,24 +10,27 @@ the tolerance; with a vanishing Forchheimer coefficient the operator is
 affine and a single solve is the exact discrete solution.
 
 The Darcy block of the linear system does not change with the iterate,
-so each solve factors it once and every Newton step solves only for
-the Brinkman and multiplier unknowns, with the Darcy block's Schur
+so it is factored once and every Newton step solves only for the
+Brinkman and multiplier unknowns, with the Darcy block's Schur
 complement on the multiplier block, factored in a fixed saddle-point
-order with diagonal pivots (``CondensedLayout``).  One
-``CondensedSolve`` per solve holds that state.  Once the iteration has
-settled, the Jacobian barely moves between steps, so a step first
-tries the previous step's factor with iterative refinement
-(the chord or Shamanskii idea; C. T. Kelley, Iterative Methods for
-Linear and Nonlinear Equations, SIAM 1995) and factors anew only when
-that fails.
+order with diagonal pivots (``CondensedLayout``).  A ``StaticSystem``
+holds what does not depend on F, p or the iterate: the F = 0 data and
+that elimination.  Solves that differ only in F or p, as the cells of a
+sweep do, may share one; a ``CondensedSolve`` per solve holds the
+factor it reuses between steps.  Once the iteration has settled, the
+Jacobian barely moves between steps, so a step first tries the previous
+step's factor with iterative refinement (the chord or Shamanskii idea;
+C. T. Kelley, Iterative Methods for Linear and Nonlinear Equations,
+SIAM 1995) and factors anew only when that fails.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import spilu, splu
 
 from . import assembly as asm
@@ -53,6 +56,13 @@ LU_RESIDUAL_TOL = 1.0e-10
 # it meets it, far below LU_RESIDUAL_TOL, so that reusing a factor costs
 # no accuracy.
 REFINE_TOL = 1.0e-15
+
+# Supernode settings of every SuperLU factor (``_factor``).  scipy's
+# default relaxed supernodes pad L and U with explicit zeros, which cost
+# time in the factorization and in every triangular solve; these keep the
+# supernodes tight.  SUPERLU_RELAX must not exceed SUPERLU_PANEL_SIZE.
+SUPERLU_RELAX = 3
+SUPERLU_PANEL_SIZE = 4
 
 # Refinement gives up when a step cuts the residual by less than this
 # factor, or when the observed rate predicts more than REFINE_MAX_STEPS
@@ -116,7 +126,7 @@ class GaugeBorder:
     and delta is ``diagonal``.  The gauge of ``gauge_border`` has the
     triangle areas on the pressure DOFs in c and delta = 0, which keeps
     the mean-zero row exact; eliminating the Darcy unknowns gives a
-    border with a nonzero delta (see ``CondensedSolve``).  ``pin`` is the
+    border with a nonzero delta (see ``StaticSystem``).  ``pin`` is the
     first nonzero of c.
     """
 
@@ -142,13 +152,17 @@ def gauge_border(ws):
 
 def _factor(M, ordered=False):
     """SuperLU of the CSC matrix M: with COLAMD and partial pivoting, or,
-    when ``ordered``, in M's own order with diagonal pivots."""
+    when ``ordered``, in M's own order with diagonal pivots.  Either way
+    on tight supernodes (SUPERLU_RELAX, SUPERLU_PANEL_SIZE), so nnz(L+U)
+    counts no padding."""
+    tight = dict(relax=SUPERLU_RELAX, panel_size=SUPERLU_PANEL_SIZE)
     try:
         if ordered:
             return splu(
-                M, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+                M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True}, **tight,
             )
-        return splu(M)
+        return splu(M, **tight)
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
 
@@ -277,6 +291,37 @@ def _csc_gather(pos, rows, cols, n):
     return pos[order].astype(np.intc), rows[order].astype(np.intc), indptr.astype(np.intc)
 
 
+def _forest_matching(mesh, br, bubbles):
+    """Each Brinkman triangle's matched bubble (``bubbles`` holds the
+    reduced positions of its three edge bubbles, -1 where constrained),
+    or -1 for a triangle the forest does not reach.
+
+    The triangles form a graph through the free bubbles that two of them
+    share, with one virtual root joined to every triangle that has a free
+    bubble of its own alone (on the interface or a natural boundary).  A
+    breadth-first search from the root gives each triangle it reaches a
+    predecessor, and the triangle takes the bubble it shares with it; a
+    triangle reached from the root takes its first such bubble.  So no
+    set of matched bubbles closes a cycle of triangles.
+    """
+    m = br.tri_ids.size
+    local = np.full(mesh.num_triangles, -1)
+    local[br.tri_ids] = np.arange(m)
+    ends = mesh.edge_tris[mesh.tri_edges[br.tri_ids]]
+    other = np.where(ends[..., 0] == br.tri_ids[:, None], ends[..., 1], ends[..., 0])
+    # The neighbour through each local edge: another Brinkman triangle,
+    # the root (m), or none (-1) through a constrained bubble.
+    nbr = np.where(other >= 0, local[other], -1)
+    nbr[nbr < 0] = m
+    nbr[bubbles < 0] = -1
+    tri, k = np.nonzero(nbr >= 0)
+    graph = sp.csr_matrix((np.ones(tri.size), (tri, nbr[tri, k])), shape=(m + 1, m + 1))
+    _, pred = breadth_first_order(graph, m, directed=False, return_predecessors=True)
+    pred = pred[:m]
+    k = np.argmax(nbr == pred[:, None], axis=1)
+    return np.where(pred >= 0, bubbles[np.arange(m), k], -1)
+
+
 def _saddle_order(ws, reduced, rows, cols):
     """The reduced set ``reduced`` (positions in ``ws.free``, increasing)
     in the order its factor eliminates it, given the free system's
@@ -284,14 +329,17 @@ def _saddle_order(ws, reduced, rows, cols):
 
     A Brinkman pressure has a zero diagonal and meets the velocity,
     exactly, only through the three edge bubbles of its triangle.  So
-    each pressure is matched to one free bubble of its own triangle (a
-    maximum bipartite matching); the velocity and pressure graph, each
-    pair merged into one node, is ordered by minimum degree (SuperLU's
-    MMD on A^T + A, read from an incomplete factor of a diagonally
-    dominant matrix with that graph), and each pair is expanded bubble
-    first.  Eliminating the bubble first makes the pressure's pivot
-    nonzero, so the factor can take its diagonal pivots in this order.
-    The multipliers and the gauge come last.  This is the constrained
+    each pressure is matched to one free bubble of its own triangle,
+    along a breadth-first forest of the triangles (``_forest_matching``):
+    matched bubbles on a cycle of triangles would make the pairs' leading
+    block singular, as the signed incidence of a cycle is.  The velocity
+    and pressure graph, each pair merged into one node, is ordered by
+    minimum degree (SuperLU's MMD on A^T + A, read from an incomplete
+    factor of a diagonally dominant matrix with that graph, on
+    single-column supernodes), and each pair is expanded bubble first.
+    Eliminating the bubble first makes the pressure's pivot nonzero, so
+    the factor can take its diagonal pivots in this order.  The
+    multipliers and the gauge come last.  This is the constrained
     ordering of saddle-point LDL^T factors (M. Tuma, SIAM J. Matrix Anal.
     Appl. 23, 2002; A. C. de Niet and F. W. Wubs, IMA J. Numer. Anal. 29,
     2009).
@@ -301,12 +349,7 @@ def _saddle_order(ws, reduced, rows, cols):
     at = np.full(dof.n_total, -1)
     at[ws.free[reduced]] = np.arange(n)
     pressures = at[ws.p_dof_B]
-    bubbles = at[dof.br.l2g[:, 6:]]
-    tri, k = np.nonzero(bubbles >= 0)
-    graph = sp.csr_matrix(
-        (np.ones(tri.size), (tri, bubbles[tri, k])), shape=(pressures.size, n)
-    )
-    mate = maximum_bipartite_matching(graph, perm_type="column")
+    mate = _forest_matching(ws.mesh, dof.br, at[dof.br.l2g[:, 6:]])
     paired = mate >= 0
 
     last = ws.free[reduced] >= dof.off_lam
@@ -332,7 +375,10 @@ def _saddle_order(ws, reduced, rows, cols):
         ),
         shape=(m, m),
     )
-    perm_c = spilu(dominant, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A").perm_c
+    perm_c = spilu(
+        dominant, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+        relax=1, panel_size=1,
+    ).perm_c
     order = np.argsort(perm_c)
 
     partner = np.full(m, -1)
@@ -401,48 +447,66 @@ class CondensedLayout:
         )
 
 
-class CondensedSolve:
-    """The linear solve of one Newton solve: the Darcy unknowns
-    eliminated once, and the reduced factor held between steps.
+def _same(a, b):
+    """Equal values for numbers, identity for anything else (arrays,
+    callables)."""
+    if isinstance(a, numbers.Number) and isinstance(b, numbers.Number):
+        return a == b
+    return a is b
 
-    The free u_D and p_D of the system of ``apply_constraints`` form a
-    block A_DD that does not depend on the Newton iterate.  They meet the
-    other unknowns only in the multiplier rows C_D = A[lambda, D] (and
-    the transposed columns) and, with the gauge border of the free system
-    (``gauge``, from ``gauge_border``), in its coupling c_D.  Built from a
-    Discretization and the first Newton system (A, b), this factors A_DD
-    once, keeps
+
+class StaticSystem:
+    """What the Newton steps of a solve on one Discretization need from
+    its linear system that F, p and the iterate do not change: the F = 0
+    data and the Darcy unknowns eliminated.
+
+    ``values`` is the F = 0 CSR data of ``assembly.NewtonSystem`` (the
+    linear velocity blocks and the coupling block), which depends on mu,
+    K_B and K_D.  The free u_D and p_D of the system of
+    ``apply_constraints`` form a block A_DD that no Newton step changes.
+    They meet the other unknowns only in the multiplier rows
+    C_D = A[lambda, D] (and the transposed columns) and, with the gauge
+    border of the free system (``gauge``, from ``gauge_border``), in its
+    coupling c_D.  This factors A_DD once, keeps
 
         X = A_DD^-1 C_D^T,  z = A_DD^-1 c_D,  y = A_DD^-1 b_D,
 
-    and releases the factor.  ``sparse_lu_solve`` then solves, factors
-    and refines only the reduced system (``reduced``, ``reduced_rhs``):
-    the other unknowns, in the layout's elimination order, with
-    S_D = C_D X subtracted from the (empty) multiplier block, bordered by
-    ``border``, the gauge border of the reduced system (coupling
-    c_R - X^T c_D, diagonal delta + c_D . z).  x_D = y - X lambda - z x_s
-    recovers the rest (``recover``).  ``held`` is the BorderedLU of the
-    reduced system that the last step used, or None.
+    and releases the factor (``lu_nnz`` is its nnz(L+U)).  A Newton step
+    then solves, factors and refines only the reduced system
+    (``reduced``, ``reduced_rhs``): the other unknowns, in the layout's
+    elimination order, with S_D = C_D X subtracted from the (empty)
+    multiplier block, bordered by ``border``, the gauge border of the
+    reduced system (coupling c_R - X^T c_D, diagonal delta + c_D . z).
+    x_D = y - X lambda - z x_s recovers the rest (``recover``).
 
-    b_D does not change across Newton iterations (the Forchheimer terms
-    act on u_B only, and the lift uses fixed prescribed values), so ``y``
-    serves every iteration; a right-hand side with another Darcy part is
-    rejected.  The object belongs to one solve: it is never stored on
-    the shared Discretization.
+    b_D depends on the Darcy data alone (the Forchheimer terms act on u_B
+    only, and the lift uses fixed prescribed values), so ``y`` serves
+    every step; a right-hand side with another Darcy part is rejected.
+    Build one with ``StaticSystem.build``.  It holds no factor, and
+    nothing writes to it after it is built, so solves of several F on
+    several threads may share it (``newton_solve``'s ``linear``); the
+    caller that builds it owns it.
     """
 
-    def __init__(self, disc, A, b):
-        self.layout = lo = disc.layout
-        self.gauge = gauge = gauge_border(disc.workspace)
-        self.held = None
+    def __init__(self, disc, params, system, x):
+        """The static system of ``params`` on ``disc``, from the
+        NewtonSystem ``system`` of a solve of them (its F = 0 data and
+        its load) and a vector ``x`` that holds the prescribed values on
+        the constrained DOFs.  The permeabilities must have passed
+        ``check_permeabilities``."""
+        ws, lo = disc.workspace, disc.layout
+        self.disc = disc
+        self.mu, self.K_B, self.K_D = params.mu, params.K_B, params.K_D
+        self.values = values = system.static
+        self.gauge = gauge = gauge_border(ws)
         n_D, n_lam = lo.free_D.size, lo.lam_R.size
         matrix = sp.csc_matrix(
-            (A.data[lo.dd_pos], lo.dd_indices, lo.dd_indptr), shape=(n_D, n_D)
+            (values[ws.ff_pos[lo.dd_pos]], lo.dd_indices, lo.dd_indptr), shape=(n_D, n_D)
         )
         self.coupling = sp.csr_matrix(
-            (A.data[lo.cd_pos], (lo.cd_rows, lo.cd_cols)), shape=(n_lam, n_D)
+            (values[ws.ff_pos[lo.cd_pos]], (lo.cd_rows, lo.cd_cols)), shape=(n_lam, n_D)
         )
-        self.b = b[lo.free_D]
+        self.b = asm.lifted_rhs(ws, values, system.load, x)[lo.free_D]
         cols = [self.coupling.T.toarray(), self.b[:, None]]
         if gauge is not None:
             c_D = gauge.coupling[lo.free_D]
@@ -464,16 +528,36 @@ class CondensedSolve:
                 gauge.diagonal + c_D @ self.z,
             )
 
+    @classmethod
+    def build(cls, disc, params, data):
+        """The static system of ``params`` and ``data`` on the
+        Discretization ``disc``; F and p do not enter it."""
+        ws, dofmap = disc.workspace, disc.dofmap
+        asm.check_permeabilities(params, ws)
+        x = np.zeros(dofmap.n_total)
+        x[dofmap.constrained] = asm.prescribed_values(dofmap, disc.mesh, data)
+        return cls(disc, params, asm.NewtonSystem(params, data, ws), x)
+
+    def check(self, disc, params):
+        """Raise ValueError unless a solve of ``params`` on ``disc`` may use
+        this: the same Discretization object, and the mu, K_B and K_D it
+        was built for (equal numbers; the same arrays or callables)."""
+        if disc is not self.disc:
+            raise ValueError("the static system was built on another Discretization")
+        for name in ("mu", "K_B", "K_D"):
+            if not _same(getattr(params, name), getattr(self, name)):
+                raise ValueError(f"the static system was built for another {name}")
+
     def reduced(self, A):
         """The reduced block of the free system A as a CSC matrix."""
-        lo = self.layout
+        lo = self.disc.layout
         n = lo.free_R.size
         data = np.concatenate([A.data, self.schur])[lo.rr_pos]
         return sp.csc_matrix((data, lo.rr_indices, lo.rr_indptr), shape=(n, n))
 
     def reduced_rhs(self, b):
         """The reduced system's right-hand side for the free system's b."""
-        lo = self.layout
+        lo = self.disc.layout
         if not np.array_equal(b[lo.free_D], self.b):
             raise ValueError("the Darcy part of the right-hand side differs from the block's")
         rhs = b[lo.free_R]
@@ -484,7 +568,7 @@ class CondensedSolve:
 
     def recover(self, x_R):
         """The solution of the free system from the reduced system's."""
-        lo = self.layout
+        lo = self.disc.layout
         x_D = self.y - self.X @ x_R[lo.lam_R]
         if self.z is not None:
             x_D -= self.z * x_R[self.border.slot]
@@ -492,6 +576,17 @@ class CondensedSolve:
         x[lo.free_R] = x_R
         x[lo.free_D] = x_D
         return x
+
+
+class CondensedSolve:
+    """The linear-solve state of one Newton solve: its StaticSystem
+    (``static``, which other solves may share) and ``held``, the
+    BorderedLU of the reduced system that the last step used, or None.
+    It belongs to one solve."""
+
+    def __init__(self, static):
+        self.static = static
+        self.held = None
 
 
 class LinearSolve(NamedTuple):
@@ -515,9 +610,9 @@ def sparse_lu_solve(A, b, solve):
     """Solve the free system A x = b, bordered by the pressure gauge if
     it has one, through the CondensedSolve ``solve`` of its Newton solve.
 
-    Only the reduced system of ``solve`` is factored and refined; the
-    Darcy part of x comes from the solve's once-per-solve quantities, and
-    the dense gauge border is never factored (see ``BorderedLU``).  The
+    Only the reduced system of ``solve.static`` is factored and refined;
+    the Darcy part of x comes from that StaticSystem, and the dense gauge
+    border is never factored (see ``BorderedLU``).  The
     factor ``solve.held`` of an earlier step, on the same pattern, is
     tried first.  It serves only if refinement with it meets REFINE_TOL
     under the rules of ``_refine``; otherwise the call releases it and
@@ -534,7 +629,8 @@ def sparse_lu_solve(A, b, solve):
     residual misses the bound (a NaN residual does).  Returns a
     LinearSolve.
     """
-    K, rhs, border = solve.reduced(A), solve.reduced_rhs(b), solve.border
+    static = solve.static
+    K, rhs, border = static.reduced(A), static.reduced_rhs(b), static.border
     norm = _norm_inf(K, border)
 
     def residual(x):
@@ -557,8 +653,8 @@ def sparse_lu_solve(A, b, solve):
     solve.held = factor
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("sparse LU produced non-finite values")
-    x = solve.recover(x)
-    res = _normalized_residual(A, x, b, solve.gauge)
+    x = static.recover(x)
+    res = _normalized_residual(A, x, b, static.gauge)
     if not res <= LU_RESIDUAL_TOL:
         raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
     return LinearSolve(x, res, factor.nnz, steps, factor is not held)
@@ -616,8 +712,9 @@ class SolveReport:
     so its nnz(L+U) depends on the mesh and the boundary-condition layout
     alone; only a factor that fell back to partial pivoting reports
     another.  ``darcy_lu_nnz`` is nnz(L+U) of the Darcy block, factored
-    once per solve (``CondensedSolve``) with partial pivoting, so it may
-    move with rounding.
+    with partial pivoting once per StaticSystem, which solves of several
+    F may share, so it may move with rounding.  Every factor is on tight
+    supernodes (``_factor``), so neither count includes padding.
     """
 
     iterations: int
@@ -652,7 +749,8 @@ class Discretization:
     it then skips that set-up.  It is never written to, so solves on
     several threads may share it.  Whatever depends on ``params`` or on
     ``data`` (prescribed boundary values, inverse permeabilities, loads,
-    the gauge border) is computed inside each solve and never stored here.
+    the eliminated Darcy block) is computed per solve, or held by a
+    StaticSystem that its caller keeps, and never stored here.
     """
 
     mesh: object
@@ -672,31 +770,39 @@ class Discretization:
         return cls(mesh, interface, dofmap, workspace, CondensedLayout(workspace))
 
 
-def newton_solve(mesh, params, data, options=None):
+def newton_solve(disc, params, data, options=None, linear=None):
     """Solve the coupled nonlinear problem on a mesh.
 
-    ``mesh`` is a Mesh, discretized for this solve alone on the default
-    quadrature of ``Discretization.build``, or a Discretization to reuse:
-    solves of several (params, data) on one mesh share its set-up and
-    assemble on its quadrature.  Returns (SolutionFields, SolveReport).
-    The iteration count equals the number of linear solves performed.
+    ``disc`` is a Discretization to reuse: solves of several (params,
+    data) on one mesh share its set-up and assemble on its quadrature.
+    It may also be a Mesh, discretized for this solve alone on the
+    default quadrature of ``Discretization.build``.  ``linear`` is a
+    StaticSystem built on ``disc`` for the mu, K_B, K_D and Darcy data of
+    this solve, which solves that differ only in F or p may share; with
+    None the solve builds its own.  Returns (SolutionFields,
+    SolveReport).  The iteration count equals the number of linear
+    solves performed.
 
     Raises ValueError for options out of range (``max_iter`` < 1,
-    ``tol`` <= 0) and for data whose boundary-condition layout
-    (constrained DOFs, pressure gauge) differs from the Discretization's.
-    Raises SolverError, naming the Newton iteration, when an assembled
-    system is not finite or its linear solve fails.
+    ``tol`` <= 0), for data whose boundary-condition layout (constrained
+    DOFs, pressure gauge) differs from the Discretization's, and for a
+    ``linear`` built on another Discretization, for other mu, K_B or K_D
+    (see ``StaticSystem.check``) or for other Darcy data.  Raises
+    SolverError, naming the Newton iteration, when an assembled system is
+    not finite or its linear solve fails.
     """
     opts = options or NewtonOptions()
     if opts.max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {opts.max_iter}")
     if not opts.tol > 0.0:
         raise ValueError(f"tol must be > 0, got {opts.tol}")
-    disc = mesh
+    if linear is not None:
+        linear.check(disc, params)
     if not isinstance(disc, Discretization):
-        disc = Discretization.build(mesh, data)
+        disc = Discretization.build(disc, data)
     mesh, interface, dofmap, ws = disc.mesh, disc.interface, disc.dofmap, disc.workspace
-    asm.check_permeabilities(params, ws)
+    if linear is None:
+        asm.check_permeabilities(params, ws)
 
     x = np.zeros(dofmap.n_total)
     init = np.asarray(opts.initial, dtype=float)
@@ -705,7 +811,12 @@ def newton_solve(mesh, params, data, options=None):
     )
     x[dofmap.constrained] = asm.prescribed_values(dofmap, mesh, data)
 
-    system = asm.NewtonSystem(params, data, ws)
+    if linear is None:
+        system = asm.NewtonSystem(params, data, ws)
+        linear = StaticSystem(disc, params, system, x)
+    else:
+        system = asm.NewtonSystem(params, data, ws, linear.values)
+    lin = CondensedSolve(linear)
     affine = params.forchheimer == 0.0
     # The Newton map feeds back only through the velocity iterate, so the
     # Cauchy test runs on the velocity coefficient block.
@@ -716,7 +827,6 @@ def newton_solve(mesh, params, data, options=None):
     refinements = []
     factored = []
     converged = False
-    lin = None
 
     max_iter = 1 if affine else opts.max_iter
     for it in range(1, max_iter + 1):
@@ -726,8 +836,6 @@ def newton_solve(mesh, params, data, options=None):
         A, b = asm.apply_constraints(ws, values, rhs, x)
         del values, rhs
         try:
-            if lin is None:
-                lin = CondensedSolve(disc, A, b)
             x_free, res, nnz, steps, fresh = sparse_lu_solve(A, b, lin)
         except SolverError as exc:
             raise SolverError(f"linear solve failed at Newton iteration {it}: {exc}") from exc
@@ -773,7 +881,7 @@ def newton_solve(mesh, params, data, options=None):
         converged=converged,
         dof=dofmap.n_free,
         tol=opts.tol,
-        darcy_lu_nnz=lin.lu_nnz,
+        darcy_lu_nnz=linear.lu_nnz,
     )
     return fields, report
 

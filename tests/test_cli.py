@@ -263,6 +263,35 @@ def test_sweep_builds_one_workspace_per_level(tmp_path, monkeypatch):
     assert len(lines) == 5 and all(c != "--" for ln in lines[1:] for c in ln.split(","))
 
 
+def test_sweep_cells_share_one_static_system_per_level_and_K_D(tmp_path, monkeypatch):
+    # Each (level, K_D) group factors its Darcy block once; every cell
+    # solves with its group's StaticSystem.
+    darcy, used = [], []
+    splu, newton_solve = cli.slv.splu, cli.slv.newton_solve
+
+    def spy_splu(M, **kwargs):
+        if kwargs.get("permc_spec") != "NATURAL":
+            darcy.append(M.shape)
+        return splu(M, **kwargs)
+
+    def spy_solve(disc, params, data, options=None, linear=None):
+        used.append((linear, disc, params.K_D))
+        return newton_solve(disc, params, data, options, linear)
+
+    monkeypatch.setattr(cli.slv, "splu", spy_splu)
+    monkeypatch.setattr(cli.slv, "newton_solve", spy_solve)
+    cfg = write_config(
+        tmp_path, "problem = example2\nF_list = 1, 100, 1e4\nK_D_list = 1e-3, 1e-6\n"
+    )
+    code = cli.main(["sweep", "--config", cfg, "--levels", "2", "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    assert len(darcy) == 4 and len(set(darcy)) == 2
+    assert len(used) == 12
+    statics = {id(linear) for linear, _, _ in used}
+    assert len(statics) == 4
+    assert all(linear.disc is disc and linear.K_D == K_D for linear, disc, K_D in used)
+
+
 @pytest.mark.parametrize("cores", [3, None])
 def test_sweep_pool_has_at_most_one_thread_per_core(tmp_path, monkeypatch, cores):
     sizes = []

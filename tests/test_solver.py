@@ -10,7 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spsolve
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import SuperLU, splu, spsolve
 
 from bfdarcy import (
     PhysicalParams,
@@ -28,6 +31,7 @@ from bfdarcy import (
 )
 from bfdarcy import solver
 from bfdarcy.assembly import Workspace, zero_scalar
+from bfdarcy.mesh import _build_topology
 from bfdarcy.solver import (
     LU_RESIDUAL_TOL,
     REFINE_TOL,
@@ -142,8 +146,8 @@ def test_lu_solves_a_gauge_border_on_a_singular_block(delta, monkeypatch):
 
     factors = []
 
-    def counting_splu(M):
-        factors.append(CountingLU(splu(M)))
+    def counting_splu(M, **kwargs):
+        factors.append(CountingLU(splu(M, **kwargs)))
         return factors[-1]
 
     monkeypatch.setattr(solver, "splu", counting_splu)
@@ -197,7 +201,9 @@ def test_lu_reports_whether_refinement_ran(monkeypatch):
     _, res, steps, _ = refined_solve(A, b)
     assert steps == 0 and res <= LU_RESIDUAL_TOL
 
-    monkeypatch.setattr(solver, "splu", lambda M: splu(sp.csc_matrix(M * (1.0 + 1e-6))))
+    monkeypatch.setattr(
+        solver, "splu", lambda M, **kwargs: splu(sp.csc_matrix(M * (1.0 + 1e-6)), **kwargs)
+    )
     x, res, steps, _ = refined_solve(A, b)
     assert steps >= 1 and res <= REFINE_TOL
     np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-10)
@@ -211,9 +217,9 @@ def test_lu_rejects_a_nan_residual(monkeypatch):
     # Factors of the finite reduced block give a finite x for a system
     # with a NaN entry in that block, so only the residual shows the
     # fault: with a held factor, and with fresh factors only.
-    disc, A, b = newton_system(channel)
-    lin = solver.CondensedSolve(disc, A, b)
-    clean = lin.reduced(A)
+    disc, A, b, static = newton_system(channel)
+    lin = solver.CondensedSolve(static)
+    clean = static.reduced(A)
     solver.sparse_lu_solve(A, b, lin)
     held = lin.held
     pos = disc.layout.rr_pos
@@ -383,6 +389,18 @@ def is_ordered(kwargs):
     return kwargs.get("permc_spec") == "NATURAL" and kwargs.get("diag_pivot_thresh") == 0.0
 
 
+def is_tight(kwargs):
+    """Whether a factor call carries the module's supernode settings."""
+    return (kwargs.get("relax"), kwargs.get("panel_size")) == (
+        solver.SUPERLU_RELAX, solver.SUPERLU_PANEL_SIZE
+    )
+
+
+def unordered(kwargs):
+    """The keywords of a factor call without those of the ordered one."""
+    return {k: v for k, v in kwargs.items() if k not in ("permc_spec", "diag_pivot_thresh", "options")}
+
+
 def check_factors(report, seen, calls, dofmap):
     """The Darcy block is factored once per solve with partial pivoting,
     the reduced block once per iteration that factored, on one fixed CSC
@@ -393,8 +411,9 @@ def check_factors(report, seen, calls, dofmap):
     assert len(seen) == len(calls) == 1 + sum(report.factored)
     assert report.factored[0]
     darcy, reduced = seen[0], seen[1:]
-    assert darcy.shape == (n_D, n_D) and calls[0] == {}
+    assert darcy.shape == (n_D, n_D) and not is_ordered(calls[0])
     assert all(is_ordered(kwargs) for kwargs in calls[1:])
+    assert all(is_tight(kwargs) for kwargs in calls)
     for M in reduced:
         assert M.format == "csc" and M.shape == (n, n)
         np.testing.assert_array_equal(M.indptr, reduced[0].indptr)
@@ -404,7 +423,7 @@ def check_factors(report, seen, calls, dofmap):
     for factored in report.factored:
         used.append(next(fills) if factored else used[-1])
     assert report.lu_nnz == used
-    assert report.darcy_lu_nnz == int(splu(darcy).nnz)
+    assert report.darcy_lu_nnz == int(splu(darcy, **calls[0]).nnz)
 
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
@@ -445,20 +464,21 @@ def test_held_factors_leave_the_iterates_unchanged(problem, monkeypatch):
 
 
 def newton_system(problem, nx=8, forchheimer=1e3, seed=5):
-    """One Newton system with a Forchheimer block at a random iterate."""
+    """One Newton system with a Forchheimer block at a random iterate, and
+    the StaticSystem of its solve."""
     mesh, params, data = problem(nx=nx, forchheimer=forchheimer)
     disc = solver.Discretization.build(mesh, data)
     ws, dofmap = disc.workspace, disc.dofmap
     x = np.random.default_rng(seed).normal(size=dofmap.n_total)
     x[dofmap.constrained] = prescribed_values(dofmap, mesh, data)
     A, b = apply_constraints(ws, *NewtonSystem(params, data, ws).at(x), x)
-    return disc, A, b
+    return disc, A, b, solver.StaticSystem.build(disc, params, data)
 
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
 def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
-    disc, A, b = newton_system(problem)
-    lin = solver.CondensedSolve(disc, A, b)
+    disc, A, b, static = newton_system(problem)
+    lin = solver.CondensedSolve(static)
     assert lin.held is None
     fresh = solver.sparse_lu_solve(A, b, lin)
     assert fresh.factored and fresh.refinements == 0
@@ -473,7 +493,7 @@ def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
     # A factor of three times the matrix cuts the residual by less than
     # REFINE_MIN_RATE per step: the solve releases it and factors anew,
     # from the start, so the result is the fresh solve's.
-    bad = lin.held = solver.BorderedLU(3.0 * lin.reduced(A), lin.border)
+    bad = lin.held = solver.BorderedLU(3.0 * static.reduced(A), static.border)
     out = solver.sparse_lu_solve(A, b, lin)
     assert out.factored and lin.held is not bad and out.refinements >= 1
     assert bad.lu is None
@@ -483,11 +503,11 @@ def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
 def test_an_inaccurate_ordered_factor_falls_back_to_partial_pivoting(problem, monkeypatch):
-    disc, A, b = newton_system(problem)
-    lin = solver.CondensedSolve(disc, A, b)
-    # The reference: the ordered call factors with partial pivoting, and
-    # that factor serves at once.
-    monkeypatch.setattr(solver, "splu", lambda M, **kwargs: splu(M))
+    disc, A, b, static = newton_system(problem)
+    lin = solver.CondensedSolve(static)
+    # The reference: the ordered call factors with partial pivoting, on
+    # the same supernodes, and that factor serves at once.
+    monkeypatch.setattr(solver, "splu", lambda M, **kwargs: splu(M, **unordered(kwargs)))
     ref = solver.sparse_lu_solve(A, b, lin)
     assert ref.factored and ref.refinements == 0
     lin.held = None
@@ -537,8 +557,7 @@ def test_the_condensed_layout_pairs_each_pressure_with_a_bubble(problem):
 
 
 def test_the_reduced_gauge_border_sits_on_the_gauge_slot():
-    disc, A, b = newton_system(manufactured)
-    lin = solver.CondensedSolve(disc, A, b)
+    disc, A, b, lin = newton_system(manufactured)
     border = lin.gauge
     np.testing.assert_array_equal(border.coupling, solver.gauge_border(disc.workspace).coupling)
     free_R = disc.layout.free_R
@@ -563,7 +582,9 @@ def test_every_fresh_reduced_factor_has_one_fill(problem, monkeypatch):
     _, report = newton_solve(disc, params, data)
     _, other = newton_solve(disc, replace(params, forchheimer=10.0), data)
     assert all(report.factored) and report.iterations >= 5
-    assert all(is_ordered(kwargs) for kwargs in calls if kwargs)
+    # The two Darcy blocks with partial pivoting, every reduced block
+    # ordered.
+    assert sum(not is_ordered(kwargs) for kwargs in calls) == 2
     assert len(calls) == report.iterations + other.iterations + 2
     assert set(report.lu_nnz) == set(other.lu_nnz) and len(set(report.lu_nnz)) == 1
 
@@ -586,7 +607,8 @@ def test_channel_extremes_converge_on_ordered_factors(forchheimer, monkeypatch):
         assert all(r <= LU_RESIDUAL_TOL for r in report.linear_residuals)
         # The Darcy block with partial pivoting, then no fresh reduced
         # factor that falls back.
-        assert calls[0] == {} and all(is_ordered(kwargs) for kwargs in calls[1:])
+        assert not is_ordered(calls[0]) and all(is_ordered(kwargs) for kwargs in calls[1:])
+        assert all(is_tight(kwargs) for kwargs in calls)
         assert len(calls) == 1 + sum(report.factored)
 
 
@@ -648,13 +670,13 @@ def test_condensed_solve_matches_a_factored_free_system(mode):
         K = A + c @ e_s.T + e_s @ c.T
     x_ref = spsolve(sp.csc_matrix(K), b)
 
-    lin = solver.CondensedSolve(disc, A, b)
-    assert border is None or lin.border.diagonal != 0.0
-    out = solver.sparse_lu_solve(A, b, lin)
+    static = solver.StaticSystem.build(disc, params, data)
+    assert border is None or static.border.diagonal != 0.0
+    out = solver.sparse_lu_solve(A, b, solver.CondensedSolve(static))
     x_c = out.x
     assert np.abs(x_c - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
     assert out.residual <= 1e-14 and out.refinements == 0 and out.factored
-    assert 0 < out.lu_nnz and 0 < lin.lu_nnz
+    assert 0 < out.lu_nnz and 0 < static.lu_nnz
     full = np.abs(K @ x_c - b).max() / (abs(K).sum(axis=1).max() * np.abs(x_c).max()
                                         + np.abs(b).max())
     assert full == pytest.approx(out.residual, rel=1e-6, abs=1e-18)
@@ -794,6 +816,225 @@ def test_shared_discretization_rejects_another_layout():
     assert not sealed.gauge_pressure
     with pytest.raises(ValueError, match="essential boundary conditions"):
         newton_solve(disc, params, sealed)
+
+
+# ------------------------------------------------- shared static system
+
+
+def channel_cells(nx=8):
+    """Sweep cells of the channel: (F, K_D) pairs on one mesh, with the
+    StaticSystem of each K_D built from another F's parameters and data."""
+    mesh = channel(nx=nx)[0]
+    disc = solver.Discretization.build(mesh, heterogeneous_flow_problem(1.0)[1])
+    statics = {
+        K_D: solver.StaticSystem.build(disc, *heterogeneous_flow_problem(1.0, K_D=K_D)[:2])
+        for K_D in (1e-3, 1e-6)
+    }
+    cells = []
+    for F in (10.0, 1e3, 1e4):
+        for K_D, static in statics.items():
+            params, data, _ = heterogeneous_flow_problem(F, K_D=K_D)
+            cells.append((params, data, static))
+    return disc, cells
+
+
+def gauge_cells(nx=8):
+    """example1_variant cells, with the StaticSystem of each K_D built
+    from the first cell of that K_D."""
+    disc = solver.Discretization.build(manufactured(nx=nx)[0], example1_cells()[0][1])
+    statics = {}
+    cells = []
+    for params, data in example1_cells():
+        static = statics.setdefault(params.K_D, solver.StaticSystem.build(disc, params, data))
+        cells.append((params, data, static))
+    return disc, cells
+
+
+@pytest.mark.parametrize("make", [channel_cells, gauge_cells], ids=["mixed", "gauge"])
+def test_shared_static_systems_reproduce_unshared_solves(make, monkeypatch):
+    disc, cells = make()
+    calls = []
+    recording_splu(monkeypatch, calls)
+    for params, data, static in cells:
+        before = state(static)
+        calls.clear()
+        own_fields, own = newton_solve(disc, params, data)
+        n_own = len(calls)
+        calls.clear()
+        fields, report = newton_solve(disc, params, data, linear=static)
+        np.testing.assert_array_equal(fields.x, own_fields.x)
+        assert report == own and report.converged
+        # The shared system spares the solve its Darcy factor.
+        assert len(calls) == n_own - 1 and all(is_ordered(kwargs) for kwargs in calls)
+        after = state(static)
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(after[key], value)
+
+
+def superlu_inside(obj, seen=None):
+    """Whether ``obj`` or anything its attributes reach is a SuperLU."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, SuperLU):
+        return True
+    if isinstance(obj, (list, tuple)):
+        return any(superlu_inside(o, seen) for o in obj)
+    if isinstance(obj, dict):
+        return any(superlu_inside(o, seen) for o in obj.values())
+    if hasattr(obj, "__dict__") and not isinstance(obj, type):
+        return any(superlu_inside(o, seen) for o in vars(obj).values())
+    return False
+
+
+def test_a_static_system_holds_no_factor():
+    disc, cells = gauge_cells()
+    params, data, static = cells[0]
+    assert not superlu_inside(static)
+    newton_solve(disc, params, data, linear=static)
+    assert not superlu_inside(static)
+    lin = solver.CondensedSolve(static)
+    lin.held = solver.BorderedLU(sp.eye(3, format="csc"))
+    assert superlu_inside(lin) and not superlu_inside(static)
+
+
+def test_solves_of_several_F_on_one_static_system_on_several_threads():
+    disc, cells = channel_cells()
+    cells = [cell for cell in cells if cell[2] is cells[0][2]]
+    serial = [newton_solve(disc, p, d, linear=static) for p, d, static in cells]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(newton_solve, disc, p, d, None, static)
+                       for p, d, static in cells * 2]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (f1, r1), (f2, r2) in zip(serial * 2, threaded):
+        np.testing.assert_array_equal(f2.x, f1.x)
+        assert r2 == r1
+
+
+def test_a_static_system_rejects_another_solve():
+    mesh, params, data = channel(nx=8)
+    disc = solver.Discretization.build(mesh, data)
+    K_B = np.array([[0.1, 0.0], [0.0, 0.1]])
+    params = replace(params, K_B=K_B)
+    static = solver.StaticSystem.build(disc, params, data)
+    # Another F and p share it; an equal K_B array is the same object.
+    newton_solve(disc, replace(params, forchheimer=1.0, power=3.0), data, linear=static)
+    others = [
+        ("another Discretization", solver.Discretization.build(mesh, data), params),
+        ("another Discretization", mesh, params),
+        ("another mu", disc, replace(params, mu=2.0)),
+        ("another K_B", disc, replace(params, K_B=K_B.copy())),
+        ("another K_D", disc, replace(params, K_D=1e-4)),
+    ]
+    for message, where, other in others:
+        with pytest.raises(ValueError, match=message):
+            newton_solve(where, other, data, linear=static)
+    # Other Darcy data: a nonzero Darcy source.
+    darcy = replace(data, f_D=lambda pts: np.ones_like(pts))
+    with pytest.raises(ValueError, match="Darcy part of the right-hand side"):
+        newton_solve(disc, params, darcy, linear=static)
+    # A callable permeability is compared by identity, a number by value.
+    field = lambda pts: np.broadcast_to(1e-3 * np.eye(2), (len(pts), 2, 2))  # noqa: E731
+    static = solver.StaticSystem.build(disc, replace(params, K_D=field), data)
+    newton_solve(disc, replace(params, K_D=field, mu=1), data, linear=static)
+    with pytest.raises(ValueError, match="another K_D"):
+        newton_solve(disc, replace(params, K_D=lambda pts: field(pts)), data, linear=static)
+
+
+# ----------------------------------------------------- forest matching
+
+
+def matched_bubbles(disc):
+    """Each Brinkman triangle's matched bubble, read from the layout: the
+    DOF its pressure is eliminated right after."""
+    ws, dof = disc.workspace, disc.dofmap
+    order = ws.free[disc.layout.free_R]
+    at = np.empty(dof.n_total, dtype=int)
+    at[order] = np.arange(order.size)
+    return order[at[ws.p_dof_B] - 1]
+
+
+def assert_acyclic_matching(disc):
+    """The matched bubbles, as edges between their Brinkman triangles (or
+    a triangle and one root for an edge it has alone), form a forest."""
+    mesh, br = disc.mesh, disc.dofmap.br
+    mate = matched_bubbles(disc)
+    assert (mate[:, None] == br.l2g[:, 6:]).any(axis=1).all()
+    m = br.tri_ids.size
+    local = np.full(mesh.num_triangles + 1, m)
+    local[br.tri_ids] = np.arange(m)
+    edges = br.edge_ids[mate - 2 * br.vertex_ids.size]
+    ends = local[mesh.edge_tris[edges]]
+    graph = sp.csr_matrix((np.ones(m), (ends[:, 0], ends[:, 1])), shape=(m + 1, m + 1))
+    n_parts, _ = connected_components(graph, directed=False)
+    assert np.unique(edges).size == m
+    assert m == (m + 1) - n_parts
+
+
+@pytest.mark.parametrize("nx", [16, 32])
+def test_crisscross_study_factors_only_in_the_layout_order(nx, monkeypatch):
+    params = PhysicalParams(mu=1.0, forchheimer=10.0, power=3.0, K_B=1.0, K_D=0.1)
+    _, data = manufactured_problem(params)
+    mesh = generate_stacked_rect(RECT_B, RECT_D, nx, nx, nx, pattern="crisscross")
+    disc = solver.Discretization.build(mesh, data)
+    assert_acyclic_matching(disc)
+    calls = []
+    recording_splu(monkeypatch, calls)
+    _, report = newton_solve(disc, params, data)
+    assert report.converged and report.iterations == 4
+    # The Darcy block, then only ordered reduced factors: none fell back.
+    assert len(calls) == 1 + sum(report.factored)
+    assert not is_ordered(calls[0]) and all(is_ordered(kwargs) for kwargs in calls[1:])
+    assert len(set(report.lu_nnz)) == 1
+
+
+def shuffled(mesh, seed, roll):
+    """``mesh`` with its vertices and triangles renumbered at random and
+    the local vertex order of each triangle rotated by ``roll``."""
+    rng = np.random.default_rng(seed)
+    old = rng.permutation(mesh.num_vertices)
+    new = np.argsort(old)
+    tris = rng.permutation(mesh.num_triangles)
+    triangles = np.roll(new[mesh.triangles[tris]], roll, axis=1)
+    tagged = np.flatnonzero(mesh.edge_tags != "")
+    pairs = np.sort(new[mesh.edges[tagged]], axis=1)
+    return _build_topology(
+        mesh.vertices[old], triangles, mesh.subdomain[tris], pairs, mesh.edge_tags[tagged]
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    problem=st.sampled_from(["gauge", "mixed"]),
+    pattern=st.sampled_from(["right", "crisscross"]),
+    seed=st.integers(0, 2**32 - 1),
+    roll=st.integers(0, 2),
+)
+def test_renumbered_meshes_match_along_a_forest_and_never_fall_back(problem, pattern, seed, roll):
+    if problem == "gauge":
+        params = PhysicalParams(mu=1.0, forchheimer=10.0, power=3.0, K_B=1.0, K_D=0.1)
+        _, data = manufactured_problem(params)
+        mesh = generate_stacked_rect(RECT_B, RECT_D, 8, 8, 8, pattern=pattern)
+    else:
+        params, data, (rect_B, rect_D) = heterogeneous_flow_problem(1e3)
+        mesh = generate_stacked_rect(rect_B, rect_D, 8, 4, 4, pattern=pattern)
+    disc = solver.Discretization.build(shuffled(mesh, seed, roll), data)
+    assert_acyclic_matching(disc)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        recording_splu(patch, calls)
+        _, report = newton_solve(disc, params, data)
+    assert report.converged
+    assert len(calls) == 1 + sum(report.factored)
+    assert all(is_ordered(kwargs) for kwargs in calls[1:])
 
 
 # --------------------------------------------------------------- tracing
