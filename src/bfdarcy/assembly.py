@@ -661,6 +661,12 @@ def assemble_da(w, params, ws):
     return ws.csr(data)
 
 
+def static_values(params, ws):
+    """CSR data, on the workspace pattern, of the Newton system at F = 0:
+    the linear velocity blocks and the coupling block."""
+    return _linear_data(params, ws) + ws.b_data
+
+
 class NewtonSystem:
     """The linear system of every Newton step of one solve.
 
@@ -675,7 +681,7 @@ class NewtonSystem:
     def __init__(self, params, data, ws, static=None):
         self.params = params
         self.ws = ws
-        self.static = _linear_data(params, ws) + ws.b_data if static is None else static
+        self.static = static_values(params, ws) if static is None else static
         self.load = assemble_rhs(data, ws)
 
     def at(self, x):
@@ -748,44 +754,51 @@ def _coupling_entries(ws):
 def assemble_rhs(data, ws):
     """Right-hand side vector: loads, boundary and interface data."""
     dof = ws.dofmap
-    rhs = np.zeros(dof.n_total)
-
+    rhs = darcy_rhs(data, ws)
     fB = np.asarray(data.f_B(ws.qpts_B.reshape(-1, 2))).reshape(ws.qpts_B.shape)
     np.add.at(rhs, dof.br.l2g, _load(ws.phi, ws.wq_B[..., None] * fB))
+    if data.interface_traction is not None:
+        pts, _, wts, basis, l2g = ws.interface_edges
+        tv = np.asarray(data.interface_traction(pts.reshape(-1, 2))).reshape(pts.shape)
+        np.add.at(rhs, l2g, _load(basis, wts[..., None] * tv))
+    _add_natural_bc(rhs, data.velocity_bc, "traction", ws)
+    return rhs
+
+
+def darcy_rhs(data, ws):
+    """The Darcy rows of ``assemble_rhs`` (the f_D and g_D loads and the
+    natural pressure data), bit for bit, with every other row zero."""
+    dof = ws.dofmap
+    rhs = np.zeros(dof.n_total)
     fD = np.asarray(data.f_D(ws.qpts_D.reshape(-1, 2))).reshape(ws.qpts_D.shape)
     moments = ws.rule.bary.T @ (ws.wq_D[..., None] * fD)  # (m, 3, 2) on eta_i
     np.add.at(rhs, dof.off_uD + dof.rt.l2g, _load(ws.coef_D, moments))
     gD = np.asarray(data.g_D(ws.qpts_D.reshape(-1, 2))).reshape(ws.wq_D.shape)
     np.add.at(rhs, ws.p_dof_D, -np.einsum("mq,mq->m", gD, ws.wq_D))
-
-    if data.interface_traction is not None:
-        pts, _, wts, basis, l2g = ws.interface_edges
-        tv = np.asarray(data.interface_traction(pts.reshape(-1, 2))).reshape(pts.shape)
-        np.add.at(rhs, l2g, _load(basis, wts[..., None] * tv))
-
-    _add_natural_bc(rhs, data, ws)
+    _add_natural_bc(rhs, data.darcy_bc, "pressure", ws)
     return rhs
 
 
-def _add_natural_bc(rhs, data, ws):
-    for bcs, natural in ((data.velocity_bc, "traction"), (data.darcy_bc, "pressure")):
-        for tag, (kind, fn) in bcs.items():
-            if kind != natural:
-                continue
-            if tag not in ws.natural:
-                if ws.mesh.edges_with_tag(tag).size:
-                    raise ValueError(
-                        f"boundary tag {tag!r} carries {kind} data, but the "
-                        "workspace was built for a layout where it is essential"
-                    )
-                continue
-            pts, nrm, wts, basis, l2g = ws.natural[tag]
-            if kind == "traction":
-                tv = np.asarray(fn(pts.reshape(-1, 2), nrm.reshape(-1, 2))).reshape(pts.shape)
-                np.add.at(rhs, l2g, _load(basis, wts[..., None] * tv))
-            else:
-                pv = np.asarray(fn(pts.reshape(-1, 2))).reshape(wts.shape)
-                np.add.at(rhs, l2g, -_load(basis, pv * wts))
+def _add_natural_bc(rhs, bcs, natural, ws):
+    """Add the data of the boundary conditions ``bcs`` of kind ``natural``
+    ("traction" or "pressure") to ``rhs``."""
+    for tag, (kind, fn) in bcs.items():
+        if kind != natural:
+            continue
+        if tag not in ws.natural:
+            if ws.mesh.edges_with_tag(tag).size:
+                raise ValueError(
+                    f"boundary tag {tag!r} carries {kind} data, but the "
+                    "workspace was built for a layout where it is essential"
+                )
+            continue
+        pts, nrm, wts, basis, l2g = ws.natural[tag]
+        if kind == "traction":
+            tv = np.asarray(fn(pts.reshape(-1, 2), nrm.reshape(-1, 2))).reshape(pts.shape)
+            np.add.at(rhs, l2g, _load(basis, wts[..., None] * tv))
+        else:
+            pv = np.asarray(fn(pts.reshape(-1, 2))).reshape(wts.shape)
+            np.add.at(rhs, l2g, -_load(basis, pv * wts))
 
 
 def assemble_a_nonlinear(u, params, ws):

@@ -21,7 +21,13 @@ factor it reuses between steps.  Once the iteration has settled, the
 Jacobian barely moves between steps, so a step first tries the previous
 step's factor with iterative refinement (the chord or Shamanskii idea;
 C. T. Kelley, Iterative Methods for Linear and Nonlinear Equations,
-SIAM 1995) and factors anew only when that fails.
+SIAM 1995) and factors anew only when that fails.  That refinement
+starts from the current iterate and refines the correction (N. J.
+Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
+2002, ch. 12), so the error a held factor leaves scales with the Newton
+increment, not with the iterate, and it stops only below REFINE_ETA
+times the iterate's own residual: a reused step is then as accurate as
+a fresh one.
 """
 
 import numbers
@@ -57,6 +63,16 @@ LU_RESIDUAL_TOL = 1.0e-10
 # no accuracy.
 REFINE_TOL = 1.0e-15
 
+# A held factor refines the correction from the current iterate x_k
+# (``_refine``), and its solve also aims at this fraction of x_k's own
+# normalized residual.  Close to convergence the first correction alone
+# can meet REFINE_TOL, which is normwise, while still carrying a
+# relative error near that of the held factor; a step that stops there
+# turns Newton's quadratic convergence linear (one more iteration at
+# F = 1e8, K_D = 1e-6 on the channel).  1e-3 and 1e-4 both give the
+# iteration counts of factoring every step; 1e-2 does not.
+REFINE_ETA = 1.0e-4
+
 # Supernode settings of every SuperLU factor (``_factor``).  scipy's
 # default relaxed supernodes pad L and U with explicit zeros, which cost
 # time in the factorization and in every triangular solve; these keep the
@@ -66,7 +82,7 @@ SUPERLU_PANEL_SIZE = 4
 
 # Refinement gives up when a step cuts the residual by less than this
 # factor, or when the observed rate predicts more than REFINE_MAX_STEPS
-# steps to reach REFINE_TOL.
+# steps to reach its goal (``_refine``).
 REFINE_MIN_RATE = 2.0
 REFINE_MAX_STEPS = 12
 
@@ -252,22 +268,37 @@ class BorderedLU:
         self.lu = self.y1 = self.y2 = None
 
 
-def _refine(factor, residual, rhs, norm):
+def _refine(factor, residual, rhs, norm, start=None):
     """Solve with ``factor``, then refine on the system whose residual
     K x - rhs is ``residual(x)`` (``norm`` = ||K||_inf) until the
     normalized residual meets REFINE_TOL.
+
+    Without ``start`` the first solve is M^-1 rhs (M the factored
+    matrix).  With ``start`` = (x_k, its normalized residual res_k, its
+    residual r_k) the first solve is a correction, x_k - M^-1 r_k, and
+    refinement aims at REFINE_ETA res_k as well as at REFINE_TOL: the
+    error to remove is then the size of x - x_k, not of x, and the goal
+    below res_k keeps a step from stopping on a residual that only looks
+    small next to ||x||.
 
     Refinement gives up once a step cuts the residual by less than
     REFINE_MIN_RATE, or once the observed rate predicts more than
     REFINE_MAX_STEPS steps in all; a step that does not lower the
     residual is not taken, and a NaN residual takes none.  Returns
-    (x, normalized residual, refinement steps taken).
+    (x, normalized residual, refinement steps taken); the steps are the
+    solves after the first.
     """
-    x = factor.solve(rhs)
+    if start is None:
+        goal = REFINE_TOL
+        x = factor.solve(rhs)
+    else:
+        x_k, res_k, r_k = start
+        goal = min(REFINE_TOL, REFINE_ETA * res_k)
+        x = x_k - factor.solve(r_k)
     r = residual(x)
     res = _normalized(r, x, rhs, norm)
     steps = 0
-    while res > REFINE_TOL:
+    while res > goal:
         x_new = x - factor.solve(r)
         r_new = residual(x_new)
         res_new = _normalized(r_new, x_new, rhs, norm)
@@ -275,10 +306,10 @@ def _refine(factor, residual, rhs, norm):
             break
         x, r, res, prev = x_new, r_new, res_new, res
         steps += 1
-        if res <= REFINE_TOL:
+        if res <= goal:
             break
         rate = prev / res
-        if rate < REFINE_MIN_RATE or steps + np.log(res / REFINE_TOL) / np.log(rate) > REFINE_MAX_STEPS:
+        if rate < REFINE_MIN_RATE or steps + np.log(res / goal) / np.log(rate) > REFINE_MAX_STEPS:
             break
     return x, res, steps
 
@@ -488,16 +519,18 @@ class StaticSystem:
     caller that builds it owns it.
     """
 
-    def __init__(self, disc, params, system, x):
-        """The static system of ``params`` on ``disc``, from the
-        NewtonSystem ``system`` of a solve of them (its F = 0 data and
-        its load) and a vector ``x`` that holds the prescribed values on
-        the constrained DOFs.  The permeabilities must have passed
+    def __init__(self, disc, params, values, load, x):
+        """The static system of ``params`` on ``disc``, from the F = 0
+        data ``values`` of their Newton system (``assembly.static_values``),
+        a load vector ``load`` whose Darcy rows are those of the problem
+        data (``assembly.darcy_rhs``; other rows are not read) and a
+        vector ``x`` that holds the prescribed values on the constrained
+        DOFs.  The permeabilities must have passed
         ``check_permeabilities``."""
         ws, lo = disc.workspace, disc.layout
         self.disc = disc
         self.mu, self.K_B, self.K_D = params.mu, params.K_B, params.K_D
-        self.values = values = system.static
+        self.values = values
         self.gauge = gauge = gauge_border(ws)
         n_D, n_lam = lo.free_D.size, lo.lam_R.size
         matrix = sp.csc_matrix(
@@ -506,7 +539,7 @@ class StaticSystem:
         self.coupling = sp.csr_matrix(
             (values[ws.ff_pos[lo.cd_pos]], (lo.cd_rows, lo.cd_cols)), shape=(n_lam, n_D)
         )
-        self.b = asm.lifted_rhs(ws, values, system.load, x)[lo.free_D]
+        self.b = asm.lifted_rhs(ws, values, load, x)[lo.free_D]
         cols = [self.coupling.T.toarray(), self.b[:, None]]
         if gauge is not None:
             c_D = gauge.coupling[lo.free_D]
@@ -531,12 +564,13 @@ class StaticSystem:
     @classmethod
     def build(cls, disc, params, data):
         """The static system of ``params`` and ``data`` on the
-        Discretization ``disc``; F and p do not enter it."""
+        Discretization ``disc``; F and p do not enter it, and of the
+        load only the Darcy rows are assembled."""
         ws, dofmap = disc.workspace, disc.dofmap
         asm.check_permeabilities(params, ws)
         x = np.zeros(dofmap.n_total)
         x[dofmap.constrained] = asm.prescribed_values(dofmap, disc.mesh, data)
-        return cls(disc, params, asm.NewtonSystem(params, data, ws), x)
+        return cls(disc, params, asm.static_values(params, ws), asm.darcy_rhs(data, ws), x)
 
     def check(self, disc, params):
         """Raise ValueError unless a solve of ``params`` on ``disc`` may use
@@ -594,9 +628,12 @@ class LinearSolve(NamedTuple):
 
     ``residual`` is the normalized residual on the full (bordered) free
     system, ``lu_nnz`` nnz(L+U) of the reduced factor that served,
-    ``refinements`` the refinement steps run (those with an abandoned
-    held or ordered factor included) and ``factored`` whether the call
-    computed that factor.
+    ``refinements`` the refinement steps run, the solves with a factor
+    after its first (those with an abandoned held or ordered factor
+    included), and ``factored`` whether the call computed that factor.
+    ``step_residual`` is the normalized residual of the reduced system
+    at the given iterate (the nonlinear residual of a Newton step on the
+    reduced unknowns), or NaN without one.
     """
 
     x: np.ndarray
@@ -604,24 +641,37 @@ class LinearSolve(NamedTuple):
     lu_nnz: int
     refinements: int
     factored: bool
+    step_residual: float
 
 
-def sparse_lu_solve(A, b, solve):
+def sparse_lu_solve(A, b, solve, iterate=None):
     """Solve the free system A x = b, bordered by the pressure gauge if
     it has one, through the CondensedSolve ``solve`` of its Newton solve.
 
     Only the reduced system of ``solve.static`` is factored and refined;
     the Darcy part of x comes from that StaticSystem, and the dense gauge
-    border is never factored (see ``BorderedLU``).  The
-    factor ``solve.held`` of an earlier step, on the same pattern, is
-    tried first.  It serves only if refinement with it meets REFINE_TOL
-    under the rules of ``_refine``; otherwise the call releases it and
-    factors the reduced system in the layout's elimination order with
-    diagonal pivots, which keeps its fill fixed by the pattern, and
-    refines the same way, from the start.  That factor is held to the
+    border is never factored (see ``BorderedLU``).  ``iterate`` holds
+    the reduced unknowns of the current Newton iterate x_k, in the
+    layout's order (``CondensedLayout.free_R``), or is None.
+
+    The factor ``solve.held`` of an earlier step, on the same pattern, is
+    tried first.  Given ``iterate``, refinement with it starts from x_k
+    and refines the correction (see ``_refine``): a held factor is
+    inexact by the Jacobian's change since it was made, and the error it
+    leaves is then relative to the Newton increment, not to the iterate.
+    It serves only if refinement meets REFINE_TOL under the rules of
+    ``_refine``; otherwise the call releases it and factors the reduced
+    system in the layout's elimination order with diagonal pivots, which
+    keeps its fill fixed by the pattern.  That factor is held to the
     same rule, and when it misses it is released and the system factored
     with COLAMD and partial pivoting.  The factor that served becomes
     ``solve.held``.
+
+    Fresh factors refine from M^-1 rhs.  A correction from x_k leaves
+    round-off of the size of x_k, which the normalized residual, scaled
+    by the solution, does not forgive when the solution is much smaller
+    than x_k, as in the first steps of some solves; the hold rule
+    (HOLD_INCREMENT) keeps a held step's solution close to x_k in size.
 
     Whichever factor served, the normalized residual on the full system
     must meet LU_RESIDUAL_TOL.  Raises SingularSystemError on an exactly
@@ -636,18 +686,26 @@ def sparse_lu_solve(A, b, solve):
     def residual(x):
         return _bordered_residual(K, x, rhs, border)
 
-    # The held factor, the ordered factor and the pivoting factor, in
-    # turn: each serves if refinement with it meets REFINE_TOL, the last
-    # one always.
+    start, step_res = None, np.nan
+    if iterate is not None:
+        r_k = residual(iterate)
+        step_res = _normalized(r_k, iterate, rhs, norm)
+        start = (iterate, step_res, r_k)
+    # The held factor, from x_k, then the ordered factor and the
+    # pivoting factor, from M^-1 rhs: each serves if refinement with it
+    # meets REFINE_TOL, the last one always.
     held = solve.held
-    tries = [] if held is None else [lambda: held]
-    tries += [lambda: BorderedLU(K, border, ordered=True), lambda: BorderedLU(K, border)]
+    tries = [] if held is None else [(lambda: held, start)]
+    tries += [
+        (lambda: BorderedLU(K, border, ordered=True), None),
+        (lambda: BorderedLU(K, border), None),
+    ]
     steps = 0
-    for make in tries:
+    for make, first in tries:
         factor = make()
-        x, res, more = _refine(factor, residual, rhs, norm)
+        x, res, more = _refine(factor, residual, rhs, norm, first)
         steps += more
-        if res <= REFINE_TOL or make is tries[-1]:
+        if res <= REFINE_TOL or make is tries[-1][0]:
             break
         factor.release()
     solve.held = factor
@@ -657,7 +715,7 @@ def sparse_lu_solve(A, b, solve):
     res = _normalized_residual(A, x, b, static.gauge)
     if not res <= LU_RESIDUAL_TOL:
         raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
-    return LinearSolve(x, res, factor.nnz, steps, factor is not held)
+    return LinearSolve(x, res, factor.nnz, steps, factor is not held, step_res)
 
 
 @dataclass
@@ -703,11 +761,15 @@ class SolveReport:
     """Outcome of one nonlinear solve.
 
     Per Newton iteration: the relative velocity increment, the normalized
-    residual of the linear solve on the full free system, nnz(L+U) of
-    the factor that iteration used (of the reduced block, with the Darcy
-    unknowns eliminated), the refinement steps it ran (see
-    ``LinearSolve``) and whether it factored: an iteration that did not
-    reused the factor its CondensedSolve held from an earlier one.  The
+    residual of the linear solve on the full free system, the normalized
+    residual of the step's reduced system at the iterate the step starts
+    from (``step_residuals``: the nonlinear residual on the reduced
+    unknowns, normalized as ``_normalized`` does), nnz(L+U) of the factor
+    that iteration used (of the reduced block, with the Darcy unknowns
+    eliminated), the refinement steps it ran (the solves with a factor
+    after its first; see ``LinearSolve``) and whether it factored: an
+    iteration that did not reused the factor its CondensedSolve held
+    from an earlier one, and refined the correction from its iterate.  The
     reduced block is factored in the layout's order with diagonal pivots,
     so its nnz(L+U) depends on the mesh and the boundary-condition layout
     alone; only a factor that fell back to partial pivoting reports
@@ -720,6 +782,7 @@ class SolveReport:
     iterations: int
     increments: list
     linear_residuals: list
+    step_residuals: list
     lu_nnz: list
     refinements: list
     factored: list
@@ -813,7 +876,7 @@ def newton_solve(disc, params, data, options=None, linear=None):
 
     if linear is None:
         system = asm.NewtonSystem(params, data, ws)
-        linear = StaticSystem(disc, params, system, x)
+        linear = StaticSystem(disc, params, system.static, system.load, x)
     else:
         system = asm.NewtonSystem(params, data, ws, linear.values)
     lin = CondensedSolve(linear)
@@ -823,6 +886,7 @@ def newton_solve(disc, params, data, options=None, linear=None):
     nv = dofmap.n_uB + dofmap.n_uD
     increments = []
     residuals = []
+    step_residuals = []
     lu_nnz = []
     refinements = []
     factored = []
@@ -836,12 +900,15 @@ def newton_solve(disc, params, data, options=None, linear=None):
         A, b = asm.apply_constraints(ws, values, rhs, x)
         del values, rhs
         try:
-            x_free, res, nnz, steps, fresh = sparse_lu_solve(A, b, lin)
+            x_free, res, nnz, steps, fresh, step_res = sparse_lu_solve(
+                A, b, lin, x[ws.free][disc.layout.free_R]
+            )
         except SolverError as exc:
             raise SolverError(f"linear solve failed at Newton iteration {it}: {exc}") from exc
         # Nothing of this iteration's system outlives its solve.
         del A, b
         residuals.append(res)
+        step_residuals.append(step_res)
         lu_nnz.append(nnz)
         refinements.append(steps)
         factored.append(fresh)
@@ -875,6 +942,7 @@ def newton_solve(disc, params, data, options=None, linear=None):
         iterations=len(increments),
         increments=increments,
         linear_residuals=residuals,
+        step_residuals=step_residuals,
         lu_nnz=lu_nnz,
         refinements=refinements,
         factored=factored,
