@@ -358,20 +358,19 @@ def prescribed_values(dofmap, mesh, data):
 
 
 class Workspace:
-    """Per-mesh assembly context: basis coefficients and tables, the
-    operator's CSR pattern and the restriction to free DOFs.
+    """Per-mesh assembly context: basis coefficients, the operator's CSR
+    pattern and the restriction to free DOFs.
 
-    On the Brinkman triangles it keeps the Bernardi-Raugel coefficients on
-    the reference monomials (``coef_B``, ``gcoef_B``, see
-    ``elements.br_coefficients``) and the basis values at the quadrature
-    points (``phi``), which the Forchheimer terms and the loads integrate
-    against.  The gradient blocks (stiffness and the viscous part of
-    ``assemble_a_nonlinear``) use the coefficients with ``grad_gram``,
-    the 4x4 Gram sum_q w_q b_s b_t of the gradient monomials on the
-    reference rule; the element weights are 2 |T| times the rule's.
-    On the Darcy triangles it keeps the Raviart-Thomas coefficients on
-    the barycentric coordinates (``coef_D``).  ``_mass_block`` forms the
-    K^-1 mass blocks of both spaces from the coefficients.
+    The Brinkman basis has one stored form: the Bernardi-Raugel value
+    coefficients on the six value monomials (``coef_B``, see
+    ``elements.br_coefficients``); every value integral contracts them
+    with the ``monomials`` at the rule's points.  The stiffness derives
+    the gradient coefficients by the chain rule
+    (``elements.br_gradients``) and contracts them with ``grad_gram``, the
+    4x4 Gram sum_q w_q b_s b_t of the gradient monomials on the reference
+    rule; the element weights are 2 |T| times the rule's.  On the Darcy triangles it keeps the
+    Raviart-Thomas coefficients on the barycentric coordinates
+    (``coef_D``).  ``_mass_block`` forms the mass blocks of both spaces.
 
     The spaces on a fixed mesh give an operator whose sparsity never
     changes, so the pattern is built once here.  Each velocity block has
@@ -414,8 +413,8 @@ class Workspace:
         self.area_B = mesh.areas[tb]
         self.qpts_B = el.physical_points(self.verts_B, rule.bary)
         self.wq_B = 2.0 * self.area_B[:, None] * rule.weights[None, :]
-        self.coef_B, self.gcoef_B = el.br_coefficients(self.verts_B, self.signs_B)
-        self.phi = el.br_values(self.coef_B, rule.bary)
+        self.coef_B, _ = el.br_coefficients(self.verts_B, self.signs_B)
+        self.monomials = el.value_monomials(rule.bary)
         b = el.gradient_monomials(rule.bary)
         self.grad_gram = (rule.weights[:, None] * b).T @ b
 
@@ -463,9 +462,9 @@ class Workspace:
         nrm = np.repeat(mesh.outward_normals()[eids][:, None, :], EDGE_POINTS, axis=1)
         if brinkman:
             bary = _edge_bary(mesh, mesh.edges[eids], tri, EDGE_POINTS)
-            verts, signs = mesh.vertices[mesh.triangles[tri]], mesh.tri_edge_signs[tri]
-            basis = el.br_values(el.br_coefficients(verts, signs)[0], bary)
-            l2g = dof.br.l2g[np.searchsorted(dof.br.tri_ids, tri)]
+            local = np.searchsorted(dof.br.tri_ids, tri)
+            basis = el.br_values(self.coef_B[local], bary)
+            l2g = dof.br.l2g[local]
         else:
             basis = np.repeat(1.0 / mesh.edge_lengths[eids][:, None, None], EDGE_POINTS, axis=2)
             l2g = dof.off_uD + dof.rt.edge_local[eids][:, None]
@@ -559,14 +558,14 @@ def _speed_weights(field, power):
 
 def _field(coeffs, basis):
     """The field sum_a coeffs[m, a] basis[m, a, ...] of each element,
-    (m, nb) x (m, nb, nq, ...) -> (m, nq, ...)."""
+    (m, nb) x (m, nb, ...) -> (m, ...)."""
     m, nb = basis.shape[:2]
     return (coeffs[:, None, :] @ basis.reshape(m, nb, -1)).reshape((m,) + basis.shape[2:])
 
 
 def _load(basis, g):
-    """Element loads sum_q,... basis[m, a, q, ...] g[m, q, ...], with the
-    quadrature weights already folded into g: (m, nb, nq, ...) -> (m, nb)."""
+    """Element loads sum_... basis[m, a, ...] g[m, ...], with any
+    quadrature weights already folded into g: (m, nb, ...) -> (m, nb)."""
     m, nb = basis.shape[:2]
     return (basis.reshape(m, nb, -1) @ g.reshape(m, -1, 1))[..., 0]
 
@@ -582,8 +581,8 @@ def _gram(left, right):
 def _mass_block(coef, wq, kinv, monomials):
     """Element matrices sum_q w_q phi_b . K^-1 phi_a, (m, nb, nb), of the
     functions with coefficients ``coef`` (m, nb, k, 2) on k monomials,
-    from the weights ``wq`` (m, nq), K^-1 (m, nq, 2, 2) and the monomials
-    (nq, k) at the quadrature points."""
+    from the weights ``wq`` (m, nq), a tensor K^-1 (m, nq, 2, 2) and the
+    monomials (nq, k) at the quadrature points."""
     m, nb, k = coef.shape[:3]
     # T = w_q K^-1 at each point; gram[(t, i), (s, j)] = sum_q P_t P_s T_ij.
     # One small product per triangle: a single (4 m, nq) x (nq, k^2) product
@@ -597,12 +596,6 @@ def _mass_block(coef, wq, kinv, monomials):
     return _gram(v @ gram.transpose(0, 2, 1), v)
 
 
-def _forchheimer_weights(w, params, ws):
-    """The Brinkman field w and its weights |w|^(p-2), |w|^(p-4) at quadrature points."""
-    wfield = _field(w[: ws.dofmap.n_uB][ws.dofmap.br.l2g], ws.phi)
-    return (wfield, *_speed_weights(wfield, params.power))
-
-
 def _velocity_linear_local(params, ws):
     """Element matrices of the velocity blocks at F = 0, (m, 9, 9) on B and
     (m, 3, 3) on D.
@@ -613,12 +606,11 @@ def _velocity_linear_local(params, ws):
     the six value monomials on B and the three barycentric coordinates
     on D.
     """
-    m = ws.wq_B.shape[0]
-    g = ws.gcoef_B.reshape(m, 9, 4, 4)
+    grad_eta = el.triangle_geometry(ws.verts_B)[1]
+    g = el.br_gradients(ws.coef_B, grad_eta).reshape(-1, 9, 4, 4)
     stiff = _gram((params.mu * 2.0 * ws.area_B)[:, None, None, None] * (ws.grad_gram @ g), g)
-    bary = ws.rule.bary
-    kblock = _mass_block(ws.coef_B, ws.wq_B, ws.kinv_B(params), el.value_monomials(bary))
-    return stiff + kblock, _mass_block(ws.coef_D, ws.wq_D, ws.kinv_D(params), bary)
+    kblock = _mass_block(ws.coef_B, ws.wq_B, ws.kinv_B(params), ws.monomials)
+    return stiff + kblock, _mass_block(ws.coef_D, ws.wq_D, ws.kinv_D(params), ws.rule.bary)
 
 
 def _linear_data(params, ws):
@@ -631,22 +623,26 @@ def forchheimer_terms(w, params, ws):
     """The Forchheimer terms of the Newton step at iterate ``w``, from one
     evaluation of its field and weights: the CSR data, on the workspace
     pattern, of the Forchheimer block of Da(w), and the right-hand-side
-    correction F (p-2) (|w|^(p-2) w, v_B) as a full vector."""
+    correction F (p-2) (|w|^(p-2) w, v_B) as a full vector.  The block is
+    the mass block of F (|w|^(p-2) I + (p-2) |w|^(p-4) w w^T)."""
     F, p = params.forchheimer, params.power
-    wfield, s_p2, s_p4 = _forchheimer_weights(w, params, ws)
-    m, nb = ws.phi.shape[:2]
-    loc = np.empty((m, nb, nb))
-    # Element chunks bound the per-quadrature-point temporaries, which a
-    # Newton iteration allocates while it holds the previous LU factor.
-    for start in range(0, m, FORCHHEIMER_CHUNK):
+    l2g = ws.dofmap.br.l2g
+    wfield = ws.monomials @ _field(w[: ws.dofmap.n_uB][l2g], ws.coef_B)
+    s_p2, s_p4 = _speed_weights(wfield, p)
+    T = ((p - 2.0) * s_p4)[..., None, None] * wfield[..., :, None] * wfield[..., None, :]
+    T += s_p2[..., None, None] * np.eye(2)
+    loc = np.empty((T.shape[0], 9, 9))
+    # Element chunks bound the temporaries of the mass block, which a
+    # Newton iteration allocates while it holds the previous LU factor;
+    # unchunked, they raise the study benchmark's peak RSS by about 5 MB.
+    for start in range(0, T.shape[0], FORCHHEIMER_CHUNK):
         e = slice(start, start + FORCHHEIMER_CHUNK)
-        phi, wq = ws.phi[e], ws.wq_B[e]
-        loc[e] = _gram((F * s_p2[e] * wq)[:, None, :, None] * phi, phi)
-        dots = phi[..., 0] * wfield[e, None, :, 0] + phi[..., 1] * wfield[e, None, :, 1]
-        loc[e] += _gram((F * (p - 2.0) * s_p4[e] * wq)[:, None, :] * dots, dots)
+        loc[e] = _mass_block(ws.coef_B[e], ws.wq_B[e], F * T[e], ws.monomials)
     data = ws.scatter(ws.slots_B, loc)
-    corr = _load(ws.phi, (F * (p - 2.0) * s_p2 * ws.wq_B)[..., None] * wfield)
-    return data, np.bincount(ws.dofmap.br.l2g.ravel(), corr.ravel(), minlength=ws.dofmap.n_total)
+    # A load is the monomial moments of its field against the coefficients.
+    g = (F * (p - 2.0) * s_p2 * ws.wq_B)[..., None] * wfield
+    corr = _load(ws.coef_B, ws.monomials.T @ g)
+    return data, np.bincount(l2g.ravel(), corr.ravel(), minlength=ws.dofmap.n_total)
 
 
 def assemble_da(w, params, ws):
@@ -756,7 +752,7 @@ def assemble_rhs(data, ws):
     dof = ws.dofmap
     rhs = darcy_rhs(data, ws)
     fB = np.asarray(data.f_B(ws.qpts_B.reshape(-1, 2))).reshape(ws.qpts_B.shape)
-    np.add.at(rhs, dof.br.l2g, _load(ws.phi, ws.wq_B[..., None] * fB))
+    np.add.at(rhs, dof.br.l2g, _load(ws.coef_B, ws.monomials.T @ (ws.wq_B[..., None] * fB)))
     if data.interface_traction is not None:
         pts, _, wts, basis, l2g = ws.interface_edges
         tv = np.asarray(data.interface_traction(pts.reshape(-1, 2))).reshape(pts.shape)
@@ -808,24 +804,19 @@ def assemble_a_nonlinear(u, params, ws):
     """
     dof = ws.dofmap
     out = np.zeros(dof.n_total)
-
+    # The linear terms are coefficients times the element matrices at F = 0,
+    # whose entry (a, b) is the form at phi_a tested with phi_b.
+    loc_B, loc_D = _velocity_linear_local(params, ws)
     cu = u[: dof.n_uB][dof.br.l2g]
-    ufield = _field(cu, ws.phi)
-    ugrad = _field(cu, ws.gcoef_B).reshape(-1, 4, 4)  # on the gradient monomials
-    force = (ws.kinv_B(params) @ ufield[..., None])[..., 0]
+    ent = (cu[:, None, :] @ loc_B)[:, 0]
     if params.forchheimer > 0.0:
+        ufield = ws.monomials @ _field(cu, ws.coef_B)
         s_p2, _ = _speed_weights(ufield, params.power)
-        force += params.forchheimer * s_p2[..., None] * ufield
-    scale = (params.mu * 2.0 * ws.area_B)[:, None, None]
-    ent = _load(ws.gcoef_B, scale * (ws.grad_gram @ ugrad))
-    ent += _load(ws.phi, ws.wq_B[..., None] * force)
+        g = (params.forchheimer * s_p2 * ws.wq_B)[..., None] * ufield
+        ent += _load(ws.coef_B, ws.monomials.T @ g)
     np.add.at(out, dof.br.l2g, ent)
-
-    # The Darcy term is linear: coefficients times the K_D^-1 mass block,
-    # whose entry (b, a) is phi_a . K_D^-1 phi_b.
     cd = u[dof.off_uD : dof.off_uD + dof.n_uD][dof.rt.l2g][:, None, :]
-    loc = _mass_block(ws.coef_D, ws.wq_D, ws.kinv_D(params), ws.rule.bary)
-    np.add.at(out, dof.off_uD + dof.rt.l2g, (cd @ loc)[:, 0])
+    np.add.at(out, dof.off_uD + dof.rt.l2g, (cd @ loc_D)[:, 0])
     return out
 
 

@@ -9,12 +9,12 @@ orientation, so coefficients are single-valued across element boundaries.
 On an affine triangle every Bernardi-Raugel function is a polynomial in
 the barycentric coordinates eta_i: ``br_coefficients`` gives, per
 triangle, its constant vector coefficients on the six value monomials
-(eta_0, eta_1, eta_2, eta_1 eta_2, eta_2 eta_0, eta_0 eta_1) and the
-constant 2x2 coefficients of its gradient on the four gradient monomials
-(1, eta_0, eta_1, eta_2).  Tables at points (``br_values``, ``br_basis``)
-are matrix products of these coefficients with the monomials at the
-points, and integrals of products reduce to small reference Grams of a
-quadrature rule.
+(eta_0, eta_1, eta_2, eta_1 eta_2, eta_2 eta_0, eta_0 eta_1), and by the
+chain rule (``br_gradients``) the constant 2x2 coefficients of its
+gradient on (1, eta_0, eta_1, eta_2).  Tables at points (``br_values``,
+``br_basis``) are matrix products of these coefficients with the
+monomials at the points, and integrals of products reduce to small
+reference Grams of a quadrature rule.
 
 Local DOF ordering on a triangle: six vertex dofs
 (v0x, v0y, v1x, v1y, v2x, v2y) followed by three bubbles, one per edge,
@@ -208,15 +208,17 @@ def triangle_geometry(verts):
 # A Bernardi-Raugel function on an affine triangle is a P1 vector field
 # plus normal edge bubbles, so each of the nine local functions is a sum
 # of the six value monomials (eta_0, eta_1, eta_2, eta_1 eta_2, eta_2 eta_0,
-# eta_0 eta_1), each times a constant vector, and its gradient a sum of the
-# four gradient monomials (1, eta_0, eta_1, eta_2), each times a constant
-# 2x2 matrix.  Monomial 3 + j is the bubble product of edge j.
+# eta_0 eta_1), each times a constant vector.  Monomial 3 + j is the bubble
+# product of edge j.
 _EDGES = np.arange(3)
-# (edge j, vertex x) pairs with x on edge j: the bubble gradient of edge j
-# carries eta_x times grad eta_y, y the edge's other vertex 3 - j - x.
-_BUBBLE_EDGE, _BUBBLE_ETA = np.nonzero(1 - np.eye(3, dtype=int))
-_BUBBLE_GRAD = 3 - _BUBBLE_EDGE - _BUBBLE_ETA
 _ADJACENT = 1.0 - np.eye(3)
+# _DERIVATIVE[s, i, t]: the coefficient of gradient monomial t (1, eta_0,
+# eta_1, eta_2) in the derivative of value monomial s along eta_i.  By the
+# chain rule grad P_s = sum_i _DERIVATIVE[s, i] grad eta_i.
+_DERIVATIVE = np.zeros((6, 3, 4))
+_DERIVATIVE[_EDGES, _EDGES, 0] = 1.0
+_DERIVATIVE[3 + _EDGES, (_EDGES + 1) % 3, 1 + (_EDGES + 2) % 3] = 1.0
+_DERIVATIVE[3 + _EDGES, (_EDGES + 2) % 3, 1 + (_EDGES + 1) % 3] = 1.0
 
 
 def value_monomials(bary):
@@ -233,7 +235,8 @@ def gradient_monomials(bary):
 
 def br_coefficients(verts, signs):
     """Coefficients of the nine Bernardi-Raugel basis functions of each
-    triangle on the reference monomials.
+    triangle on the reference monomials; the gradient coefficients follow
+    from the value coefficients by the chain rule (``br_gradients``).
 
     Parameters
     ----------
@@ -254,15 +257,9 @@ def br_coefficients(verts, signs):
     _, geta, lens, nout = triangle_geometry(verts)
     ng = signs[..., None] * nout
     coef = np.zeros((m, 9, 6, 2))
-    gcoef = np.zeros((m, 9, 4, 2, 2))
 
-    # The bubble on edge j is (6 / |e_j|) eta_a eta_b n_j, of unit flux;
-    # its gradient is the bubble vector times eta_b grad eta_a + eta_a
-    # grad eta_b.
-    bubble = (6.0 / lens)[..., None] * ng
-    coef[:, 6 + _EDGES, 3 + _EDGES] = bubble
-    outer = bubble[:, :, None, :, None] * geta[:, None, :, None, :]  # (m, j, l, r, c)
-    gcoef[:, 6 + _BUBBLE_EDGE, 1 + _BUBBLE_ETA] = outer[:, _BUBBLE_EDGE, _BUBBLE_GRAD]
+    # The bubble on edge j is (6 / |e_j|) eta_a eta_b n_j, of unit flux.
+    coef[:, 6 + _EDGES, 3 + _EDGES] = (6.0 / lens)[..., None] * ng
 
     # Vertex functions carry a bubble correction on their two adjacent
     # edges so that their edge fluxes vanish and the DOF matrix is the
@@ -270,13 +267,23 @@ def br_coefficients(verts, signs):
     # bubble j.
     vertex_dofs = np.arange(6)
     coef[:, vertex_dofs, vertex_dofs // 2, vertex_dofs % 2] = 1.0
-    gcoef[:, vertex_dofs, 0, vertex_dofs % 2] = geta[:, vertex_dofs // 2]
     # corr[:, 2 i + c, j]: the multiple of bubble j in vertex function (i, c).
     corr = -0.5 * (lens[:, None, :] * ng.transpose(0, 2, 1))[:, None] * _ADJACENT[:, None, :]
     corr = corr.reshape(m, 6, 3)
     coef[:, :6, 3:] = (corr @ coef[:, 6:, 3:].reshape(m, 3, 6)).reshape(m, 6, 3, 2)
-    gcoef[:, :6, 1:] = (corr @ gcoef[:, 6:, 1:].reshape(m, 3, 12)).reshape(m, 6, 3, 2, 2)
-    return coef, gcoef
+    return coef, br_gradients(coef, geta)
+
+
+def br_gradients(coef, grad_eta):
+    """Gradient coefficients, by the chain rule, of the functions with
+    value coefficients ``coef`` (m, nb, 6, 2) on triangles with barycentric
+    gradients ``grad_eta`` (m, 3, 2): (m, nb, 4, 2, 2), indexed as the
+    ``gcoef`` of ``br_coefficients``."""
+    m, nb = coef.shape[:2]
+    # dmono[m, s, (t, c)]: component c of grad P_s on gradient monomial t.
+    dmono = (_DERIVATIVE.transpose(0, 2, 1).reshape(24, 3) @ grad_eta).reshape(m, 6, 8)
+    grads = coef.transpose(0, 1, 3, 2).reshape(m, 2 * nb, 6) @ dmono
+    return grads.reshape(m, nb, 2, 4, 2).transpose(0, 1, 3, 2, 4)
 
 
 def br_values(coef, bary):

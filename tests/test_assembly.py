@@ -623,7 +623,7 @@ def einsum_kernels(w, params, ws):
     return lin_B, forch_B, da_D, rhs_B, act_B, act_D, small
 
 
-@pytest.mark.parametrize("power", [3.0, 4.0])
+@pytest.mark.parametrize("power", [3.0, 3.5, 4.0])
 def test_velocity_kernels_match_the_einsum_formulas(power, monkeypatch):
     # Non-symmetric permeabilities tell K from K^T; a zero iterate on a
     # few Brinkman triangles runs the SPEED_FLOOR branch.
