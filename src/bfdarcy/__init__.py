@@ -34,8 +34,6 @@ from .assembly import (
     build_dofmap,
     prescribed_values,
     assemble_a_nonlinear,
-    assemble_da,
-    assemble_b,
     assemble_rhs,
     apply_constraints,
     NewtonSystem,
@@ -85,8 +83,6 @@ __all__ = [
     "build_dofmap",
     "prescribed_values",
     "assemble_a_nonlinear",
-    "assemble_da",
-    "assemble_b",
     "assemble_rhs",
     "apply_constraints",
     "NewtonSystem",

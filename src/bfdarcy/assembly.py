@@ -376,16 +376,18 @@ class Workspace:
     changes, so the pattern is built once here.  Each velocity block has
     a slot array (``slots_B``, ``slots_D``) mapping its element entries to
     positions in the CSR ``data``; assembling is one ``np.bincount`` per
-    block.  The coupling block depends on the mesh alone and follows from
-    the degrees of freedom (``_coupling_entries``); its data (``b_data``)
-    is assembled here once, and the pattern holds its slots whose entries
-    sum to nonzero.  ``free`` lists the unconstrained DOFs (the gauge
-    scalar included), and ``apply_constraints`` gathers the free-free
-    submatrix and lifts the constrained columns with index arrays built
-    here.  The edge tables of the natural boundary terms are kept per
-    boundary tag in ``natural``, and that of the interface traction in
-    ``interface_edges`` (``_edge_table``).  ``degree`` is the degree of the
-    triangle quadrature rule every integral is assembled on.
+    block.  The coupling block, -(q, div v_B) - (q, div v_D) on the
+    pressure rows, <v_B . n - v_D . n, xi> on the multiplier rows and the
+    transposes on the velocity rows, depends on the mesh alone and follows
+    from the degrees of freedom (``_coupling_entries``); its data
+    (``b_data``) is assembled here once, and the pattern holds its slots
+    whose entries sum to nonzero.  ``free`` lists the unconstrained DOFs
+    (the gauge scalar included), and ``apply_constraints`` gathers the
+    free-free submatrix and lifts the constrained columns with index
+    arrays built here.  The edge tables of the natural boundary terms are
+    kept per boundary tag in ``natural``, and that of the interface
+    traction in ``interface_edges`` (``_edge_table``).  ``degree`` is the
+    degree of the triangle quadrature rule every integral is assembled on.
 
     Index and position arrays the per-iteration gathers use are 32-bit,
     the width scipy.sparse and SuperLU store, so no gather converts them.
@@ -413,7 +415,7 @@ class Workspace:
         self.area_B = mesh.areas[tb]
         self.qpts_B = el.physical_points(self.verts_B, rule.bary)
         self.wq_B = 2.0 * self.area_B[:, None] * rule.weights[None, :]
-        self.coef_B, _ = el.br_coefficients(self.verts_B, self.signs_B)
+        self.coef_B = el.br_coefficients(self.verts_B, self.signs_B)
         self.monomials = el.value_monomials(rule.bary)
         b = el.gradient_monomials(rule.bary)
         self.grad_gram = (rule.weights[:, None] * b).T @ b
@@ -613,12 +615,6 @@ def _velocity_linear_local(params, ws):
     return stiff + kblock, _mass_block(ws.coef_D, ws.wq_D, ws.kinv_D(params), ws.rule.bary)
 
 
-def _linear_data(params, ws):
-    """CSR data, on the workspace pattern, of the velocity blocks of Da at F = 0."""
-    loc_B, loc_D = _velocity_linear_local(params, ws)
-    return ws.scatter(ws.slots_B, loc_B) + ws.scatter(ws.slots_D, loc_D)
-
-
 def forchheimer_terms(w, params, ws):
     """The Forchheimer terms of the Newton step at iterate ``w``, from one
     evaluation of its field and weights: the CSR data, on the workspace
@@ -645,22 +641,11 @@ def forchheimer_terms(w, params, ws):
     return data, np.bincount(l2g.ravel(), corr.ravel(), minlength=ws.dofmap.n_total)
 
 
-def assemble_da(w, params, ws):
-    """Gateaux derivative Da(w) on the velocity blocks, as a CSR matrix on
-    the workspace pattern.
-
-    ``w`` is a full solution vector (only its u_B block matters).
-    """
-    data = _linear_data(params, ws)
-    if params.forchheimer > 0.0:
-        data += forchheimer_terms(w, params, ws)[0]
-    return ws.csr(data)
-
-
 def static_values(params, ws):
     """CSR data, on the workspace pattern, of the Newton system at F = 0:
     the linear velocity blocks and the coupling block."""
-    return _linear_data(params, ws) + ws.b_data
+    loc_B, loc_D = _velocity_linear_local(params, ws)
+    return ws.scatter(ws.slots_B, loc_B) + ws.scatter(ws.slots_D, loc_D) + ws.b_data
 
 
 class NewtonSystem:
@@ -687,17 +672,6 @@ class NewtonSystem:
             return self.static, self.load
         data, corr = forchheimer_terms(x, self.params, self.ws)
         return self.static + data, self.load + corr
-
-
-def assemble_b(ws):
-    """Velocity/(pressure, multiplier) coupling, both sides, as a CSR
-    matrix on the workspace pattern.
-
-    Contains -(q, div v_B) - (q, div v_D) on the pressure rows,
-    <v_B . n - v_D . n, xi> on the multiplier rows, and the transposes on
-    the velocity rows.
-    """
-    return ws.csr(ws.b_data.copy())
 
 
 def _coupling_entries(ws):

@@ -235,8 +235,8 @@ def gradient_monomials(bary):
 
 def br_coefficients(verts, signs):
     """Coefficients of the nine Bernardi-Raugel basis functions of each
-    triangle on the reference monomials; the gradient coefficients follow
-    from the value coefficients by the chain rule (``br_gradients``).
+    triangle on the value monomials; the gradient coefficients follow
+    from them by the chain rule (``br_gradients``).
 
     Parameters
     ----------
@@ -249,12 +249,9 @@ def br_coefficients(verts, signs):
     coef : (m, 9, 6, 2)
         ``coef[:, a, s]`` is the vector multiplying value monomial s in
         basis function a.
-    gcoef : (m, 9, 4, 2, 2)
-        ``gcoef[:, a, t, r, c]`` multiplies gradient monomial t in the
-        derivative of component r of basis function a along x_c.
     """
     m = verts.shape[0]
-    _, geta, lens, nout = triangle_geometry(verts)
+    _, _, lens, nout = triangle_geometry(verts)
     ng = signs[..., None] * nout
     coef = np.zeros((m, 9, 6, 2))
 
@@ -271,14 +268,15 @@ def br_coefficients(verts, signs):
     corr = -0.5 * (lens[:, None, :] * ng.transpose(0, 2, 1))[:, None] * _ADJACENT[:, None, :]
     corr = corr.reshape(m, 6, 3)
     coef[:, :6, 3:] = (corr @ coef[:, 6:, 3:].reshape(m, 3, 6)).reshape(m, 6, 3, 2)
-    return coef, br_gradients(coef, geta)
+    return coef
 
 
 def br_gradients(coef, grad_eta):
     """Gradient coefficients, by the chain rule, of the functions with
     value coefficients ``coef`` (m, nb, 6, 2) on triangles with barycentric
-    gradients ``grad_eta`` (m, 3, 2): (m, nb, 4, 2, 2), indexed as the
-    ``gcoef`` of ``br_coefficients``."""
+    gradients ``grad_eta`` (m, 3, 2): (m, nb, 4, 2, 2), where
+    ``[:, a, t, r, c]`` multiplies gradient monomial t in the derivative
+    of component r of function a along x_c."""
     m, nb = coef.shape[:2]
     # dmono[m, s, (t, c)]: component c of grad P_s on gradient monomial t.
     dmono = (_DERIVATIVE.transpose(0, 2, 1).reshape(24, 3) @ grad_eta).reshape(m, 6, 8)
@@ -309,7 +307,8 @@ def br_basis(verts, signs, bary):
     grads : (m, 9, nq, 2, 2)
         ``grads[..., r, c]`` is the derivative of component r along x_c.
     """
-    coef, gcoef = br_coefficients(verts, signs)
+    coef = br_coefficients(verts, signs)
+    gcoef = br_gradients(coef, triangle_geometry(verts)[1])
     m = coef.shape[0]
     grads = gradient_monomials(bary)[..., None, :, :] @ gcoef.reshape(m, 9, 4, 4)
     return br_values(coef, bary), grads.reshape(grads.shape[:3] + (2, 2))

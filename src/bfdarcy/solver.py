@@ -16,8 +16,8 @@ complement on the multiplier block, factored in a fixed saddle-point
 order with diagonal pivots (``CondensedLayout``).  A ``StaticSystem``
 holds what does not depend on F, p or the iterate: the F = 0 data and
 that elimination.  Solves that differ only in F or p, as the cells of a
-sweep do, may share one; a ``CondensedSolve`` per solve holds the
-factor it reuses between steps.  Once the iteration has settled, the
+sweep do, may share one; the factor a solve reuses between steps is a
+local of its Newton loop.  Once the iteration has settled, the
 Jacobian barely moves between steps, so a step first tries the previous
 step's factor with iterative refinement (the chord or Shamanskii idea;
 C. T. Kelley, Iterative Methods for Linear and Nonlinear Equations,
@@ -206,10 +206,10 @@ class BorderedLU:
     """The sparse LU of A, or of A with its gauge pins, and the solve with
     K = A or A bordered.
 
-    ``sparse_lu_solve`` makes one of the reduced system of a
-    CondensedSolve, which holds it between Newton steps (``held``).  The
-    factor uses COLAMD and partial pivoting, or with ``ordered`` A's own
-    order and its diagonal pivots (see ``_factor``): the order of a
+    ``sparse_lu_solve`` makes one of a StaticSystem's reduced system,
+    which ``newton_solve`` holds between Newton steps.  The factor uses
+    COLAMD and partial pivoting, or with ``ordered`` A's own order and
+    its diagonal pivots (see ``_factor``): the order of a
     CondensedLayout's reduced block, which pairs every zero pressure
     diagonal with a bubble eliminated before it.  Only a solve with it
     shows whether such a factor is accurate.
@@ -612,17 +612,6 @@ class StaticSystem:
         return x
 
 
-class CondensedSolve:
-    """The linear-solve state of one Newton solve: its StaticSystem
-    (``static``, which other solves may share) and ``held``, the
-    BorderedLU of the reduced system that the last step used, or None.
-    It belongs to one solve."""
-
-    def __init__(self, static):
-        self.static = static
-        self.held = None
-
-
 class LinearSolve(NamedTuple):
     """What ``sparse_lu_solve`` returns.
 
@@ -630,10 +619,11 @@ class LinearSolve(NamedTuple):
     system, ``lu_nnz`` nnz(L+U) of the reduced factor that served,
     ``refinements`` the refinement steps run, the solves with a factor
     after its first (those with an abandoned held or ordered factor
-    included), and ``factored`` whether the call computed that factor.
+    included), ``factored`` whether the call computed that factor, and
+    ``factor`` that BorderedLU, which a later step may pass as ``held``.
     ``step_residual`` is the normalized residual of the reduced system
     at the given iterate (the nonlinear residual of a Newton step on the
-    reduced unknowns), or NaN without one.
+    reduced unknowns).
     """
 
     x: np.ndarray
@@ -641,31 +631,32 @@ class LinearSolve(NamedTuple):
     lu_nnz: int
     refinements: int
     factored: bool
+    factor: BorderedLU
     step_residual: float
 
 
-def sparse_lu_solve(A, b, solve, iterate=None):
+def sparse_lu_solve(A, b, static, iterate, held=None):
     """Solve the free system A x = b, bordered by the pressure gauge if
-    it has one, through the CondensedSolve ``solve`` of its Newton solve.
+    it has one, through the StaticSystem ``static`` of its Newton solve.
 
-    Only the reduced system of ``solve.static`` is factored and refined;
-    the Darcy part of x comes from that StaticSystem, and the dense gauge
-    border is never factored (see ``BorderedLU``).  ``iterate`` holds
-    the reduced unknowns of the current Newton iterate x_k, in the
-    layout's order (``CondensedLayout.free_R``), or is None.
+    Only the reduced system of ``static`` is factored and refined; the
+    Darcy part of x comes from ``static``, and the dense gauge border is
+    never factored (see ``BorderedLU``).  ``iterate`` holds the reduced
+    unknowns of the current Newton iterate x_k, in the layout's order
+    (``CondensedLayout.free_R``).
 
-    The factor ``solve.held`` of an earlier step, on the same pattern, is
-    tried first.  Given ``iterate``, refinement with it starts from x_k
-    and refines the correction (see ``_refine``): a held factor is
-    inexact by the Jacobian's change since it was made, and the error it
-    leaves is then relative to the Newton increment, not to the iterate.
-    It serves only if refinement meets REFINE_TOL under the rules of
-    ``_refine``; otherwise the call releases it and factors the reduced
-    system in the layout's elimination order with diagonal pivots, which
-    keeps its fill fixed by the pattern.  That factor is held to the
-    same rule, and when it misses it is released and the system factored
-    with COLAMD and partial pivoting.  The factor that served becomes
-    ``solve.held``.
+    ``held``, the factor of an earlier step on the same pattern, is tried
+    first.  Refinement with it starts from x_k and refines the correction
+    (see ``_refine``): a held factor is inexact by the Jacobian's change
+    since it was made, and the error it leaves is then relative to the
+    Newton increment, not to the iterate.  It serves only if refinement
+    meets REFINE_TOL under the rules of ``_refine``; otherwise the call
+    releases it and factors the reduced system in the layout's
+    elimination order with diagonal pivots, which keeps its fill fixed by
+    the pattern.  That factor is held to the same rule, and when it
+    misses it is released and the system factored with COLAMD and
+    partial pivoting.  The factor that served is returned as
+    ``LinearSolve.factor``.
 
     Fresh factors refine from M^-1 rhs.  A correction from x_k leaves
     round-off of the size of x_k, which the normalized residual, scaled
@@ -679,23 +670,18 @@ def sparse_lu_solve(A, b, solve, iterate=None):
     residual misses the bound (a NaN residual does).  Returns a
     LinearSolve.
     """
-    static = solve.static
     K, rhs, border = static.reduced(A), static.reduced_rhs(b), static.border
     norm = _norm_inf(K, border)
 
     def residual(x):
         return _bordered_residual(K, x, rhs, border)
 
-    start, step_res = None, np.nan
-    if iterate is not None:
-        r_k = residual(iterate)
-        step_res = _normalized(r_k, iterate, rhs, norm)
-        start = (iterate, step_res, r_k)
+    r_k = residual(iterate)
+    step_res = _normalized(r_k, iterate, rhs, norm)
     # The held factor, from x_k, then the ordered factor and the
     # pivoting factor, from M^-1 rhs: each serves if refinement with it
     # meets REFINE_TOL, the last one always.
-    held = solve.held
-    tries = [] if held is None else [(lambda: held, start)]
+    tries = [] if held is None else [(lambda: held, (iterate, step_res, r_k))]
     tries += [
         (lambda: BorderedLU(K, border, ordered=True), None),
         (lambda: BorderedLU(K, border), None),
@@ -708,14 +694,13 @@ def sparse_lu_solve(A, b, solve, iterate=None):
         if res <= REFINE_TOL or make is tries[-1][0]:
             break
         factor.release()
-    solve.held = factor
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("sparse LU produced non-finite values")
     x = static.recover(x)
     res = _normalized_residual(A, x, b, static.gauge)
     if not res <= LU_RESIDUAL_TOL:
         raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
-    return LinearSolve(x, res, factor.nnz, steps, factor is not held, step_res)
+    return LinearSolve(x, res, factor.nnz, steps, factor is not held, factor, step_res)
 
 
 @dataclass
@@ -768,8 +753,8 @@ class SolveReport:
     that iteration used (of the reduced block, with the Darcy unknowns
     eliminated), the refinement steps it ran (the solves with a factor
     after its first; see ``LinearSolve``) and whether it factored: an
-    iteration that did not reused the factor its CondensedSolve held
-    from an earlier one, and refined the correction from its iterate.  The
+    iteration that did not reused the factor its solve held from an
+    earlier one, and refined the correction from its iterate.  The
     reduced block is factored in the layout's order with diagonal pivots,
     so its nnz(L+U) depends on the mesh and the boundary-condition layout
     alone; only a factor that fell back to partial pivoting reports
@@ -879,7 +864,7 @@ def newton_solve(disc, params, data, options=None, linear=None):
         linear = StaticSystem(disc, params, system.static, system.load, x)
     else:
         system = asm.NewtonSystem(params, data, ws, linear.values)
-    lin = CondensedSolve(linear)
+    held = None
     affine = params.forchheimer == 0.0
     # The Newton map feeds back only through the velocity iterate, so the
     # Cauchy test runs on the velocity coefficient block.
@@ -900,8 +885,8 @@ def newton_solve(disc, params, data, options=None, linear=None):
         A, b = asm.apply_constraints(ws, values, rhs, x)
         del values, rhs
         try:
-            x_free, res, nnz, steps, fresh, step_res = sparse_lu_solve(
-                A, b, lin, x[ws.free][disc.layout.free_R]
+            x_free, res, nnz, steps, fresh, held, step_res = sparse_lu_solve(
+                A, b, linear, x[ws.free][disc.layout.free_R], held
             )
         except SolverError as exc:
             raise SolverError(f"linear solve failed at Newton iteration {it}: {exc}") from exc
@@ -933,7 +918,7 @@ def newton_solve(disc, params, data, options=None, linear=None):
         # The factor is held for the next step only while the iteration
         # has settled.
         if not inc <= HOLD_INCREMENT:
-            lin.held = None
+            held = None
 
     fields = SolutionFields(
         x=x, dofmap=dofmap, mesh=mesh, interface=interface, quad_degree=ws.degree
@@ -966,7 +951,7 @@ def nonlinear_residual(disc, fields, params, data):
     if fields.quad_degree != ws.degree:
         raise ValueError(f"the fields were solved on degree {fields.quad_degree}, not {ws.degree}")
     act = asm.assemble_a_nonlinear(fields.x, params, ws)
-    act += asm.assemble_b(ws) @ fields.x
+    act += ws.csr(ws.b_data) @ fields.x
     act -= asm.assemble_rhs(data, ws)
     free = ws.free
     return np.abs(act[free[free < dofmap.n_uB + dofmap.n_uD]]).max()

@@ -205,7 +205,8 @@ def compute_errors(fields, exact, report=None, degree=8):
     pts = el.physical_points(verts, rule.bary)
     # u_h and grad u_h on the reference monomials of each triangle, then
     # at the points: no table of the nine basis functions is formed.
-    coef, gcoef = el.br_coefficients(verts, signs)
+    coef = el.br_coefficients(verts, signs)
+    gcoef = el.br_gradients(coef, el.triangle_geometry(verts)[1])
     cu = u_B[br.l2g][:, None, :]
     m = cu.shape[0]
     uh = el.value_monomials(rule.bary) @ (cu @ coef.reshape(m, 9, 12)).reshape(m, 6, 2)

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from bfdarcy import (
     PhysicalParams,
     ProblemData,
+    NewtonSystem,
     assemble_a_nonlinear,
-    assemble_b,
-    assemble_da,
     assemble_rhs,
     build_dofmap,
     build_interface,
@@ -251,7 +250,8 @@ def test_pressure_rows_match_the_divergence_theorem():
     no entry on its vertex columns.
     """
     mesh, iface, data, dofmap = setup()
-    assert_pressure_rows(assemble_b(Workspace(mesh, iface, dofmap, degree=6)), mesh, dofmap)
+    ws = Workspace(mesh, iface, dofmap, degree=6)
+    assert_pressure_rows(ws.csr(ws.b_data), mesh, dofmap)
 
 
 def assert_pressure_rows(B, mesh, dofmap):
@@ -282,7 +282,8 @@ def assert_pressure_rows(B, mesh, dofmap):
 
 def test_coupling_block_is_symmetric():
     mesh, iface, data, dofmap = setup()
-    B = assemble_b(Workspace(mesh, iface, dofmap, degree=6))
+    ws = Workspace(mesh, iface, dofmap, degree=6)
+    B = ws.csr(ws.b_data)
     assert abs(B - B.T).max() < 1e-13
 
 
@@ -290,7 +291,8 @@ def test_coupling_pattern_keeps_no_exact_zeros():
     # The coupling block depends on the mesh alone; its slots that sum to
     # exactly zero are left out of the workspace pattern.
     mesh, iface, data, dofmap = setup()
-    B = assemble_b(Workspace(mesh, iface, dofmap, degree=6)).tocoo()
+    ws = Workspace(mesh, iface, dofmap, degree=6)
+    B = ws.csr(ws.b_data).tocoo()
     coupling = B.row >= dofmap.off_p
     assert coupling.any() and np.all(B.data[coupling] != 0.0)
 
@@ -311,7 +313,8 @@ def test_pattern_size_on_the_benchmark_meshes():
 def coupling_on(mesh, data):
     iface = build_interface(mesh)
     dofmap = build_dofmap(mesh, iface, data)
-    return assemble_b(Workspace(mesh, iface, dofmap, degree=6)), dofmap
+    ws = Workspace(mesh, iface, dofmap, degree=6)
+    return ws.csr(ws.b_data), dofmap
 
 
 @settings(max_examples=8, deadline=None)
@@ -351,7 +354,8 @@ def test_interface_rows_integrate_constant_normal_velocity():
     integral of its hat function: half the adjacent macro widths.
     """
     mesh, iface, data, dofmap = setup(nx=6)
-    B = assemble_b(Workspace(mesh, iface, dofmap, degree=6))
+    ws = Workspace(mesh, iface, dofmap, degree=6)
+    B = ws.csr(ws.b_data)
 
     def down(pts):
         return np.broadcast_to([0.0, -1.0], (len(pts), 2)).copy()
@@ -388,7 +392,8 @@ def test_interface_rows_match_reconstructed_traces():
     quadrature must reproduce the assembled rows exactly.
     """
     mesh, iface, data, dofmap = setup(nx=6)
-    B = assemble_b(Workspace(mesh, iface, dofmap, degree=6))
+    ws = Workspace(mesh, iface, dofmap, degree=6)
+    B = ws.csr(ws.b_data)
 
     def field(pts):
         x, y = pts[:, 0], pts[:, 1]
@@ -482,8 +487,10 @@ def quadrature_coupling(ws):
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["gauge", "mixed"])
 def test_operator_matches_a_coo_sum_of_element_matrices(mixed):
-    """assemble_da and assemble_b on the workspace pattern against COO sums
-    of the element matrices, and the free-DOF restriction against slicing."""
+    """The Newton system's matrix on the workspace pattern against COO
+    sums of the element matrices, block by block (the velocity Jacobian
+    and the coupling block sit on disjoint slots), and the free-DOF
+    restriction against slicing."""
     if mixed:
         params, data, (rect_B, rect_D) = heterogeneous_flow_problem(10.0)
     else:
@@ -507,17 +514,17 @@ def test_operator_matches_a_coo_sum_of_element_matrices(mixed):
     ], n)
     b_ref = coo(quadrature_coupling(ws), n)
 
-    Da, B = assemble_da(w, params, ws), assemble_b(ws)
-    assert Da.has_canonical_format and B.has_canonical_format
-    np.testing.assert_array_equal(Da.indices, B.indices)
-    assert abs(Da - da_ref).max() <= 1e-13 * abs(da_ref).max()
+    values, _ = NewtonSystem(params, data, ws).at(w)
+    A, B = ws.csr(values), ws.csr(ws.b_data)
+    assert A.has_canonical_format and B.has_canonical_format
+    assert abs(A - B - da_ref).max() <= 1e-13 * abs(da_ref).max()
     assert abs(B - b_ref).max() <= 1e-13 * abs(b_ref).max()
 
     rhs = np.random.default_rng(4).normal(size=n)
     x_c = prescribed_values(dofmap, mesh, data)
     x = np.zeros(n)
     x[dofmap.constrained] = x_c
-    A_ff, b_f = apply_constraints(ws, Da.data + B.data, rhs, x)
+    A_ff, b_f = apply_constraints(ws, values, rhs, x)
     K = (da_ref + b_ref).tocsr()
     c, free = dofmap.constrained, ws.free
     assert free.size == dofmap.n_free + (0 if mixed else 1)
@@ -538,7 +545,7 @@ def test_coupling_matches_quadrature_on_a_graded_interface(pattern):
     iface = build_interface(graded)
     dofmap = build_dofmap(graded, iface, ProblemData())
     ws = Workspace(graded, iface, dofmap, degree=6)
-    B, b_ref = assemble_b(ws), coo(quadrature_coupling(ws), dofmap.n_total)
+    B, b_ref = ws.csr(ws.b_data), coo(quadrature_coupling(ws), dofmap.n_total)
     assert abs(B - b_ref).max() <= 1e-13 * abs(b_ref).max()
     middle = dofmap.br.vertex_local[iface.edge_verts[0::2, 1]]
     lam_rows = B[dofmap.off_lam : dofmap.off_lam + dofmap.n_lam]
@@ -553,12 +560,14 @@ def test_velocity_jacobian_is_symmetric():
     params = PhysicalParams(mu=2.0, forchheimer=10.0, power=3.5, K_B=0.5, K_D=0.1)
     rng = np.random.default_rng(7)
     w = rng.normal(size=dofmap.n_total)
-    A = assemble_da(w, params, Workspace(mesh, iface, dofmap, degree=6))
+    ws = Workspace(mesh, iface, dofmap, degree=6)
+    A = ws.csr(NewtonSystem(params, data, ws).at(w)[0])
     assert abs(A - A.T).max() < 1e-12
 
 
 def test_jacobian_consistent_with_nonlinear_action():
-    """One-step finite-difference check of the velocity derivative."""
+    """One-step finite-difference check of the Newton matrix: the
+    derivative of a(w) + B w."""
     mesh, iface, data, dofmap = setup()
     params = PhysicalParams(mu=1.0, forchheimer=10.0, power=3.0, K_B=1.0, K_D=0.1)
     rng = np.random.default_rng(3)
@@ -566,11 +575,11 @@ def test_jacobian_consistent_with_nonlinear_action():
     delta = rng.normal(size=dofmap.n_total)
 
     ws = Workspace(mesh, iface, dofmap, degree=6)
-    A = assemble_da(w, params, ws)
+    A, B = ws.csr(NewtonSystem(params, data, ws).at(w)[0]), ws.csr(ws.b_data)
     eps = 1e-6
     fd = (
-        assemble_a_nonlinear(w + eps * delta, params, ws)
-        - assemble_a_nonlinear(w, params, ws)
+        assemble_a_nonlinear(w + eps * delta, params, ws) + B @ (w + eps * delta)
+        - assemble_a_nonlinear(w, params, ws) - B @ w
     ) / eps
     err = np.abs(fd - A @ delta).max()
     assert err < 1e-4 * max(1.0, np.abs(A @ delta).max())
@@ -640,6 +649,7 @@ def test_velocity_kernels_match_the_einsum_formulas(power, monkeypatch):
         mu=1.5, forchheimer=7.0, power=power, K_B=K_B, K_D=np.array([[0.5, 0.1], [-0.05, 0.2]])
     )
     ws = Workspace(mesh, iface, dofmap, degree=6)
+    system = NewtonSystem(params, data, ws)
     w = np.random.default_rng(13).normal(size=dofmap.n_total)
     w[dofmap.br.l2g[::5]] = 0.0
     lin_B, forch_B, da_D, rhs_B, act_B, act_D, small = einsum_kernels(w, params, ws)
@@ -655,8 +665,9 @@ def test_velocity_kernels_match_the_einsum_formulas(power, monkeypatch):
         data, corr = forchheimer_terms(w, params, ws)
         close(data, ws.scatter(ws.slots_B, forch_B))
         close(corr, np.bincount(l2g_B.ravel(), rhs_B.ravel(), minlength=dofmap.n_total))
+        # The coupling block sits on other slots than the velocity blocks.
         close(
-            assemble_da(w, params, ws).data,
+            system.at(w)[0] - ws.b_data,
             ws.scatter(ws.slots_B, lin_B + forch_B) + ws.scatter(ws.slots_D, da_D),
         )
     act = np.zeros(dofmap.n_total)

@@ -22,6 +22,7 @@ from bfdarcy.elements import (
     _GAUSS_JACOBI_1_0,
     br_basis,
     br_coefficients,
+    br_gradients,
     br_space,
     physical_points,
     rt0_basis,
@@ -193,7 +194,9 @@ def test_br_coefficients_are_polynomial_coefficients():
     # Monomial 3 + j is the bubble product of edge j, and the gradient
     # coefficients of a vertex function's P1 part sit on the monomial 1.
     verts, signs, _ = oracle_mesh()
-    coef, gcoef = br_coefficients(verts, signs)
+    _, geta, _, _ = triangle_geometry(verts)
+    coef = br_coefficients(verts, signs)
+    gcoef = br_gradients(coef, geta)
     assert coef.shape == (verts.shape[0], 9, 6, 2)
     assert gcoef.shape == (verts.shape[0], 9, 4, 2, 2)
     np.testing.assert_array_equal(coef[:, 6:, :3], 0.0)
@@ -202,7 +205,6 @@ def test_br_coefficients_are_polynomial_coefficients():
         others = [s for s in range(3, 6) if s != 3 + j]
         np.testing.assert_array_equal(coef[:, 6 + j, others], 0.0)
         np.testing.assert_array_equal(gcoef[:, 6 + j, 1 + j], 0.0)
-    _, geta, _, _ = triangle_geometry(verts)
     for k in range(6):
         np.testing.assert_array_equal(coef[:, k, k // 2, k % 2], 1.0)
         np.testing.assert_array_equal(gcoef[:, k, 0, k % 2], geta[:, k // 2])

@@ -217,20 +217,17 @@ def test_lu_rejects_a_nan_residual(monkeypatch):
     # Factors of the finite reduced block give a finite x for a system
     # with a NaN entry in that block, so only the residual shows the
     # fault: with a held factor, and with fresh factors only.
-    disc, A, b, static = newton_system(channel)
-    lin = solver.CondensedSolve(static)
+    disc, A, b, static, x_R = newton_system(channel)
     clean = static.reduced(A)
-    solver.sparse_lu_solve(A, b, lin)
-    held = lin.held
+    held = solver.sparse_lu_solve(A, b, static, x_R).factor
     pos = disc.layout.rr_pos
     A.data[pos[pos < A.data.size][0]] = np.nan
     monkeypatch.setattr(solver, "splu", lambda M, **kwargs: splu(clean, **kwargs))
     with pytest.raises(SolverError, match="residual nan"):
-        solver.sparse_lu_solve(A, b, lin)
+        solver.sparse_lu_solve(A, b, static, x_R, held)
     assert held.lu is None
-    lin.held = None
     with pytest.raises(SolverError, match="residual nan"):
-        solver.sparse_lu_solve(A, b, lin)
+        solver.sparse_lu_solve(A, b, static, x_R)
 
 
 def test_gauge_solve_matches_the_factored_bordered_system():
@@ -371,17 +368,15 @@ def test_report_records_the_step_residuals():
     assert report.converged and len(report.step_residuals) == report.iterations
     assert all(np.isfinite(r) and r > 0.0 for r in report.step_residuals)
     assert report.step_residuals[-1] <= 1e-6 * report.step_residuals[0]
-    # At the solution it is what _normalized gives on its reduced system;
-    # without an iterate there is none.
+    # At the solution it is what _normalized gives on its reduced system.
     ws = disc.workspace
     A, b = apply_constraints(ws, *NewtonSystem(params, data, ws).at(fields.x), fields.x)
     static = solver.StaticSystem.build(disc, params, data)
     K, rhs, border = static.reduced(A), static.reduced_rhs(b), static.border
     x_R = fields.x[ws.free][disc.layout.free_R]
     r = solver._bordered_residual(K, x_R, rhs, border)
-    out = solver.sparse_lu_solve(A, b, solver.CondensedSolve(static), x_R)
+    out = solver.sparse_lu_solve(A, b, static, x_R)
     assert out.step_residual == solver._normalized(r, x_R, rhs, solver._norm_inf(K, border))
-    assert np.isnan(solver.sparse_lu_solve(A, b, solver.CondensedSolve(static)).step_residual)
 
 
 def free_darcy_count(dofmap):
@@ -492,6 +487,29 @@ def test_held_factors_leave_the_iterates_unchanged(problem, nx, forchheimer, bou
     assert np.abs(fields.x - ref_fields.x).max() <= bound * np.abs(ref_fields.x).max()
 
 
+def test_a_step_holds_the_factor_exactly_while_its_increment_is_small(monkeypatch):
+    # The held factor a step passes on is the one the previous step
+    # returned when that step's increment is at most HOLD_INCREMENT, and
+    # None otherwise.
+    mesh, params, data = channel(nx=16, forchheimer=1e4)
+    calls = []
+    sparse_lu_solve = solver.sparse_lu_solve
+
+    def spy(A, b, static, iterate, held=None):
+        out = sparse_lu_solve(A, b, static, iterate, held)
+        calls.append((held, out.factor))
+        return out
+
+    monkeypatch.setattr(solver, "sparse_lu_solve", spy)
+    _, report = newton_solve(solver.Discretization.build(mesh, data), params, data)
+    assert report.converged and len(calls) == report.iterations
+    small = [inc <= solver.HOLD_INCREMENT for inc in report.increments[:-1]]
+    assert any(small) and not all(small)
+    assert calls[0][0] is None
+    for (_, returned), (held, _), hold in zip(calls, calls[1:], small):
+        assert held is (returned if hold else None)
+
+
 def test_refinement_from_the_iterate_needs_fewer_corrections():
     # A held factor is one of the Jacobian at an earlier iterate.  From
     # an iterate x_k near the solution, refining the correction meets
@@ -531,38 +549,36 @@ def test_refinement_from_the_iterate_needs_fewer_corrections():
 
 
 def newton_system(problem, nx=8, forchheimer=1e3, seed=5):
-    """One Newton system with a Forchheimer block at a random iterate, and
-    the StaticSystem of its solve."""
+    """One Newton system with a Forchheimer block at a random iterate, the
+    StaticSystem of its solve and the iterate's reduced unknowns."""
     mesh, params, data = problem(nx=nx, forchheimer=forchheimer)
     disc = solver.Discretization.build(mesh, data)
     ws, dofmap = disc.workspace, disc.dofmap
     x = np.random.default_rng(seed).normal(size=dofmap.n_total)
     x[dofmap.constrained] = prescribed_values(dofmap, mesh, data)
     A, b = apply_constraints(ws, *NewtonSystem(params, data, ws).at(x), x)
-    return disc, A, b, solver.StaticSystem.build(disc, params, data)
+    return disc, A, b, solver.StaticSystem.build(disc, params, data), x[ws.free][disc.layout.free_R]
 
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
 def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
-    disc, A, b, static = newton_system(problem)
-    lin = solver.CondensedSolve(static)
-    assert lin.held is None
-    fresh = solver.sparse_lu_solve(A, b, lin)
+    disc, A, b, static, x_R = newton_system(problem)
+    fresh = solver.sparse_lu_solve(A, b, static, x_R)
     assert fresh.factored and fresh.refinements == 0
-    factor = lin.held
+    factor = fresh.factor
 
     # The factor of the same system serves at once.
-    again = solver.sparse_lu_solve(A, b, lin)
-    assert not again.factored and lin.held is factor
+    again = solver.sparse_lu_solve(A, b, static, x_R, factor)
+    assert not again.factored and again.factor is factor
     assert again.lu_nnz == fresh.lu_nnz
     assert np.abs(again.x - fresh.x).max() <= 1e-12 * np.abs(fresh.x).max()
 
     # A factor of three times the matrix cuts the residual by less than
     # REFINE_MIN_RATE per step: the solve releases it and factors anew,
     # from the start, so the result is the fresh solve's.
-    bad = lin.held = solver.BorderedLU(3.0 * static.reduced(A), static.border)
-    out = solver.sparse_lu_solve(A, b, lin)
-    assert out.factored and lin.held is not bad and out.refinements >= 1
+    bad = solver.BorderedLU(3.0 * static.reduced(A), static.border)
+    out = solver.sparse_lu_solve(A, b, static, x_R, bad)
+    assert out.factored and out.factor is not bad and out.refinements >= 1
     assert bad.lu is None
     np.testing.assert_array_equal(out.x, fresh.x)
     assert out.residual == fresh.residual and out.lu_nnz == fresh.lu_nnz
@@ -570,14 +586,12 @@ def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
 def test_an_inaccurate_ordered_factor_falls_back_to_partial_pivoting(problem, monkeypatch):
-    disc, A, b, static = newton_system(problem)
-    lin = solver.CondensedSolve(static)
+    disc, A, b, static, x_R = newton_system(problem)
     # The reference: the ordered call factors with partial pivoting, on
     # the same supernodes, and that factor serves at once.
     monkeypatch.setattr(solver, "splu", lambda M, **kwargs: splu(M, **unordered(kwargs)))
-    ref = solver.sparse_lu_solve(A, b, lin)
+    ref = solver.sparse_lu_solve(A, b, static, x_R)
     assert ref.factored and ref.refinements == 0
-    lin.held = None
 
     # An ordered factor of three times the matrix cuts the residual by
     # less than REFINE_MIN_RATE per step: the solve releases it and
@@ -595,9 +609,9 @@ def test_an_inaccurate_ordered_factor_falls_back_to_partial_pivoting(problem, mo
 
     monkeypatch.setattr(solver.BorderedLU, "release", spy_release)
     monkeypatch.setattr(solver, "splu", three_times)
-    out = solver.sparse_lu_solve(A, b, lin)
+    out = solver.sparse_lu_solve(A, b, static, x_R)
     assert made == [True, False]
-    assert len(released) == 1 and released[0].lu is None and released[0] is not lin.held
+    assert len(released) == 1 and released[0].lu is None and released[0] is not out.factor
     assert out.factored and out.refinements >= 1
     np.testing.assert_array_equal(out.x, ref.x)
     assert out.residual == ref.residual and out.lu_nnz == ref.lu_nnz
@@ -624,7 +638,7 @@ def test_the_condensed_layout_pairs_each_pressure_with_a_bubble(problem):
 
 
 def test_the_reduced_gauge_border_sits_on_the_gauge_slot():
-    disc, A, b, lin = newton_system(manufactured)
+    disc, A, b, lin, _ = newton_system(manufactured)
     border = lin.gauge
     np.testing.assert_array_equal(border.coupling, solver.gauge_border(disc.workspace).coupling)
     free_R = disc.layout.free_R
@@ -746,7 +760,7 @@ def test_condensed_solve_matches_a_factored_free_system(mode):
 
     static = solver.StaticSystem.build(disc, params, data)
     assert border is None or static.border.diagonal != 0.0
-    out = solver.sparse_lu_solve(A, b, solver.CondensedSolve(static))
+    out = solver.sparse_lu_solve(A, b, static, x[ws.free][disc.layout.free_R])
     x_c = out.x
     assert np.abs(x_c - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
     assert out.residual <= 1e-14 and out.refinements == 0 and out.factored
@@ -1022,11 +1036,13 @@ def test_a_static_system_holds_no_factor():
     disc, cells = gauge_cells()
     params, data, static = cells[0]
     assert not superlu_inside(static)
-    newton_solve(disc, params, data, linear=static)
+    fields, _ = newton_solve(disc, params, data, linear=static)
     assert not superlu_inside(static)
-    lin = solver.CondensedSolve(static)
-    lin.held = solver.BorderedLU(sp.eye(3, format="csc"))
-    assert superlu_inside(lin) and not superlu_inside(static)
+    # The factor a linear solve on it made is returned, not kept there.
+    ws = disc.workspace
+    A, b = apply_constraints(ws, *NewtonSystem(params, data, ws).at(fields.x), fields.x)
+    out = solver.sparse_lu_solve(A, b, static, fields.x[ws.free][disc.layout.free_R])
+    assert superlu_inside(out) and not superlu_inside(static)
 
 
 def test_solves_of_several_F_on_one_static_system_on_several_threads():

@@ -28,7 +28,9 @@ from bfdarcy import (
     pressure_mean,
     save_mesh,
 )
-from bfdarcy.elements import br_coefficients, physical_points, quad_rule
+from bfdarcy.elements import (
+    br_coefficients, br_gradients, physical_points, quad_rule, triangle_geometry,
+)
 from bfdarcy.solver import Discretization
 from bfdarcy.verification import CSV_HEADER, compute_errors
 from br_oracle import loop_br_basis
@@ -329,7 +331,9 @@ def brinkman_divergence(fields):
     integrate to |T| (1, 1/3, 1/3, 1/3)."""
     mesh, br = fields.mesh, fields.dofmap.br
     tri = br.tri_ids
-    _, gcoef = br_coefficients(mesh.vertices[mesh.triangles[tri]], mesh.tri_edge_signs[tri])
+    verts = mesh.vertices[mesh.triangles[tri]]
+    coef = br_coefficients(verts, mesh.tri_edge_signs[tri])
+    gcoef = br_gradients(coef, triangle_geometry(verts)[1])
     trace = gcoef[..., 0, 0] + gcoef[..., 1, 1]
     integrals = mesh.areas[tri][:, None] * (trace @ np.array([1.0, 1 / 3, 1 / 3, 1 / 3]))
     return np.abs(np.einsum("ma,ma->m", fields.u_B[br.l2g], integrals)).max()
