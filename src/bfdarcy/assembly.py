@@ -4,7 +4,8 @@ The unknown vector is laid out as [u_B | u_D | p | lambda | gauge] where
 u_B holds Bernardi-Raugel coefficients, u_D Raviart-Thomas fluxes, p one
 constant per triangle (both regions), lambda the interface multiplier
 nodes, and gauge an optional scalar that fixes the pressure mean when no
-natural boundary condition does.
+natural boundary condition does: its row and column hold the triangle
+areas on the pressures, so its row is the mean-zero condition.
 
 The nonlinear operator on the velocity pair is
 
@@ -377,14 +378,15 @@ class Workspace:
     a slot array (``slots_B``, ``slots_D``) mapping its element entries to
     positions in the CSR ``data``; assembling is one ``np.bincount`` per
     block.  The coupling block, -(q, div v_B) - (q, div v_D) on the
-    pressure rows, <v_B . n - v_D . n, xi> on the multiplier rows and the
-    transposes on the velocity rows, depends on the mesh alone and follows
-    from the degrees of freedom (``_coupling_entries``); its data
-    (``b_data``) is assembled here once, and the pattern holds its slots
-    whose entries sum to nonzero.  ``free`` lists the unconstrained DOFs
-    (the gauge scalar included), and ``apply_constraints`` gathers the
-    free-free submatrix and lifts the constrained columns with index
-    arrays built here.  The edge tables of the natural boundary terms are
+    pressure rows, <v_B . n - v_D . n, xi> on the multiplier rows, the
+    triangle areas on the gauge row when the layout has a gauge, and the
+    transposes on the velocity and pressure rows, depends on the mesh
+    alone and follows from the degrees of freedom (``_coupling_entries``);
+    its data (``b_data``) is assembled here once, and the pattern holds
+    its slots whose entries sum to nonzero.  The gauge has no diagonal
+    slot.  ``free`` lists the unconstrained DOFs (the gauge scalar
+    included), and ``apply_constraints`` gathers the free-free submatrix
+    and lifts the constrained columns with index arrays built here.  The edge tables of the natural boundary terms are
     kept per boundary tag in ``natural``, and that of the interface
     traction in ``interface_edges`` (``_edge_table``).  ``degree`` is the
     degree of the triangle quadrature rule every integral is assembled on.
@@ -686,7 +688,9 @@ def _coupling_entries(ws):
     and b, the multiplier rows hold +-eps (h_a + h_b) / 2 on the bubble
     and the RT0 flux, and n_y L (h_a - h_b) / 12 and its negative on the
     y-components at a and b: a vertex function's trace is its hat minus
-    three times the edge's bubble t (1 - t).
+    three times the edge's bubble t (1 - t).  The gauge row, if the layout
+    has one, holds each triangle's area on its pressure: the mean-zero
+    condition.
     """
     mesh, iface, dof = ws.mesh, ws.interface, ws.dofmap
     br, rt = dof.br, dof.rt
@@ -715,9 +719,12 @@ def _coupling_entries(ws):
     s_rows = dof.off_lam + np.stack([macro, macro + 1], axis=1)
     s_rows, s_cols = np.broadcast_arrays(s_rows[:, None, :], s_cols[:, :, None])
 
-    rows = np.concatenate([p_rows, s_rows.ravel()])
-    cols = np.concatenate([p_cols, s_cols.ravel()])
-    vals = np.concatenate([p_vals, s_vals.ravel()])
+    rows, cols, vals = [p_rows, s_rows.ravel()], [p_cols, s_cols.ravel()], [p_vals, s_vals.ravel()]
+    if dof.gauge_dof >= 0:
+        rows.append(np.full(dof.n_p, dof.gauge_dof))
+        cols.append(dof.off_p + np.arange(dof.n_p))
+        vals.append(mesh.areas)
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     return np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([vals, vals])
 
 
@@ -803,8 +810,7 @@ def apply_constraints(ws, data, rhs, x):
     with x_c the constrained entries of the full vector ``x``, which must
     hold the prescribed values there (see ``prescribed_values``); its
     other entries are not read.  The pressure gauge, if any, is a free DOF
-    whose row and column stay empty; the linear solve borders the system
-    with it (``solver.gauge_border``).
+    like any other, with its row and column in A_ff.
     """
     n = ws.free.size
     A = sp.csr_matrix((data[ws.ff_pos], ws.ff_indices, ws.ff_indptr), shape=(n, n))

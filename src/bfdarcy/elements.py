@@ -276,12 +276,20 @@ def br_gradients(coef, grad_eta):
     value coefficients ``coef`` (m, nb, 6, 2) on triangles with barycentric
     gradients ``grad_eta`` (m, 3, 2): (m, nb, 4, 2, 2), where
     ``[:, a, t, r, c]`` multiplies gradient monomial t in the derivative
-    of component r of function a along x_c."""
+    of component r of function a along x_c.  The array is C-contiguous,
+    so the (m, nb, 4, 4) view the stiffness contracts costs no copy."""
     m, nb = coef.shape[:2]
-    # dmono[m, s, (t, c)]: component c of grad P_s on gradient monomial t.
-    dmono = (_DERIVATIVE.transpose(0, 2, 1).reshape(24, 3) @ grad_eta).reshape(m, 6, 8)
-    grads = coef.transpose(0, 1, 3, 2).reshape(m, 2 * nb, 6) @ dmono
-    return grads.reshape(m, nb, 2, 4, 2).transpose(0, 1, 3, 2, 4)
+    # spread[(s, k, t, r), j] is _DERIVATIVE[s, j, t] where k = r and 0
+    # elsewhere, so dmono[m, (s, k), (t, r, c)] is component c of grad P_s
+    # on gradient monomial t where k = r.  One product with the value
+    # coefficients as stored, over (s, k), then writes the result in
+    # (t, r, c) order; each sum meets its six nonzero terms in the order
+    # of a sum over s alone, and the zeros add nothing.
+    spread = np.zeros((6, 2, 4, 2, 3))
+    for r in range(2):
+        spread[:, r, :, r, :] = _DERIVATIVE.transpose(0, 2, 1)
+    dmono = (spread.reshape(96, 3) @ grad_eta).reshape(m, 12, 16)
+    return (coef.reshape(m, nb, 12) @ dmono).reshape(m, nb, 4, 2, 2)
 
 
 def br_values(coef, bary):

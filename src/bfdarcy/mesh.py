@@ -329,7 +329,7 @@ def build_interface(mesh):
     """Order the interface edges, pair them into macro edges, locate nodes.
 
     Every check of the SIGMA edges lives here: they must exist, be even in
-    number, each border one B and one D triangle, and form one straight
+    number, each lie between one B and one D triangle, and form one straight
     horizontal segment with the B region above it.
 
     Returns
@@ -343,7 +343,7 @@ def build_interface(mesh):
     if one_sided.any():
         i, j = mesh.edges[sig[np.argmax(one_sided)]]
         raise MeshConformityError(
-            f"non-matching interface: SIGMA edge {i}-{j} borders only one triangle"
+            f"non-matching interface: SIGMA edge {i}-{j} has only one triangle"
         )
     if sig.size % 2 != 0:
         raise MeshConformityError(f"interface edge count must be even, got {sig.size}")

@@ -11,8 +11,8 @@ affine and a single solve is the exact discrete solution.
 
 The Darcy block of the linear system does not change with the iterate,
 so it is factored once and every Newton step solves only for the
-Brinkman and multiplier unknowns, with the Darcy block's Schur
-complement on the multiplier block, factored in a fixed saddle-point
+Brinkman, multiplier and gauge unknowns, with the Darcy block's Schur
+complement on the rows that meet it, factored in a fixed saddle-point
 order with diagonal pivots (``CondensedLayout``).  A ``StaticSystem``
 holds what does not depend on F, p or the iterate: the F = 0 data and
 that elimination.  Solves that differ only in F or p, as the cells of a
@@ -92,27 +92,11 @@ REFINE_MAX_STEPS = 12
 HOLD_INCREMENT = 0.2
 
 
-def _bordered_residual(A, x, b, border=None):
-    """K x - b for K = A, or A with ``border``, without forming K."""
-    r = A @ x - b
-    if border is not None:
-        c, s = border.coupling, border.slot
-        r += c * x[s]
-        r[s] += c @ x - border.diagonal * x[s]
-    return r
-
-
-def _norm_inf(A, border=None):
-    """||K||_inf for a CSR or CSC A and K = A or A with ``border``, from
-    the row sums of |A.data| plus the border's."""
+def _norm_inf(A):
+    """||A||_inf for a CSR or CSC A, from the row sums of |A.data|."""
     n = A.shape[0]
     rows = A.indices if A.format == "csc" else np.repeat(np.arange(n), np.diff(A.indptr))
-    norms = np.bincount(rows, np.abs(A.data), minlength=n)
-    if border is not None:
-        c = np.abs(border.coupling)
-        norms += c
-        norms[border.slot] = c.sum() + abs(border.diagonal)
-    return norms.max(initial=0.0)
+    return np.bincount(rows, np.abs(A.data), minlength=n).max(initial=0.0)
 
 
 def _normalized(r, x, b, norm):
@@ -127,43 +111,9 @@ def _normalized(r, x, b, norm):
     return num / den if den > 0.0 else num
 
 
-def _normalized_residual(A, x, b, border=None):
-    """||K x - b||_inf / (||K||_inf ||x||_inf + ||b||_inf) for K = A or A
-    with ``border``."""
-    return _normalized(_bordered_residual(A, x, b, border), x, b, _norm_inf(A, border))
-
-
-@dataclass(frozen=True, eq=False)
-class GaugeBorder:
-    """The pressure-gauge border of a system matrix A.
-
-    The bordered operator is K = A + c e_s^T + e_s c^T - delta e_s e_s^T,
-    where s is ``slot`` (an empty row and column of A), c is ``coupling``
-    and delta is ``diagonal``.  The gauge of ``gauge_border`` has the
-    triangle areas on the pressure DOFs in c and delta = 0, which keeps
-    the mean-zero row exact; eliminating the Darcy unknowns gives a
-    border with a nonzero delta (see ``StaticSystem``).  ``pin`` is the
-    first nonzero of c.
-    """
-
-    slot: int
-    coupling: np.ndarray
-    diagonal: float = 0.0
-
-    @property
-    def pin(self):
-        return int(np.flatnonzero(self.coupling)[0])
-
-
-def gauge_border(ws):
-    """The mean-zero pressure gauge in the free-DOF numbering of
-    ``apply_constraints``, or None without one."""
-    dofmap = ws.dofmap
-    if dofmap.gauge_dof < 0:
-        return None
-    c = np.zeros(dofmap.n_total)
-    c[dofmap.off_p : dofmap.off_p + dofmap.n_p] = ws.mesh.areas
-    return GaugeBorder(int(np.searchsorted(ws.free, dofmap.gauge_dof)), c[ws.free])
+def _normalized_residual(A, x, b):
+    """||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf)."""
+    return _normalized(A @ x - b, x, b, _norm_inf(A))
 
 
 def _factor(M, ordered=False):
@@ -183,89 +133,29 @@ def _factor(M, ordered=False):
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
 
 
-def _pin(A, j, s):
-    """A + e_j e_j^T + e_s e_s^T as a CSC matrix on A's pattern, with the
-    two diagonal slots inserted where A lacks them.  Explicit zeros of A
-    stay in the pattern, which is the one SuperLU orders."""
-    A = sp.csc_matrix(A)
-    if not A.has_sorted_indices:
-        A = A.sorted_indices()
-    indptr, indices, data = A.indptr.copy(), A.indices, A.data.copy()
-    # The later column first: an insertion there moves no earlier slot.
-    for k in sorted((j, s), reverse=True):
-        p = indptr[k] + np.searchsorted(indices[indptr[k] : indptr[k + 1]], k)
-        if p < indptr[k + 1] and indices[p] == k:
-            data[p] += 1.0
-        else:
-            indices, data = np.insert(indices, p, k), np.insert(data, p, 1.0)
-            indptr[k + 1 :] += 1
-    return sp.csc_matrix((data, indices, indptr), shape=A.shape)
-
-
-class BorderedLU:
-    """The sparse LU of A, or of A with its gauge pins, and the solve with
-    K = A or A bordered.
+class LUFactor:
+    """The sparse LU of A (see ``_factor``) and the solve with it.
 
     ``sparse_lu_solve`` makes one of a StaticSystem's reduced system,
     which ``newton_solve`` holds between Newton steps.  The factor uses
     COLAMD and partial pivoting, or with ``ordered`` A's own order and
-    its diagonal pivots (see ``_factor``): the order of a
-    CondensedLayout's reduced block, which pairs every zero pressure
-    diagonal with a bubble eliminated before it.  Only a solve with it
-    shows whether such a factor is accurate.
-
-    Without a border this factors A.  With one it factors
-    M = A + e_j e_j^T + e_s e_s^T (j = ``border.pin``, s = ``border.slot``),
-    formed here on A's pattern: A is singular only along the constant
-    (p, lambda) mode, so M is nonsingular.  Each right-hand side then
-    costs one solve with M plus a 2x2 system for (x_j, x_s):
-
-        x = y0 + x_j y1 - x_s y2,  y0 = M^-1 b_x, y1 = M^-1 e_j, y2 = M^-1 c
-
-    where b_x is b with its gauge entry zeroed; y1 and y2 come from one
-    two-column solve here.  ``nnz`` is nnz(L+U).
+    its diagonal pivots: the order of a CondensedLayout's reduced block,
+    which pairs every zero pressure diagonal with a bubble eliminated
+    before it.  Only a solve with it shows whether such a factor is
+    accurate.  ``nnz`` is nnz(L+U).
     """
 
-    def __init__(self, A, border=None, ordered=False):
-        if border is None:
-            M = sp.csc_matrix(A)
-        else:
-            M = _pin(A, border.pin, border.slot)
-        self.lu = _factor(M, ordered)
-        del M
+    def __init__(self, A, ordered=False):
+        self.lu = _factor(sp.csc_matrix(A), ordered)
         self.nnz = int(self.lu.nnz)
-        self.border = border
-        if border is not None:
-            c, j = border.coupling, border.pin
-            e_j = np.zeros(c.size)
-            e_j[j] = 1.0
-            Y = self.lu.solve(np.column_stack([e_j, c]))
-            self.y1, self.y2 = Y[:, 0], Y[:, 1]
-            self.G = np.array(
-                [[self.y1[j] - 1.0, -self.y2[j]],
-                 [c @ self.y1, -(c @ self.y2) - border.diagonal]]
-            )
 
     def solve(self, rhs):
-        border = self.border
-        if border is None:
-            return self.lu.solve(rhs)
-        c, s, j = border.coupling, border.slot, border.pin
-        rhs_x = rhs.copy()
-        rhs_x[s] = 0.0
-        y0 = self.lu.solve(rhs_x)
-        try:
-            xj, xs = np.linalg.solve(self.G, [-y0[j], rhs[s] - c @ y0])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"singular gauge border: {exc}") from exc
-        x = y0 + xj * self.y1 - xs * self.y2
-        x[s] = xs
-        return x
+        return self.lu.solve(rhs)
 
     def release(self):
         """Free the factor, whoever still refers to this object; it cannot
         solve afterwards."""
-        self.lu = self.y1 = self.y2 = None
+        self.lu = None
 
 
 def _refine(factor, residual, rhs, norm, start=None):
@@ -369,11 +259,12 @@ def _saddle_order(ws, reduced, rows, cols):
     factor of a diagonally dominant matrix with that graph, on
     single-column supernodes), and each pair is expanded bubble first.
     Eliminating the bubble first makes the pressure's pivot nonzero, so
-    the factor can take its diagonal pivots in this order.  The
-    multipliers and the gauge come last.  This is the constrained
-    ordering of saddle-point LDL^T factors (M. Tuma, SIAM J. Matrix Anal.
-    Appl. 23, 2002; A. C. de Niet and F. W. Wubs, IMA J. Numer. Anal. 29,
-    2009).
+    the factor can take its diagonal pivots in this order.  The gauge,
+    if the layout has one, and then the multipliers come last: the rows
+    that meet the Darcy block, which stay out of the node graph.  This is
+    the constrained ordering of saddle-point LDL^T factors (M. Tuma, SIAM
+    J. Matrix Anal. Appl. 23, 2002; A. C. de Niet and F. W. Wubs, IMA J.
+    Numer. Anal. 29, 2009).
     """
     dof = ws.dofmap
     n = reduced.size
@@ -415,7 +306,9 @@ def _saddle_order(ws, reduced, rows, cols):
     partner = np.full(m, -1)
     partner[node[pressures[paired]]] = pressures[paired]
     pairs = np.column_stack([heads[order], partner[order]]).ravel()
-    return reduced[np.concatenate([pairs[pairs >= 0], np.flatnonzero(last)])]
+    # The gauge is the last DOF; it goes before the multipliers.
+    tail = np.roll(np.flatnonzero(last), int(dof.gauge_dof >= 0))
+    return reduced[np.concatenate([pairs[pairs >= 0], tail])]
 
 
 class CondensedLayout:
@@ -427,13 +320,14 @@ class CondensedLayout:
     ``free_R`` is in the elimination order of the reduced factor (see
     ``_saddle_order``): Brinkman velocities and pressures by minimum
     degree, each pressure right after a bubble of its triangle, then the
-    multipliers and the gauge.  The two sets meet only in the multiplier
-    rows (``lam_R``).  ``dd_*``, ``cd_*`` and ``rr_*`` gather, from the
-    data of ``apply_constraints``' A_ff, the Darcy block in CSC order, the
-    multiplier-Darcy coupling, and the reduced block in CSC order with a
-    dense multiplier block, so the reduced matrix arrives permuted; the
-    source of the reduced gather is A_ff's data followed by that block
-    (row-major).
+    gauge and the multipliers.  The two sets meet only in those last rows
+    (``coupled``, positions in ``free_R``).  ``dd_*``, ``cd_*`` and
+    ``rr_*`` gather, from the data of ``apply_constraints``' A_ff, the
+    Darcy block in CSC order, the coupling of the ``coupled`` rows to the
+    Darcy set, and the reduced block in CSC order with a dense block on
+    the ``coupled`` rows and columns, so the reduced matrix arrives
+    permuted; the source of the reduced gather is A_ff's data followed by
+    that block (row-major).
 
     It depends on the Workspace alone; ``Discretization.build`` makes one
     per mesh, and nothing writes to it afterwards.
@@ -452,8 +346,6 @@ class CondensedLayout:
         local = np.empty(free.size, dtype=int)
         local[self.free_D] = np.arange(self.free_D.size)
         local[self.free_R] = np.arange(self.free_R.size)
-        n_lam, n_R = dof.n_lam, self.free_R.size
-        self.lam_R = local[np.searchsorted(free, dof.off_lam + np.arange(n_lam))]
 
         D_row, D_col = in_D[rows], in_D[cols]
         rows, cols = local[rows], local[cols]
@@ -462,19 +354,18 @@ class CondensedLayout:
         self.dd_pos, self.dd_indices, self.dd_indptr = _csc_gather(
             dd, rows[dd], cols[dd], self.free_D.size
         )
-        lam_index = np.full(n_R, -1)
-        lam_index[self.lam_R] = np.arange(n_lam)
         self.cd_pos = np.flatnonzero(~D_row & D_col)
-        self.cd_rows = lam_index[rows[self.cd_pos]]
+        self.coupled, self.cd_rows = np.unique(rows[self.cd_pos], return_inverse=True)
         self.cd_cols = cols[self.cd_pos]
 
         rr = np.flatnonzero(~D_row & ~D_col)
-        lam_r, lam_c = np.meshgrid(self.lam_R, self.lam_R, indexing="ij")
+        n_c = self.coupled.size
+        c_r, c_c = np.meshgrid(self.coupled, self.coupled, indexing="ij")
         self.rr_pos, self.rr_indices, self.rr_indptr = _csc_gather(
-            np.concatenate([rr, cols.size + np.arange(n_lam * n_lam)]),
-            np.concatenate([rows[rr], lam_r.ravel()]),
-            np.concatenate([cols[rr], lam_c.ravel()]),
-            n_R,
+            np.concatenate([rr, cols.size + np.arange(n_c * n_c)]),
+            np.concatenate([rows[rr], c_r.ravel()]),
+            np.concatenate([cols[rr], c_c.ravel()]),
+            self.free_R.size,
         )
 
 
@@ -495,20 +386,19 @@ class StaticSystem:
     linear velocity blocks and the coupling block), which depends on mu,
     K_B and K_D.  The free u_D and p_D of the system of
     ``apply_constraints`` form a block A_DD that no Newton step changes.
-    They meet the other unknowns only in the multiplier rows
-    C_D = A[lambda, D] (and the transposed columns) and, with the gauge
-    border of the free system (``gauge``, from ``gauge_border``), in its
-    coupling c_D.  This factors A_DD once, keeps
+    They meet the other unknowns only in the layout's ``coupled`` rows,
+    the multipliers and the pressure gauge if there is one:
+    C_D = A[coupled, D] (and the transposed columns).  This factors A_DD
+    once, keeps
 
-        X = A_DD^-1 C_D^T,  z = A_DD^-1 c_D,  y = A_DD^-1 b_D,
+        X = A_DD^-1 C_D^T,  y = A_DD^-1 b_D,
 
     and releases the factor (``lu_nnz`` is its nnz(L+U)).  A Newton step
     then solves, factors and refines only the reduced system
     (``reduced``, ``reduced_rhs``): the other unknowns, in the layout's
     elimination order, with S_D = C_D X subtracted from the (empty)
-    multiplier block, bordered by ``border``, the gauge border of the
-    reduced system (coupling c_R - X^T c_D, diagonal delta + c_D . z).
-    x_D = y - X lambda - z x_s recovers the rest (``recover``).
+    block of the coupled rows.  x_D = y - X x_C, x_C the coupled
+    unknowns, recovers the rest (``recover``).
 
     b_D depends on the Darcy data alone (the Forchheimer terms act on u_B
     only, and the lift uses fixed prescribed values), so ``y`` serves
@@ -531,35 +421,20 @@ class StaticSystem:
         self.disc = disc
         self.mu, self.K_B, self.K_D = params.mu, params.K_B, params.K_D
         self.values = values
-        self.gauge = gauge = gauge_border(ws)
-        n_D, n_lam = lo.free_D.size, lo.lam_R.size
+        n_D, n_c = lo.free_D.size, lo.coupled.size
         matrix = sp.csc_matrix(
             (values[ws.ff_pos[lo.dd_pos]], lo.dd_indices, lo.dd_indptr), shape=(n_D, n_D)
         )
         self.coupling = sp.csr_matrix(
-            (values[ws.ff_pos[lo.cd_pos]], (lo.cd_rows, lo.cd_cols)), shape=(n_lam, n_D)
+            (values[ws.ff_pos[lo.cd_pos]], (lo.cd_rows, lo.cd_cols)), shape=(n_c, n_D)
         )
         self.b = asm.lifted_rhs(ws, values, load, x)[lo.free_D]
-        cols = [self.coupling.T.toarray(), self.b[:, None]]
-        if gauge is not None:
-            c_D = gauge.coupling[lo.free_D]
-            cols.append(c_D[:, None])
         lu = _factor(matrix)
         self.lu_nnz = int(lu.nnz)
-        Y = lu.solve(np.hstack(cols))
+        Y = lu.solve(np.hstack([self.coupling.T.toarray(), self.b[:, None]]))
         del lu
-        self.X, self.y = Y[:, :n_lam], Y[:, n_lam]
+        self.X, self.y = Y[:, :n_c], Y[:, n_c]
         self.schur = -(self.coupling @ self.X).ravel()
-        self.z = self.c_D = self.border = None
-        if gauge is not None:
-            self.z, self.c_D = Y[:, n_lam + 1], c_D
-            c_R = gauge.coupling[lo.free_R]
-            c_R[lo.lam_R] -= self.X.T @ c_D
-            self.border = GaugeBorder(
-                int(np.flatnonzero(lo.free_R == gauge.slot)[0]),
-                c_R,
-                gauge.diagonal + c_D @ self.z,
-            )
 
     @classmethod
     def build(cls, disc, params, data):
@@ -595,17 +470,13 @@ class StaticSystem:
         if not np.array_equal(b[lo.free_D], self.b):
             raise ValueError("the Darcy part of the right-hand side differs from the block's")
         rhs = b[lo.free_R]
-        rhs[lo.lam_R] -= self.coupling @ self.y
-        if self.z is not None:
-            rhs[self.border.slot] -= self.c_D @ self.y
+        rhs[lo.coupled] -= self.coupling @ self.y
         return rhs
 
     def recover(self, x_R):
         """The solution of the free system from the reduced system's."""
         lo = self.disc.layout
-        x_D = self.y - self.X @ x_R[lo.lam_R]
-        if self.z is not None:
-            x_D -= self.z * x_R[self.border.slot]
+        x_D = self.y - self.X @ x_R[lo.coupled]
         x = np.empty(x_R.size + x_D.size)
         x[lo.free_R] = x_R
         x[lo.free_D] = x_D
@@ -615,12 +486,11 @@ class StaticSystem:
 class LinearSolve(NamedTuple):
     """What ``sparse_lu_solve`` returns.
 
-    ``residual`` is the normalized residual on the full (bordered) free
-    system, ``lu_nnz`` nnz(L+U) of the reduced factor that served,
+    ``residual`` is the normalized residual on the full free system, ``lu_nnz`` nnz(L+U) of the reduced factor that served,
     ``refinements`` the refinement steps run, the solves with a factor
     after its first (those with an abandoned held or ordered factor
     included), ``factored`` whether the call computed that factor, and
-    ``factor`` that BorderedLU, which a later step may pass as ``held``.
+    ``factor`` that LUFactor, which a later step may pass as ``held``.
     ``step_residual`` is the normalized residual of the reduced system
     at the given iterate (the nonlinear residual of a Newton step on the
     reduced unknowns).
@@ -631,17 +501,16 @@ class LinearSolve(NamedTuple):
     lu_nnz: int
     refinements: int
     factored: bool
-    factor: BorderedLU
+    factor: LUFactor
     step_residual: float
 
 
 def sparse_lu_solve(A, b, static, iterate, held=None):
-    """Solve the free system A x = b, bordered by the pressure gauge if
-    it has one, through the StaticSystem ``static`` of its Newton solve.
+    """Solve the free system A x = b through the StaticSystem ``static``
+    of its Newton solve.
 
     Only the reduced system of ``static`` is factored and refined; the
-    Darcy part of x comes from ``static``, and the dense gauge border is
-    never factored (see ``BorderedLU``).  ``iterate`` holds the reduced
+    Darcy part of x comes from ``static``.  ``iterate`` holds the reduced
     unknowns of the current Newton iterate x_k, in the layout's order
     (``CondensedLayout.free_R``).
 
@@ -670,11 +539,11 @@ def sparse_lu_solve(A, b, static, iterate, held=None):
     residual misses the bound (a NaN residual does).  Returns a
     LinearSolve.
     """
-    K, rhs, border = static.reduced(A), static.reduced_rhs(b), static.border
-    norm = _norm_inf(K, border)
+    K, rhs = static.reduced(A), static.reduced_rhs(b)
+    norm = _norm_inf(K)
 
     def residual(x):
-        return _bordered_residual(K, x, rhs, border)
+        return K @ x - rhs
 
     r_k = residual(iterate)
     step_res = _normalized(r_k, iterate, rhs, norm)
@@ -683,8 +552,8 @@ def sparse_lu_solve(A, b, static, iterate, held=None):
     # meets REFINE_TOL, the last one always.
     tries = [] if held is None else [(lambda: held, (iterate, step_res, r_k))]
     tries += [
-        (lambda: BorderedLU(K, border, ordered=True), None),
-        (lambda: BorderedLU(K, border), None),
+        (lambda: LUFactor(K, ordered=True), None),
+        (lambda: LUFactor(K), None),
     ]
     steps = 0
     for make, first in tries:
@@ -697,7 +566,7 @@ def sparse_lu_solve(A, b, static, iterate, held=None):
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("sparse LU produced non-finite values")
     x = static.recover(x)
-    res = _normalized_residual(A, x, b, static.gauge)
+    res = _normalized_residual(A, x, b)
     if not res <= LU_RESIDUAL_TOL:
         raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
     return LinearSolve(x, res, factor.nnz, steps, factor is not held, factor, step_res)
@@ -751,7 +620,8 @@ class SolveReport:
     from (``step_residuals``: the nonlinear residual on the reduced
     unknowns, normalized as ``_normalized`` does), nnz(L+U) of the factor
     that iteration used (of the reduced block, with the Darcy unknowns
-    eliminated), the refinement steps it ran (the solves with a factor
+    eliminated and the pressure gauge, if any, one of its rows), the
+    refinement steps it ran (the solves with a factor
     after its first; see ``LinearSolve``) and whether it factored: an
     iteration that did not reused the factor its solve held from an
     earlier one, and refined the correction from its iterate.  The

@@ -247,7 +247,7 @@ def test_pressure_rows_match_the_divergence_theorem():
     edge: Brinkman vertex functions have none, bubbles and RT0 functions
     exactly one unit through their own edge.  The pressure row of an
     element therefore holds exactly -sign on its bubble/flux columns and
-    no entry on its vertex columns.
+    no entry on its vertex columns; the gauge column holds its area.
     """
     mesh, iface, data, dofmap = setup()
     ws = Workspace(mesh, iface, dofmap, degree=6)
@@ -256,7 +256,8 @@ def test_pressure_rows_match_the_divergence_theorem():
 
 def assert_pressure_rows(B, mesh, dofmap):
     """The pressure rows of B hold exactly -sign on the edge DOFs of their
-    triangle, and no vertex column is in the pattern."""
+    triangle and, in a layout with a gauge, the triangle's area on the
+    gauge column, and no vertex column is in the pattern."""
     br, rt = dofmap.br, dofmap.rt
     n_vB = br.vertex_ids.size
 
@@ -271,6 +272,8 @@ def assert_pressure_rows(B, mesh, dofmap):
             e = mesh.tri_edges[tri, loc]
             col = dofmap.off_uD + rt.edge_local[e]
             expect[tri, col] = -float(mesh.tri_edge_signs[tri, loc])
+    if dofmap.gauge_dof >= 0:
+        expect[:, dofmap.gauge_dof] = mesh.areas[:, None]
 
     got = B[dofmap.off_p : dofmap.off_p + dofmap.n_p, :]
     expect = expect.tocsr()
@@ -303,11 +306,40 @@ def test_pattern_size_on_the_benchmark_meshes():
     _, study = manufactured_problem(PhysicalParams())
     _, channel, (rect_B, rect_D) = heterogeneous_flow_problem(0.0)
     for mesh, data, nnz in (
-        (generate_stacked_rect(RECT_B, RECT_D, 32, 32, 32), study, 134_886),
+        (generate_stacked_rect(RECT_B, RECT_D, 32, 32, 32), study, 143_078),
         (generate_stacked_rect(rect_B, rect_D, 32, 16, 16), channel, 67_974),
     ):
         iface = build_interface(mesh)
         assert Workspace(mesh, iface, build_dofmap(mesh, iface, data), degree=6).nnz == nnz
+
+
+@pytest.mark.parametrize("pattern", ["right", "crisscross"])
+def test_the_gauge_row_and_column_hold_the_triangle_areas(pattern):
+    """The mean-zero gauge is a row and a column of the coupling block:
+    the area of each triangle, B and D, on its pressure, and no diagonal.
+    A layout without a gauge has the same pattern and coupling data
+    without them."""
+    mesh = generate_stacked_rect(RECT_B, RECT_D, 6, 3, 2, pattern=pattern)
+    iface = build_interface(mesh)
+    ws = Workspace(mesh, iface, build_dofmap(mesh, iface, ProblemData()), degree=6)
+    dofmap = ws.dofmap
+    g, n = dofmap.gauge_dof, dofmap.n_fields
+    assert g == n and dofmap.n_total == n + 1
+    B = ws.csr(ws.b_data)
+    pressures = np.concatenate([ws.p_dof_B, ws.p_dof_D])
+    for line in (B[[g]], B[:, [g]].T.tocsr()):
+        line.sort_indices()
+        np.testing.assert_array_equal(line.indices, np.sort(pressures))
+        np.testing.assert_array_equal(line.data, mesh.areas)
+    assert B[g, g] == 0.0 and ws.csr(np.ones(ws.nnz))[g, g] == 0.0
+
+    mixed_data = ProblemData(darcy_bc={"GD_BOTTOM": ("pressure", zero_scalar)})
+    mixed = Workspace(mesh, iface, build_dofmap(mesh, iface, mixed_data), degree=6)
+    assert mixed.dofmap.gauge_dof < 0 and mixed.nnz == ws.nnz - 2 * dofmap.n_p
+    inner, M = B[:n, :n], mixed.csr(mixed.b_data)
+    np.testing.assert_array_equal(M.indptr, inner.indptr)
+    np.testing.assert_array_equal(M.indices, inner.indices)
+    np.testing.assert_array_equal(M.data, inner.data)
 
 
 def coupling_on(mesh, data):
@@ -449,8 +481,9 @@ def quadrature_coupling(ws):
     """(rows, cols, values) blocks of the coupling block, both halves, by
     quadrature: -(q, div v) on the workspace's rule, with the Brinkman
     divergence from the loop oracle and the Darcy one from ``rt0_basis``,
-    and <v . n, xi> on a 6-point edge rule with the loop oracle's and
-    ``rt0_basis``' values and the multiplier hats of ``hat_values``."""
+    <v . n, xi> on a 6-point edge rule with the loop oracle's and
+    ``rt0_basis``' values and the multiplier hats of ``hat_values``, and
+    the gauge's (q, 1) on the workspace's rule in a layout with a gauge."""
     mesh, iface, dof = ws.mesh, ws.interface, ws.dofmap
     br, rt = dof.br, dof.rt
     _, gphi = oracle_tables(ws)
@@ -476,6 +509,10 @@ def quadrature_coupling(ws):
         (ws.p_dof_B[:, None], br.l2g, -np.einsum("maq,mq->ma", div_phi, ws.wq_B)),
         (ws.p_dof_D[:, None], dof.off_uD + rt.l2g, -np.einsum("ma,mq->ma", div_psi, ws.wq_D)),
     ]
+    if dof.gauge_dof >= 0:
+        # The mean-zero row: (q, 1) for each pressure.
+        half += [(dof.gauge_dof, p_dof, wq.sum(axis=1))
+                 for p_dof, wq in ((ws.p_dof_B, ws.wq_B), (ws.p_dof_D, ws.wq_D))]
     for basis, l2g, sign in (
         (phi, br.l2g[np.searchsorted(br.tri_ids, iface.tri_B)], 1.0),
         (psi, dof.off_uD + rt.l2g[np.searchsorted(rt.tri_ids, iface.tri_D)], -1.0),

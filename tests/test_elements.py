@@ -199,6 +199,8 @@ def test_br_coefficients_are_polynomial_coefficients():
     gcoef = br_gradients(coef, geta)
     assert coef.shape == (verts.shape[0], 9, 6, 2)
     assert gcoef.shape == (verts.shape[0], 9, 4, 2, 2)
+    # The stiffness views it as (m, 9, 4, 4) without a copy.
+    assert gcoef.flags.c_contiguous
     np.testing.assert_array_equal(coef[:, 6:, :3], 0.0)
     np.testing.assert_array_equal(gcoef[:, 6:, 0], 0.0)
     for j in range(3):

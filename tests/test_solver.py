@@ -35,7 +35,6 @@ from bfdarcy.mesh import _build_topology
 from bfdarcy.solver import (
     LU_RESIDUAL_TOL,
     REFINE_TOL,
-    GaugeBorder,
     NewtonOptions,
     nonlinear_residual,
 )
@@ -62,29 +61,24 @@ def channel(nx=8, forchheimer=10.0):
 # ------------------------------------------------------------- sparse LU
 
 
-def refined_solve(A, b, border=None):
-    """Factor A (bordered by ``border``) with BorderedLU and refine on it:
-    (x, normalized residual, refinement steps, factor)."""
-    factor = solver.BorderedLU(A, border)
-    x, res, steps = solver._refine(
-        factor,
-        lambda x: solver._bordered_residual(A, x, b, border),
-        b,
-        solver._norm_inf(A, border),
-    )
+def refined_solve(A, b):
+    """Factor A with LUFactor and refine on it: (x, normalized residual,
+    refinement steps, factor)."""
+    factor = solver.LUFactor(A)
+    x, res, steps = solver._refine(factor, lambda x: A @ x - b, b, solver._norm_inf(A))
     return x, res, steps, factor
 
 
 def test_lu_solves_the_identity():
     A = sp.eye(5, format="csr")
     b = np.arange(5.0)
-    np.testing.assert_allclose(solver.BorderedLU(A).solve(b), b, atol=1e-15)
+    np.testing.assert_allclose(solver.LUFactor(A).solve(b), b, atol=1e-15)
 
 
 def test_lu_handles_a_zero_diagonal():
     # requires pivoting: the matrix swaps the two unknowns
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    x = solver.BorderedLU(A).solve(np.array([1.0, 2.0]))
+    x = solver.LUFactor(A).solve(np.array([1.0, 2.0]))
     np.testing.assert_allclose(x, [2.0, 1.0], atol=1e-15)
 
 
@@ -105,91 +99,13 @@ def test_lu_matches_dense_solve_on_a_saddle_block():
 def test_lu_rejects_singular_matrices():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularSystemError):
-        solver.BorderedLU(A)
+        solver.LUFactor(A)
     # a structurally empty row as well
     A = sp.lil_matrix((3, 3))
     A[0, 0] = 1.0
     A[1, 1] = 1.0
     with pytest.raises(SingularSystemError):
-        solver.BorderedLU(A.tocsr())
-
-
-class CountingLU:
-    """SuperLU wrapper that counts triangular solves."""
-
-    def __init__(self, lu):
-        self.lu = lu
-        self.solves = 0
-        self.nnz = lu.nnz
-
-    def solve(self, rhs):
-        self.solves += 1
-        return self.lu.solve(rhs)
-
-
-@pytest.mark.parametrize("delta", [0.0, 0.5])
-def test_lu_solves_a_gauge_border_on_a_singular_block(delta, monkeypatch):
-    # A graph Laplacian is singular along the constant vector only; the
-    # last row and column are the empty slot of the gauge scalar.
-    rng = np.random.default_rng(8)
-    n = 30
-    W = np.triu(rng.uniform(0.5, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.2), 1)
-    W += np.diag(np.ones(n - 1), 1)  # keep the graph connected
-    W = W + W.T
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = np.diag(W.sum(axis=1)) - W
-    c = np.zeros(n + 1)
-    c[10:n] = rng.uniform(0.1, 1.0, size=n - 10)
-    K = A + np.outer(c, np.eye(n + 1)[n]) + np.outer(np.eye(n + 1)[n], c)
-    K[n, n] = -delta
-    b = rng.normal(size=n + 1)
-
-    factors = []
-
-    def counting_splu(M, **kwargs):
-        factors.append(CountingLU(splu(M, **kwargs)))
-        return factors[-1]
-
-    monkeypatch.setattr(solver, "splu", counting_splu)
-
-    x, res, steps, factor = refined_solve(sp.csr_matrix(A), b, GaugeBorder(n, c, delta))
-    np.testing.assert_allclose(x, np.linalg.solve(K, b), rtol=1e-10, atol=1e-12)
-    assert res <= LU_RESIDUAL_TOL
-    # one factor of the unbordered block, one two-column solve for the
-    # border, one solve for b: the recovery is exact, so no refinement
-    assert len(factors) == 1 and factors[0].solves == 2
-    assert factor.nnz == factors[0].nnz > 0
-    assert steps == 0
-
-
-def test_bordered_lu_pins_the_matrix_it_is_given(monkeypatch):
-    # K holds explicit zeros and an entry at (j, j); (s, s) is no slot of
-    # K.  BorderedLU factors K + e_j e_j^T + e_s e_s^T on K's pattern.
-    n, j, s = 6, 2, 5
-    rows = [0, 1, 3, 2, 0, 3, 4, 1, 3, 4]
-    cols = [0, 1, 1, 2, 3, 3, 3, 4, 4, 4]
-    vals = [2.0, 3.0, 0.0, 4.0, 0.0, 1.5, 1.0, 0.5, 0.0, 5.0]
-    K = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    assert K.nnz == len(vals) and K[s, s] == 0.0
-    c = np.zeros(n)
-    c[j:s] = [1.0, 0.5, 2.0]
-    border = GaugeBorder(s, c)
-    assert border.pin == j
-
-    seen = recording_splu(monkeypatch)
-    solver.BorderedLU(K, border)
-    (M,) = seen
-    dense = K.toarray()
-    dense[j, j] += 1.0
-    dense[s, s] += 1.0
-    np.testing.assert_array_equal(M.toarray(), dense)
-    assert M.format == "csc" and M.has_sorted_indices and M.nnz == K.nnz + 1
-    # The explicit zeros survive, in place.
-    coo = M.tocoo()
-    assert set(zip(coo.row.tolist(), coo.col.tolist())) == set(zip(rows, cols)) | {(s, s)}
-    assert M[j, j] == 5.0 and M[s, s] == 1.0
-    # K itself is left as it was.
-    assert K.nnz == len(vals) and K[j, j] == 4.0
+        solver.LUFactor(A.tocsr())
 
 
 def test_lu_reports_whether_refinement_ran(monkeypatch):
@@ -232,7 +148,8 @@ def test_lu_rejects_a_nan_residual(monkeypatch):
 
 def test_gauge_solve_matches_the_factored_bordered_system():
     # F = 0 makes the problem affine: newton_solve performs exactly one
-    # linear solve, so its result is the solution of the bordered system.
+    # linear solve, so its result is the solution of the free system,
+    # whose gauge row and column border the pressures.
     mesh, params, data = manufactured(nx=8, forchheimer=0.0)
     fields, report = newton_solve(mesh, params, data)
     dofmap = fields.dofmap
@@ -241,24 +158,12 @@ def test_gauge_solve_matches_the_factored_bordered_system():
     ws = Workspace(mesh, fields.interface, dofmap, fields.quad_degree)
     values, rhs = NewtonSystem(params, data, ws).at(fields.x)
     A, b = apply_constraints(ws, values, rhs, fields.x)
-    # The border in the numbering of the free DOFs, the gauge included.
-    p_dofs = np.searchsorted(ws.free, dofmap.off_p + np.arange(dofmap.n_p))
-    gauge = np.searchsorted(ws.free, dofmap.gauge_dof)
-    g = np.full(dofmap.n_p, gauge)
-    border = sp.coo_matrix(
-        (
-            np.concatenate([mesh.areas, mesh.areas]),
-            (np.concatenate([g, p_dofs]), np.concatenate([p_dofs, g])),
-        ),
-        shape=A.shape,
-    )
-    K = sp.csc_matrix(A + border)
-    x_ref = spsolve(K, b)
+    x_ref = spsolve(sp.csc_matrix(A), b)
 
     x = fields.x[ws.free]
     assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
     assert abs(pressure_mean(fields)) <= 1e-12
-    res = np.abs(K @ x - b).max() / (abs(K).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+    res = np.abs(A @ x - b).max() / (abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
     assert res <= LU_RESIDUAL_TOL
     assert report.linear_residuals[0] <= LU_RESIDUAL_TOL
 
@@ -372,11 +277,10 @@ def test_report_records_the_step_residuals():
     ws = disc.workspace
     A, b = apply_constraints(ws, *NewtonSystem(params, data, ws).at(fields.x), fields.x)
     static = solver.StaticSystem.build(disc, params, data)
-    K, rhs, border = static.reduced(A), static.reduced_rhs(b), static.border
+    K, rhs = static.reduced(A), static.reduced_rhs(b)
     x_R = fields.x[ws.free][disc.layout.free_R]
-    r = solver._bordered_residual(K, x_R, rhs, border)
     out = solver.sparse_lu_solve(A, b, static, x_R)
-    assert out.step_residual == solver._normalized(r, x_R, rhs, solver._norm_inf(K, border))
+    assert out.step_residual == solver._normalized(K @ x_R - rhs, x_R, rhs, solver._norm_inf(K))
 
 
 def free_darcy_count(dofmap):
@@ -531,11 +435,11 @@ def test_refinement_from_the_iterate_needs_fewer_corrections():
 
     _, K_old, _ = near(1.02)
     x_k, K, rhs = near(1.002)
-    held = solver.BorderedLU(K_old, static.border)
-    norm = solver._norm_inf(K, static.border)
+    held = solver.LUFactor(K_old)
+    norm = solver._norm_inf(K)
 
     def residual(x):
-        return solver._bordered_residual(K, x, rhs, static.border)
+        return K @ x - rhs
 
     r_k = residual(x_k)
     start = (x_k, solver._normalized(r_k, x_k, rhs, norm), r_k)
@@ -543,7 +447,7 @@ def test_refinement_from_the_iterate_needs_fewer_corrections():
     x_warm, res_warm, warm = solver._refine(held, residual, rhs, norm, start)
     assert res_cold <= REFINE_TOL and res_warm <= REFINE_TOL
     assert 1 <= warm < cold
-    x_ref = solver.BorderedLU(K, static.border).solve(rhs)
+    x_ref = solver.LUFactor(K).solve(rhs)
     for x in (x_cold, x_warm):
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
@@ -576,7 +480,7 @@ def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
     # A factor of three times the matrix cuts the residual by less than
     # REFINE_MIN_RATE per step: the solve releases it and factors anew,
     # from the start, so the result is the fresh solve's.
-    bad = solver.BorderedLU(3.0 * static.reduced(A), static.border)
+    bad = solver.LUFactor(3.0 * static.reduced(A))
     out = solver.sparse_lu_solve(A, b, static, x_R, bad)
     assert out.factored and out.factor is not bad and out.refinements >= 1
     assert bad.lu is None
@@ -597,7 +501,7 @@ def test_an_inaccurate_ordered_factor_falls_back_to_partial_pivoting(problem, mo
     # less than REFINE_MIN_RATE per step: the solve releases it and
     # factors with partial pivoting, from the start.
     made, released = [], []
-    release = solver.BorderedLU.release
+    release = solver.LUFactor.release
 
     def spy_release(factor):
         released.append(factor)
@@ -607,7 +511,7 @@ def test_an_inaccurate_ordered_factor_falls_back_to_partial_pivoting(problem, mo
         made.append(is_ordered(kwargs))
         return splu(3.0 * M, **kwargs) if is_ordered(kwargs) else splu(M, **kwargs)
 
-    monkeypatch.setattr(solver.BorderedLU, "release", spy_release)
+    monkeypatch.setattr(solver.LUFactor, "release", spy_release)
     monkeypatch.setattr(solver, "splu", three_times)
     out = solver.sparse_lu_solve(A, b, static, x_R)
     assert made == [True, False]
@@ -626,28 +530,21 @@ def test_the_condensed_layout_pairs_each_pressure_with_a_bubble(problem):
     reduced[lo.free_D] = False
     np.testing.assert_array_equal(np.sort(lo.free_R), np.flatnonzero(reduced))
     order = ws.free[lo.free_R]
-    # The multipliers, then the gauge, come last.
-    n_last = dof.n_lam + (dof.gauge_dof >= 0)
-    np.testing.assert_array_equal(order[-n_last:], dof.off_lam + np.arange(n_last))
-    np.testing.assert_array_equal(lo.lam_R, order.size - n_last + np.arange(dof.n_lam))
+    # The gauge, if any, then the multipliers come last, and they are
+    # exactly the reduced rows that meet the Darcy set.
+    last = np.concatenate([[dof.gauge_dof] if dof.gauge_dof >= 0 else [],
+                           dof.off_lam + np.arange(dof.n_lam)]).astype(int)
+    np.testing.assert_array_equal(order[-last.size:], last)
+    np.testing.assert_array_equal(lo.coupled, order.size - last.size + np.arange(last.size))
+    n = ws.free.size
+    pattern = sp.csr_matrix((np.ones(ws.ff_indices.size), ws.ff_indices, ws.ff_indptr), shape=(n, n))
+    meets = pattern[lo.free_R][:, lo.free_D].getnnz(axis=1) > 0
+    np.testing.assert_array_equal(np.flatnonzero(meets), lo.coupled)
     # Each Brinkman pressure right after a bubble of its own triangle.
     at = np.empty(dof.n_total, dtype=int)
     at[order] = np.arange(order.size)
     before = order[at[ws.p_dof_B] - 1]
     assert (before[:, None] == dof.br.l2g[:, 6:]).any(axis=1).all()
-
-
-def test_the_reduced_gauge_border_sits_on_the_gauge_slot():
-    disc, A, b, lin, _ = newton_system(manufactured)
-    border = lin.gauge
-    np.testing.assert_array_equal(border.coupling, solver.gauge_border(disc.workspace).coupling)
-    free_R = disc.layout.free_R
-    assert free_R[lin.border.slot] == border.slot
-    assert lin.border.slot == free_R.size - 1
-    # Off the multipliers, the reduced coupling is the full one, reordered.
-    keep = np.ones(free_R.size, dtype=bool)
-    keep[disc.layout.lam_R] = False
-    np.testing.assert_array_equal(lin.border.coupling[keep], border.coupling[free_R][keep])
 
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
@@ -739,7 +636,7 @@ def test_each_newton_step_evaluates_the_forchheimer_weights_once(forchheimer, mo
 @pytest.mark.parametrize("mode", ["constraint", "mixed"])
 def test_condensed_solve_matches_a_factored_free_system(mode):
     # One Newton system with a Forchheimer block, solved with the Darcy
-    # unknowns eliminated, against spsolve on the full bordered system.
+    # unknowns eliminated, against spsolve on the full free system.
     if mode == "mixed":
         mesh, params, data = channel(nx=8, forchheimer=1e3)
     else:
@@ -749,23 +646,27 @@ def test_condensed_solve_matches_a_factored_free_system(mode):
     x = np.random.default_rng(5).normal(size=dofmap.n_total)
     x[dofmap.constrained] = prescribed_values(dofmap, mesh, data)
     A, b = apply_constraints(ws, *NewtonSystem(params, data, ws).at(x), x)
-    border = solver.gauge_border(ws)
-    assert (border is None) == (mode == "mixed")
-    K = A
-    if border is not None:
-        e_s = sp.csr_matrix(([1.0], ([border.slot], [0])), shape=(A.shape[0], 1))
-        c = sp.csr_matrix(border.coupling[:, None])
-        K = A + c @ e_s.T + e_s @ c.T
-    x_ref = spsolve(sp.csc_matrix(K), b)
+    assert (dofmap.gauge_dof < 0) == (mode == "mixed")
+    if mode == "constraint":
+        # Without its gauge row and column the system is singular along
+        # the constant pressure and multiplier; the gauge row alone sees
+        # that mode, with the total area.
+        kernel = np.zeros(dofmap.n_total)
+        kernel[dofmap.off_p : dofmap.off_lam + dofmap.n_lam] = 1.0
+        gauge = np.searchsorted(ws.free, dofmap.gauge_dof)
+        image = A @ kernel[ws.free]
+        assert image[gauge] == pytest.approx(mesh.areas.sum(), rel=1e-14)
+        image[gauge] = 0.0
+        assert np.abs(image).max() <= 1e-14
+    x_ref = spsolve(sp.csc_matrix(A), b)
 
     static = solver.StaticSystem.build(disc, params, data)
-    assert border is None or static.border.diagonal != 0.0
     out = solver.sparse_lu_solve(A, b, static, x[ws.free][disc.layout.free_R])
     x_c = out.x
     assert np.abs(x_c - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
     assert out.residual <= 1e-14 and out.refinements == 0 and out.factored
     assert 0 < out.lu_nnz and 0 < static.lu_nnz
-    full = np.abs(K @ x_c - b).max() / (abs(K).sum(axis=1).max() * np.abs(x_c).max()
+    full = np.abs(A @ x_c - b).max() / (abs(A).sum(axis=1).max() * np.abs(x_c).max()
                                         + np.abs(b).max())
     assert full == pytest.approx(out.residual, rel=1e-6, abs=1e-18)
 
@@ -1138,6 +1039,35 @@ def test_crisscross_study_factors_only_in_the_layout_order(nx, monkeypatch):
     assert len(calls) == 1 + sum(report.factored)
     assert not is_ordered(calls[0]) and all(is_ordered(kwargs) for kwargs in calls[1:])
     assert len(set(report.lu_nnz)) == 1
+
+
+def x_graded(mesh):
+    """``mesh`` with x mapped to -1/2 + (x + 1/2)^2."""
+    x, y = mesh.vertices.T
+    return replace(mesh, vertices=np.stack([-0.5 + (x + 0.5) ** 2, y], axis=1))
+
+
+@pytest.mark.parametrize("grading", ["right", "crisscross", "x-graded"])
+def test_study_meshes_factor_the_gauge_row_in_the_layout_order(grading, monkeypatch):
+    # The gauge is an ordinary row of the reduced block: every fresh
+    # reduced factor takes the layout's order with diagonal pivots, so no
+    # factor falls back to COLAMD and each solve has one fill.
+    params = PhysicalParams(mu=1.0, forchheimer=10.0, power=3.0, K_B=1.0, K_D=0.1)
+    _, data = manufactured_problem(params)
+    calls = []
+    recording_splu(monkeypatch, calls)
+    for nx in (4, 8, 16, 32):
+        mesh = generate_stacked_rect(
+            RECT_B, RECT_D, nx, nx, nx, pattern="right" if grading == "x-graded" else grading
+        )
+        if grading == "x-graded":
+            mesh = x_graded(mesh)
+        calls.clear()
+        _, report = newton_solve(solver.Discretization.build(mesh, data), params, data)
+        assert report.converged and report.iterations == 4
+        assert len(calls) == 1 + sum(report.factored)
+        assert all(is_ordered(kwargs) for kwargs in calls[1:])
+        assert len(set(report.lu_nnz)) == 1
 
 
 def shuffled(mesh, seed, roll):
