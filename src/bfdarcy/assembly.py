@@ -244,11 +244,7 @@ class DofMap:
 
 def _edge_points(mesh, eids, npts):
     t, w = el.edge_rule(npts)
-    a = mesh.vertices[mesh.edges[eids, 0]]
-    b = mesh.vertices[mesh.edges[eids, 1]]
-    pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-    wts = mesh.edge_lengths[eids][:, None] * w[None, :]
-    return pts, wts
+    return el.points_on_edges(mesh, eids, t), mesh.edge_lengths[eids][:, None] * w[None, :]
 
 
 def _essential_blocks(mesh, br, rt, off_uD, data):
@@ -465,7 +461,8 @@ class Workspace:
         pts, wts = _edge_points(mesh, eids, EDGE_POINTS)
         nrm = np.repeat(mesh.outward_normals()[eids][:, None, :], EDGE_POINTS, axis=1)
         if brinkman:
-            bary = _edge_bary(mesh, mesh.edges[eids], tri, EDGE_POINTS)
+            t, _ = el.edge_rule(EDGE_POINTS)
+            bary = el.edge_bary(mesh.triangles, mesh.edges[eids], tri, t)
             local = np.searchsorted(dof.br.tri_ids, tri)
             basis = el.br_values(self.coef_B[local], bary)
             l2g = dof.br.l2g[local]
@@ -532,20 +529,6 @@ class Workspace:
 
 def _inverse_at(K, qpts):
     return inverse_tensor_field(K, qpts.reshape(-1, 2)).reshape(*qpts.shape[:2], 2, 2)
-
-
-def _edge_bary(mesh, edge_verts, tri, npts):
-    """Barycentric coordinates, in triangle ``tri``, of the edge rule's
-    points (1 - t) a + t b on the edge with endpoints ``edge_verts`` (a, b)."""
-    t, _ = el.edge_rule(npts)
-    tverts = mesh.triangles[tri]
-    loc0 = np.argmax(tverts == edge_verts[:, :1], axis=1)
-    loc1 = np.argmax(tverts == edge_verts[:, 1:2], axis=1)
-    ns, nqe = tri.size, t.size
-    bary = np.zeros((ns, nqe, 3))
-    bary[np.arange(ns)[:, None], np.arange(nqe)[None, :], loc0[:, None]] = 1.0 - t[None, :]
-    bary[np.arange(ns)[:, None], np.arange(nqe)[None, :], loc1[:, None]] = t[None, :]
-    return bary
 
 
 def _speed_weights(field, power):

@@ -253,18 +253,6 @@ def _say(quiet, *parts):
         print(*parts)
 
 
-def _report_row(report, mesh, err=None, level=0):
-    """One CSV row in the convergence schema; '--' where undefined."""
-    cells = [
-        str(level), f"{mesh.h_B:.6e}", f"{mesh.h_D:.6e}", f"{mesh.h_Sigma:.6e}",
-        str(report.dof), str(report.iterations),
-    ]
-    for name in ("e_uB", "e_pB", "e_uD", "e_pD", "e_lam"):
-        cells.append("--" if err is None else f"{getattr(err, name):.6e}")
-        cells.append("--")
-    return ",".join(cells)
-
-
 def cmd_solve(cfg, out_dir, want_vtk, quiet):
     mesh = _build_mesh(cfg)
     params, data, exact = _problem_data(cfg)
@@ -284,16 +272,16 @@ def cmd_solve(cfg, out_dir, want_vtk, quiet):
     _say(quiet, f"interface flux residual: {ver.interface_flux_residual(fields):.3e}")
     _say(quiet, f"divergence residual: {ver.divergence_residual(fields, data):.3e}")
 
-    err = None
     if exact is not None:
         err = ver.compute_errors(fields, exact, report)
         _say(quiet, f"errors: e_uB={err.e_uB:.3e} e_pB={err.e_pB:.3e} "
                     f"e_uD={err.e_uD:.3e} e_pD={err.e_pD:.3e} e_lam={err.e_lam:.3e}")
+    else:
+        err = ver.ErrorReport(mesh.h_B, mesh.h_D, mesh.h_Sigma, report.dof, report.iterations)
 
     csv_path = _out_path(out_dir, cfg.csv_name or "solve.csv")
     with open(csv_path, "w") as fh:
-        fh.write(ver.CSV_HEADER + "\n")
-        fh.write(_report_row(report, mesh, err) + "\n")
+        fh.write(ver.convergence_csv([err]))
     _say(quiet, f"wrote {csv_path}")
 
     if want_vtk or cfg.vtk_name:

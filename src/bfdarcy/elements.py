@@ -176,6 +176,30 @@ def physical_points(verts, bary):
     return bary @ verts
 
 
+def edge_bary(triangles, ends, tri, t):
+    """Barycentric coordinates, in triangle ``tri`` (rows of ``triangles``),
+    of the points (1 - t) a + t b on the edge with endpoints ``ends``
+    (a, b): (len(tri), len(t), 3).  The interface and boundary tables and
+    the interface checks evaluate the element bases on an edge at these
+    points, seen from either incident triangle."""
+    tverts = triangles[tri]
+    loc0 = np.argmax(tverts == ends[:, :1], axis=1)
+    loc1 = np.argmax(tverts == ends[:, 1:2], axis=1)
+    ns, nqe = tri.size, t.size
+    bary = np.zeros((ns, nqe, 3))
+    bary[np.arange(ns)[:, None], np.arange(nqe)[None, :], loc0[:, None]] = 1.0 - t[None, :]
+    bary[np.arange(ns)[:, None], np.arange(nqe)[None, :], loc1[:, None]] = t[None, :]
+    return bary
+
+
+def points_on_edges(mesh, edge_ids, t):
+    """Physical points a + t (b - a) on the mesh edges ``edge_ids``, a and
+    b their global endpoints: (len(edge_ids), len(t), 2)."""
+    a = mesh.vertices[mesh.edges[edge_ids, 0]]
+    b = mesh.vertices[mesh.edges[edge_ids, 1]]
+    return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+
+
 def triangle_geometry(verts):
     """Areas, barycentric gradients, edge lengths and outward edge normals.
 
@@ -422,9 +446,7 @@ def rt0_space(mesh):
 def _edge_fluxes(v, mesh, edge_ids, npts):
     """Integrate v . n over the given edges in the global orientation."""
     t, w = edge_rule(npts)
-    a = mesh.vertices[mesh.edges[edge_ids, 0]]
-    b = mesh.vertices[mesh.edges[edge_ids, 1]]
-    pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+    pts = points_on_edges(mesh, edge_ids, t)
     vals = np.asarray(v(pts.reshape(-1, 2))).reshape(len(edge_ids), len(t), 2)
     normals = mesh.outward_normals()[edge_ids]
     lens = mesh.edge_lengths[edge_ids]

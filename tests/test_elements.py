@@ -17,13 +17,13 @@ from bfdarcy import (
     project_p0,
     quad_rule,
 )
-from bfdarcy.assembly import _edge_bary
 from bfdarcy.elements import (
     _GAUSS_JACOBI_1_0,
     br_basis,
     br_coefficients,
     br_gradients,
     br_space,
+    edge_bary,
     physical_points,
     rt0_basis,
     rt0_space,
@@ -183,7 +183,7 @@ def test_br_basis_matches_the_loop_oracle_at_per_triangle_edge_points():
     verts, signs, mesh = oracle_mesh()
     tri = np.concatenate([mesh.edge_tris[:, 0], mesh.edge_tris[mesh.edge_tris[:, 1] >= 0, 1]])
     edges = np.concatenate([mesh.edges, mesh.edges[mesh.edge_tris[:, 1] >= 0]])
-    bary = _edge_bary(mesh, edges, tri, 5)
+    bary = edge_bary(mesh.triangles, edges, tri, edge_rule(5)[0])
     assert bary.shape == (tri.size, 5, 3)
     assert_tables_match(
         br_basis(verts[tri], signs[tri], bary), loop_br_basis(verts[tri], signs[tri], bary)

@@ -8,6 +8,8 @@ discrete convergence failure indicts the solver rather than the data.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from bfdarcy import (
 from bfdarcy.elements import (
     br_coefficients, br_gradients, physical_points, quad_rule, triangle_geometry,
 )
-from bfdarcy.solver import Discretization
+from bfdarcy.solver import Discretization, SolutionFields
 from bfdarcy.verification import CSV_HEADER, compute_errors
 from br_oracle import loop_br_basis
 
@@ -387,20 +389,27 @@ def test_interface_normal_trace_matches_the_flux():
     assert total == pytest.approx(rt_flux, abs=1e-3)
 
 
-def test_interface_checks_do_not_depend_on_triangle_order(tmp_path):
-    # The global edge normal points out of whichever triangle comes first,
-    # so listing the D triangles first flips every interface edge normal.
-    params, data, (rect_B, rect_D) = heterogeneous_flow_problem(10.0)
-    mesh = generate_stacked_rect(rect_B, rect_D, 8, 4, 4)
+def d_first(mesh, tmp_path):
+    """``mesh`` saved and loaded again with its D triangles listed first.
+    The global edge normal points out of whichever triangle comes first,
+    so this flips every interface edge normal."""
     save_mesh(mesh, tmp_path / "b_first.mesh")
     lines = (tmp_path / "b_first.mesh").read_text().splitlines()
     nv, nt = mesh.num_vertices, mesh.num_triangles
     tris = lines[2 + nv : 2 + nv + nt]
-    d_first = [t for t in tris if t.endswith(" D")] + [t for t in tris if t.endswith(" B")]
-    lines[2 + nv : 2 + nv + nt] = d_first
+    lines[2 + nv : 2 + nv + nt] = (
+        [t for t in tris if t.endswith(" D")] + [t for t in tris if t.endswith(" B")]
+    )
     (tmp_path / "d_first.mesh").write_text("\n".join(lines) + "\n")
     reordered = load_mesh(tmp_path / "d_first.mesh")
     assert reordered.subdomain[0] == "D"
+    return reordered
+
+
+def test_interface_checks_do_not_depend_on_triangle_order(tmp_path):
+    params, data, (rect_B, rect_D) = heterogeneous_flow_problem(10.0)
+    mesh = generate_stacked_rect(rect_B, rect_D, 8, 4, 4)
+    reordered = d_first(mesh, tmp_path)
 
     fields_b, _ = newton_solve(mesh, params, data)
     fields_d, _ = newton_solve(reordered, params, data)
@@ -409,6 +418,76 @@ def test_interface_checks_do_not_depend_on_triangle_order(tmp_path):
     peak_b = np.abs(interface_normal_trace(fields_b)[1]).max()
     peak_d = np.abs(interface_normal_trace(fields_d)[1]).max()
     assert peak_d == pytest.approx(peak_b, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", ["study right", "study crisscross", "channel", "channel D-first"])
+def test_interface_flux_residual_is_the_largest_multiplier_row_of_the_coupling(case, tmp_path):
+    # The check reads both traces through the element bases; the coupling
+    # block's multiplier rows come from the closed form in the assembly.
+    # On any coefficient vector, converged or not, they must agree.
+    if case.startswith("study"):
+        _, data = manufactured_problem(PhysicalParams(forchheimer=10.0, K_D=0.1))
+        mesh = generate_stacked_rect(RECT_B, RECT_D, 8, 8, 8, pattern=case.split()[1])
+    else:
+        _, data, (rect_B, rect_D) = heterogeneous_flow_problem(10.0)
+        if case == "channel":
+            mesh = generate_stacked_rect(rect_B, rect_D, 16, 8, 8)
+        else:
+            mesh = d_first(generate_stacked_rect(rect_B, rect_D, 8, 4, 4), tmp_path)
+    disc = Discretization.build(mesh, data)
+    ws, dof = disc.workspace, disc.dofmap
+    coupling = ws.csr(ws.b_data)
+    rng = np.random.default_rng(20261020)
+    for _ in range(3):
+        x = rng.standard_normal(dof.n_total)
+        fields = SolutionFields(x, dof, mesh, disc.interface, ws.degree)
+        rows = (coupling @ x)[dof.off_lam : dof.off_lam + dof.n_lam]
+        assert interface_flux_residual(fields) == pytest.approx(np.abs(rows).max(), rel=1e-12)
+
+
+# ------------------------------------------------------ a priori estimates
+
+
+def heterogeneous_K_B(pts):
+    a = 1.0 + 0.5 * np.sin(np.pi * pts[:, 0]) ** 2
+    return a[:, None, None] * np.array([[1.0, 0.2], [0.2, 0.5]])
+
+
+def heterogeneous_K_D(pts):
+    return 0.1 * np.exp(pts[:, 0] + pts[:, 1])[:, None, None] * np.diag([1.0, 0.1])
+
+
+def y_graded(mesh):
+    """``mesh`` with y mapped to 1/2 +- (y - 1/2)^2 on either side of the
+    interface y = 1/2, which stays fixed."""
+    x, y = mesh.vertices.T
+    return replace(mesh, vertices=np.stack([x, 0.5 + np.sign(y - 0.5) * (y - 0.5) ** 2], axis=1))
+
+
+@pytest.mark.parametrize("grid", ["right", "crisscross", "y-graded"])
+@pytest.mark.parametrize("power", [3.0, 3.5, 4.0])
+def test_velocity_and_multiplier_rates_hold_over_the_stated_range(power, grid):
+    # The paper's estimate covers heterogeneous tensor permeabilities and
+    # p in [3, 4]; the pressures converge faster than O(h) before the
+    # asymptotic range, so only the velocity and multiplier rates are
+    # bounded.
+    params = PhysicalParams(
+        forchheimer=10.0, power=power, K_B=heterogeneous_K_B, K_D=heterogeneous_K_D
+    )
+    exact, data = manufactured_problem(params)
+    reports = []
+    for nx in (4, 8, 16, 32):
+        mesh = generate_stacked_rect(
+            RECT_B, RECT_D, nx, nx, nx, pattern="crisscross" if grid == "crisscross" else "right"
+        )
+        if grid == "y-graded":
+            mesh = y_graded(mesh)
+        fields, report = newton_solve(Discretization.build(mesh, data), params, data)
+        assert report.converged
+        reports.append(compute_errors(fields, exact, report))
+    for name, h in (("e_uB", "h_B"), ("e_uD", "h_D"), ("e_lam", "h_Sigma")):
+        rates = eoc([getattr(r, name) for r in reports], [getattr(r, h) for r in reports])
+        assert rates.min() >= 0.9, f"{name} rates {np.round(rates, 3)}"
 
 
 # --------------------------------------------------------- pointwise suite
