@@ -33,7 +33,6 @@ from .assembly import (
     DofMap,
     build_dofmap,
     prescribed_values,
-    assemble_a_nonlinear,
     assemble_rhs,
     apply_constraints,
     NewtonSystem,
@@ -82,7 +81,6 @@ __all__ = [
     "DofMap",
     "build_dofmap",
     "prescribed_values",
-    "assemble_a_nonlinear",
     "assemble_rhs",
     "apply_constraints",
     "NewtonSystem",

@@ -15,7 +15,9 @@ The nonlinear operator on the velocity pair is
 and its Gateaux derivative at w adds the rank-one Forchheimer coupling
 F (p-2) (|w|^(p-4) (w . u) w, v).  The linearized step solves for the new
 iterate directly, with the correction F (p-2) (|w|^(p-2) w, v) on the
-right-hand side; ``NewtonSystem`` forms each step's system.
+right-hand side; ``NewtonSystem`` forms each step's system and the
+residual of an iterate.  ``forchheimer_map`` is the one pointwise form
+of phi(w) = |w|^(p-2) w and of its derivative.
 
 Every matrix lives on the one CSR pattern a ``Workspace`` builds per
 mesh, and ``apply_constraints`` restricts it to the free DOFs by index.
@@ -28,10 +30,6 @@ import scipy.sparse as sp
 
 from . import elements as el
 from .mesh import GAMMA_B_TAGS, GAMMA_D_TAGS
-
-# Below this speed the Forchheimer weights |w|^(p-2) and |w|^(p-4) are
-# continuously extended by zero; for p < 4 the latter is singular at 0.
-SPEED_FLOOR = 1.0e-12
 
 # Brinkman triangles per chunk of the Forchheimer element matrices: at
 # 256 each per-quadrature-point temporary stays below 0.5 MB on the
@@ -531,16 +529,23 @@ def _inverse_at(K, qpts):
     return inverse_tensor_field(K, qpts.reshape(-1, 2)).reshape(*qpts.shape[:2], 2, 2)
 
 
-def _speed_weights(field, power):
-    """|field|^(p-2) and |field|^(p-4) at quadrature points, continued by
-    zero below SPEED_FLOOR."""
-    speed = np.linalg.norm(field, axis=2)
-    small = speed < SPEED_FLOOR
-    safe = np.where(small, 1.0, speed)
-    return (
-        np.where(small, 0.0, safe ** (power - 2.0)),
-        np.where(small, 0.0, safe ** (power - 4.0)),
-    )
+def forchheimer_map(w, power):
+    """The Forchheimer map phi(w) = |w|^(p-2) w at points ``w`` (..., 2),
+    as its weight |w|^(p-2) (...) and its derivative
+    D phi(w) = |w|^(p-2) I + (p-2) |w|^(p-4) w w^T (..., 2, 2).
+
+    For p in [3, 4] the weight is continuous and 0 at w = 0, and so is the
+    rank-one term; only |w|^(p-4), infinite at w = 0 for p < 4, needs a
+    guard, and the rank-one term is 0 wherever it is not finite.
+    """
+    speed = np.linalg.norm(w, axis=-1)
+    weight = speed ** (power - 2.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        rank_one = (power - 2.0) * speed ** (power - 4.0)
+    rank_one = np.where(np.isfinite(rank_one), rank_one, 0.0)
+    jacobian = rank_one[..., None, None] * w[..., :, None] * w[..., None, :]
+    jacobian += weight[..., None, None] * np.eye(2)
+    return weight, jacobian
 
 
 def _field(coeffs, basis):
@@ -600,18 +605,29 @@ def _velocity_linear_local(params, ws):
     return stiff + kblock, _mass_block(ws.coef_D, ws.wq_D, ws.kinv_D(params), ws.rule.bary)
 
 
+def _iterate_field(w, ws):
+    """The Brinkman velocity of the full vector ``w`` at the quadrature
+    points, (m, nq, 2)."""
+    return ws.monomials @ _field(w[: ws.dofmap.n_uB][ws.dofmap.br.l2g], ws.coef_B)
+
+
+def _brinkman_load(g, ws):
+    """The full vector of (g, v_B) for a field ``g`` (m, nq, 2) at the
+    quadrature points with the weights already folded in: a load is the
+    monomial moments of its field against the coefficients."""
+    corr = _load(ws.coef_B, ws.monomials.T @ g)
+    return np.bincount(ws.dofmap.br.l2g.ravel(), corr.ravel(), minlength=ws.dofmap.n_total)
+
+
 def forchheimer_terms(w, params, ws):
     """The Forchheimer terms of the Newton step at iterate ``w``, from one
-    evaluation of its field and weights: the CSR data, on the workspace
-    pattern, of the Forchheimer block of Da(w), and the right-hand-side
-    correction F (p-2) (|w|^(p-2) w, v_B) as a full vector.  The block is
-    the mass block of F (|w|^(p-2) I + (p-2) |w|^(p-4) w w^T)."""
+    evaluation of its field and of ``forchheimer_map``: the CSR data, on
+    the workspace pattern, of the Forchheimer block of Da(w), the mass
+    block of F D phi(w), and the right-hand-side correction
+    F (p-2) (|w|^(p-2) w, v_B) as a full vector."""
     F, p = params.forchheimer, params.power
-    l2g = ws.dofmap.br.l2g
-    wfield = ws.monomials @ _field(w[: ws.dofmap.n_uB][l2g], ws.coef_B)
-    s_p2, s_p4 = _speed_weights(wfield, p)
-    T = ((p - 2.0) * s_p4)[..., None, None] * wfield[..., :, None] * wfield[..., None, :]
-    T += s_p2[..., None, None] * np.eye(2)
+    wfield = _iterate_field(w, ws)
+    weight, T = forchheimer_map(wfield, p)
     loc = np.empty((T.shape[0], 9, 9))
     # Element chunks bound the temporaries of the mass block, which a
     # Newton iteration allocates while it holds the previous LU factor;
@@ -620,10 +636,8 @@ def forchheimer_terms(w, params, ws):
         e = slice(start, start + FORCHHEIMER_CHUNK)
         loc[e] = _mass_block(ws.coef_B[e], ws.wq_B[e], F * T[e], ws.monomials)
     data = ws.scatter(ws.slots_B, loc)
-    # A load is the monomial moments of its field against the coefficients.
-    g = (F * (p - 2.0) * s_p2 * ws.wq_B)[..., None] * wfield
-    corr = _load(ws.coef_B, ws.monomials.T @ g)
-    return data, np.bincount(l2g.ravel(), corr.ravel(), minlength=ws.dofmap.n_total)
+    g = (F * (p - 2.0) * weight * ws.wq_B)[..., None] * wfield
+    return data, _brinkman_load(g, ws)
 
 
 def static_values(params, ws):
@@ -657,6 +671,20 @@ class NewtonSystem:
             return self.static, self.load
         data, corr = forchheimer_terms(x, self.params, self.ws)
         return self.static + data, self.load + corr
+
+    def residual(self, x):
+        """The nonlinear residual at ``x`` on the free rows: the F = 0
+        operator applied to ``x``, plus F (phi(w), v_B), minus the load.
+        ``x`` holds the prescribed values on the constrained DOFs.  This is
+        K(x) x - rhs(x) of ``at``, formed from the action of the map
+        rather than from its derivative."""
+        ws, F = self.ws, self.params.forchheimer
+        r = ws.csr(self.static) @ x - self.load
+        if F != 0.0:
+            wfield = _iterate_field(x, ws)
+            weight, _ = forchheimer_map(wfield, self.params.power)
+            r += _brinkman_load((F * weight * ws.wq_B)[..., None] * wfield, ws)
+        return r[ws.free]
 
 
 def _coupling_entries(ws):
@@ -759,29 +787,6 @@ def _add_natural_bc(rhs, bcs, natural, ws):
         else:
             pv = np.asarray(fn(pts.reshape(-1, 2))).reshape(wts.shape)
             np.add.at(rhs, l2g, -_load(basis, pv * wts))
-
-
-def assemble_a_nonlinear(u, params, ws):
-    """Action [a(u), v] for every velocity test function, as a full vector.
-
-    Entries outside the velocity blocks are zero.
-    """
-    dof = ws.dofmap
-    out = np.zeros(dof.n_total)
-    # The linear terms are coefficients times the element matrices at F = 0,
-    # whose entry (a, b) is the form at phi_a tested with phi_b.
-    loc_B, loc_D = _velocity_linear_local(params, ws)
-    cu = u[: dof.n_uB][dof.br.l2g]
-    ent = (cu[:, None, :] @ loc_B)[:, 0]
-    if params.forchheimer > 0.0:
-        ufield = ws.monomials @ _field(cu, ws.coef_B)
-        s_p2, _ = _speed_weights(ufield, params.power)
-        g = (params.forchheimer * s_p2 * ws.wq_B)[..., None] * ufield
-        ent += _load(ws.coef_B, ws.monomials.T @ g)
-    np.add.at(out, dof.br.l2g, ent)
-    cd = u[dof.off_uD : dof.off_uD + dof.n_uD][dof.rt.l2g][:, None, :]
-    np.add.at(out, dof.off_uD + dof.rt.l2g, (cd @ loc_D)[:, 0])
-    return out
 
 
 def apply_constraints(ws, data, rhs, x):

@@ -11,10 +11,10 @@ the barycentric coordinates eta_i: ``br_coefficients`` gives, per
 triangle, its constant vector coefficients on the six value monomials
 (eta_0, eta_1, eta_2, eta_1 eta_2, eta_2 eta_0, eta_0 eta_1), and by the
 chain rule (``br_gradients``) the constant 2x2 coefficients of its
-gradient on (1, eta_0, eta_1, eta_2).  Tables at points (``br_values``,
-``br_basis``) are matrix products of these coefficients with the
-monomials at the points, and integrals of products reduce to small
-reference Grams of a quadrature rule.
+gradient on (1, eta_0, eta_1, eta_2).  Tables at points (``br_values``)
+are matrix products of these coefficients with the monomials at the
+points, and integrals of products reduce to small reference Grams of a
+quadrature rule.
 
 Local DOF ordering on a triangle: six vertex dofs
 (v0x, v0y, v1x, v1y, v2x, v2y) followed by three bubbles, one per edge,
@@ -320,30 +320,6 @@ def br_values(coef, bary):
     """Basis values from value coefficients: (m, 9, 6, 2) coefficients at
     shared (nq, 3) or per-triangle (m, nq, 3) points -> (m, 9, nq, 2)."""
     return value_monomials(bary)[..., None, :, :] @ coef
-
-
-def br_basis(verts, signs, bary):
-    """Evaluate the nine Bernardi-Raugel basis functions on each triangle.
-
-    Parameters
-    ----------
-    verts : (m, 3, 2) array
-    signs : (m, 3) array
-        Global orientation sign of the edge opposite each vertex.
-    bary : (nq, 3) or (m, nq, 3) array
-        Shared evaluation points, or one point set per triangle.
-
-    Returns
-    -------
-    vals : (m, 9, nq, 2)
-    grads : (m, 9, nq, 2, 2)
-        ``grads[..., r, c]`` is the derivative of component r along x_c.
-    """
-    coef = br_coefficients(verts, signs)
-    gcoef = br_gradients(coef, triangle_geometry(verts)[1])
-    m = coef.shape[0]
-    grads = gradient_monomials(bary)[..., None, :, :] @ gcoef.reshape(m, 9, 4, 4)
-    return br_values(coef, bary), grads.reshape(grads.shape[:3] + (2, 2))
 
 
 def rt0_basis(verts, signs, pts):

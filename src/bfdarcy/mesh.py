@@ -164,25 +164,8 @@ class InterfaceData:
         return self.edge_ids.shape[0]
 
     @property
-    def num_macro_edges(self):
-        return self.nodes_x.shape[0] - 1
-
-    @property
     def num_nodes(self):
         return self.nodes_x.shape[0]
-
-    def hat_values(self, x, node):
-        """Evaluate the multiplier hat of a node at abscissae ``x``."""
-        nodes = self.nodes_x
-        x = np.asarray(x, dtype=float)
-        val = np.zeros(x.shape)
-        if node > 0:
-            a, b = nodes[node - 1], nodes[node]
-            val = np.where((x >= a) & (x <= b), (x - a) / (b - a), val)
-        if node < len(nodes) - 1:
-            a, b = nodes[node], nodes[node + 1]
-            val = np.where((x >= a) & (x <= b), (b - x) / (b - a), val)
-        return val
 
 
 def _signed_areas(vertices, triangles):

@@ -4,10 +4,12 @@ Each Newton step solves for the new iterate directly: the left-hand side
 carries the Gateaux derivative at the current iterate, the right-hand
 side the load functional plus the correction F (p-2)(|w|^(p-2) w, v_B).
 ``assembly.NewtonSystem``, built once per solve, forms that system:
-``at(x)`` returns the step's values and right-hand side.  The iteration
-stops when the relative l2 increment of the coefficient vector drops to
-the tolerance; with a vanishing Forchheimer coefficient the operator is
-affine and a single solve is the exact discrete solution.
+``at(x)`` returns the step's values and right-hand side, and
+``residual(x)`` the nonlinear residual the report gives for the last
+iterate.  The iteration stops when the relative l2 increment of the
+coefficient vector drops to the tolerance; with a vanishing Forchheimer
+coefficient the operator is affine and a single solve is the exact
+discrete solution.
 
 The Darcy block of the linear system does not change with the iterate,
 so it is factored once and every Newton step solves only for the
@@ -632,6 +634,11 @@ class SolveReport:
     with partial pivoting once per StaticSystem, which solves of several
     F may share, so it may move with rounding.  Every factor is on tight
     supernodes (``_factor``), so neither count includes padding.
+
+    ``final_residual`` is the max-norm of the nonlinear residual at the
+    last iterate over the free rows (``NewtonSystem.residual``), computed
+    once per solve, converged or not.  It is not normalized, so it grows
+    with the scale of the data and with F.
     """
 
     iterations: int
@@ -645,6 +652,7 @@ class SolveReport:
     dof: int
     tol: float
     darcy_lu_nnz: int
+    final_residual: float
 
     def __str__(self):
         state = "converged" if self.converged else "NOT converged"
@@ -805,23 +813,6 @@ def newton_solve(disc, params, data, options=None, linear=None):
         dof=dofmap.n_free,
         tol=opts.tol,
         darcy_lu_nnz=linear.lu_nnz,
+        final_residual=float(np.abs(system.residual(x)).max()),
     )
     return fields, report
-
-
-def nonlinear_residual(disc, fields, params, data):
-    """Max-norm of the nonlinear first-row residual on free velocity DOFs.
-
-    Evaluates [a(u), v] + [b(v), (p, lam)] - [rhs, v] for every
-    unconstrained velocity test function of the converged solution, on
-    the workspace of ``disc``, the Discretization the solve assembled on.
-    Raises ValueError when ``fields`` come from another quadrature.
-    """
-    dofmap, ws = disc.dofmap, disc.workspace
-    if fields.quad_degree != ws.degree:
-        raise ValueError(f"the fields were solved on degree {fields.quad_degree}, not {ws.degree}")
-    act = asm.assemble_a_nonlinear(fields.x, params, ws)
-    act += ws.csr(ws.b_data) @ fields.x
-    act -= asm.assemble_rhs(data, ws)
-    free = ws.free
-    return np.abs(act[free[free < dofmap.n_uB + dofmap.n_uD]]).max()

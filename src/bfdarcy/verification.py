@@ -451,7 +451,8 @@ def pointwise_property_suite(n_samples=10000, powers=(3.0, 3.5, 4.0), seed=20260
     (phi(a) - phi(b)) . (a - b) >= 0 with equality only at a = b,
     |phi(a) - phi(b)| <= (|a| + |b|)^(p-2) |a - b| with constant one, and
     symmetry plus finite-difference consistency of the derivative
-    D phi(w) = |w|^(p-2) I + (p-2) |w|^(p-4) w w^T.
+    D phi(w) = |w|^(p-2) I + (p-2) |w|^(p-4) w w^T.  Both are the
+    program's own, from ``assembly.forchheimer_map``.
     """
     rng = np.random.default_rng(seed)
 
@@ -460,15 +461,20 @@ def pointwise_property_suite(n_samples=10000, powers=(3.0, 3.5, 4.0), seed=20260
         r = rng.uniform(size=n) ** 0.5
         return v / np.linalg.norm(v, axis=1, keepdims=True) * r[:, None]
 
-    def phi(v, p):
-        s = np.linalg.norm(v, axis=-1, keepdims=True)
-        return np.where(s > 0.0, s, 1.0) ** (p - 2.0) * v * (s > 0.0)
-
     reports = []
     for p in powers:
         a = sample_ball(n_samples)
         b = sample_ball(n_samples)
-        da = phi(a, p) - phi(b, p)
+        w = sample_ball(n_samples // 10) + np.array([0.3, 0.1])
+        v = sample_ball(n_samples // 10)
+        eps = 1e-6
+        # phi at every point the checks read, from the program's weight.
+        points = np.concatenate([a, b, w + eps * v, w - eps * v])
+        weight, _ = asm.forchheimer_map(points, p)
+        phi_a, phi_b, phi_plus, phi_minus = np.split(
+            weight[:, None] * points, np.cumsum([a.shape[0], b.shape[0], w.shape[0]])
+        )
+        da = phi_a - phi_b
         dv = a - b
         mono = np.einsum("nd,nd->n", da, dv)
         distinct = np.linalg.norm(dv, axis=1) > 1e-12
@@ -484,22 +490,16 @@ def pointwise_property_suite(n_samples=10000, powers=(3.0, 3.5, 4.0), seed=20260
         if p == 3.0:
             gap = float(
                 np.abs(
-                    np.linalg.norm(phi(a, p), axis=1)
+                    np.linalg.norm(phi_a, axis=1)
                     - np.linalg.norm(a, axis=1) ** (p - 1.0)
                 ).max()
             )
         else:
             gap = 0.0
 
-        w = sample_ball(n_samples // 10) + np.array([0.3, 0.1])
-        s = np.linalg.norm(w, axis=1)
-        jac = s[:, None, None] ** (p - 2.0) * np.eye(2) + (p - 2.0) * s[
-            :, None, None
-        ] ** (p - 4.0) * np.einsum("ni,nj->nij", w, w)
+        _, jac = asm.forchheimer_map(w, p)
         asym = float(np.abs(jac - jac.transpose(0, 2, 1)).max())
-        v = sample_ball(n_samples // 10)
-        eps = 1e-6
-        fd = (phi(w + eps * v, p) - phi(w - eps * v, p)) / (2.0 * eps)
+        fd = (phi_plus - phi_minus) / (2.0 * eps)
         fd_err = float(np.abs(np.einsum("nij,nj->ni", jac, v) - fd).max())
 
         reports.append(

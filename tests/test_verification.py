@@ -35,7 +35,7 @@ from bfdarcy.elements import (
 )
 from bfdarcy.solver import Discretization, SolutionFields
 from bfdarcy.verification import CSV_HEADER, compute_errors
-from br_oracle import loop_br_basis
+from oracles import loop_br_basis
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
