@@ -529,19 +529,23 @@ def _inverse_at(K, qpts):
     return inverse_tensor_field(K, qpts.reshape(-1, 2)).reshape(*qpts.shape[:2], 2, 2)
 
 
+def forchheimer_weight(w, power):
+    """|w|^(p-2) (...) at points ``w`` (..., 2): the weight of phi(w)."""
+    return np.linalg.norm(w, axis=-1) ** (power - 2.0)
+
+
 def forchheimer_map(w, power):
     """The Forchheimer map phi(w) = |w|^(p-2) w at points ``w`` (..., 2),
-    as its weight |w|^(p-2) (...) and its derivative
+    as its weight (``forchheimer_weight``) and its derivative
     D phi(w) = |w|^(p-2) I + (p-2) |w|^(p-4) w w^T (..., 2, 2).
 
     For p in [3, 4] the weight is continuous and 0 at w = 0, and so is the
     rank-one term; only |w|^(p-4), infinite at w = 0 for p < 4, needs a
     guard, and the rank-one term is 0 wherever it is not finite.
     """
-    speed = np.linalg.norm(w, axis=-1)
-    weight = speed ** (power - 2.0)
+    weight = forchheimer_weight(w, power)
     with np.errstate(divide="ignore", over="ignore"):
-        rank_one = (power - 2.0) * speed ** (power - 4.0)
+        rank_one = (power - 2.0) * np.linalg.norm(w, axis=-1) ** (power - 4.0)
     rank_one = np.where(np.isfinite(rank_one), rank_one, 0.0)
     jacobian = rank_one[..., None, None] * w[..., :, None] * w[..., None, :]
     jacobian += weight[..., None, None] * np.eye(2)
@@ -682,7 +686,7 @@ class NewtonSystem:
         r = ws.csr(self.static) @ x - self.load
         if F != 0.0:
             wfield = _iterate_field(x, ws)
-            weight, _ = forchheimer_map(wfield, self.params.power)
+            weight = forchheimer_weight(wfield, self.params.power)
             r += _brinkman_load((F * weight * ws.wq_B)[..., None] * wfield, ws)
         return r[ws.free]
 

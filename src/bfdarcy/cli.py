@@ -59,6 +59,11 @@ def _parse_tensor(text):
     raise ValueError("permeability needs 1 value (scalar) or 4 (row-major 2x2)")
 
 
+def _format_tensor(K):
+    """A permeability in the syntax ``_parse_tensor`` reads."""
+    return " ".join(f"{v:g}" for v in np.ravel(K))
+
+
 def _parse_pair(text):
     vals = _parse_floats(text)
     if len(vals) != 2:
@@ -382,7 +387,7 @@ def cmd_sweep(cfg, levels, out_dir, quiet):
         if not report.converged:
             raise slv.SolverError(
                 f"no convergence for F={cfg.F_list[fi]:g}, "
-                f"K_D={K_D_list[ki]:g}, {where[lvl]}"
+                f"K_D={_format_tensor(K_D_list[ki])}, {where[lvl]}"
             )
         return report.iterations
 
@@ -405,7 +410,7 @@ def cmd_sweep(cfg, levels, out_dir, quiet):
                 except slv.SolverError as exc:
                     failure = failure or exc
                     counts.append("--")
-            lines.append(f"{F:g},{K_D:g}," + ",".join(counts))
+            lines.append(f"{F:g},{_format_tensor(K_D)}," + ",".join(counts))
 
     csv_path = _out_path(out_dir, cfg.csv_name or "sweep.csv")
     with open(csv_path, "w") as fh:

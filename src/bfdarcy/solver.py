@@ -17,8 +17,8 @@ Brinkman, multiplier and gauge unknowns, with the Darcy block's Schur
 complement on the rows that meet it, factored in a fixed saddle-point
 order with diagonal pivots (``CondensedLayout``).  A ``StaticSystem``
 holds what does not depend on F, p or the iterate: the F = 0 data and
-that elimination.  Solves that differ only in F or p, as the cells of a
-sweep do, may share one; the factor a solve reuses between steps is a
+that elimination, checked once, when it is made.  Solves that differ
+only in F or p, as the cells of a sweep do, may share one; the factor a solve reuses between steps is a
 local of its Newton loop.  Once the iteration has settled, the
 Jacobian barely moves between steps, so a step first tries the previous
 step's factor with iterative refinement (the chord or Shamanskii idea;
@@ -95,10 +95,8 @@ HOLD_INCREMENT = 0.2
 
 
 def _norm_inf(A):
-    """||A||_inf for a CSR or CSC A, from the row sums of |A.data|."""
-    n = A.shape[0]
-    rows = A.indices if A.format == "csc" else np.repeat(np.arange(n), np.diff(A.indptr))
-    return np.bincount(rows, np.abs(A.data), minlength=n).max(initial=0.0)
+    """||A||_inf for a CSC A, from the row sums of |A.data|."""
+    return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max(initial=0.0)
 
 
 def _normalized(r, x, b, norm):
@@ -111,11 +109,6 @@ def _normalized(r, x, b, norm):
     if not np.isfinite(den):
         return np.nan
     return num / den if den > 0.0 else num
-
-
-def _normalized_residual(A, x, b):
-    """||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf)."""
-    return _normalized(A @ x - b, x, b, _norm_inf(A))
 
 
 def _factor(M, ordered=False):
@@ -402,6 +395,11 @@ class StaticSystem:
     block of the coupled rows.  x_D = y - X x_C, x_C the coupled
     unknowns, recovers the rest (``recover``).
 
+    The Darcy rows of the free system's residual at a recovered x are
+    E_y - E_X x_C, E = A_DD [X y] - [C_D^T b_D], whatever the step.  So
+    each column of E, normalized (``_normalized``) with ||A_DD||_inf,
+    must meet LU_RESIDUAL_TOL here, or construction raises SolverError.
+
     b_D depends on the Darcy data alone (the Forchheimer terms act on u_B
     only, and the lift uses fixed prescribed values), so ``y`` serves
     every step; a right-hand side with another Darcy part is rejected.
@@ -433,8 +431,13 @@ class StaticSystem:
         self.b = asm.lifted_rhs(ws, values, load, x)[lo.free_D]
         lu = _factor(matrix)
         self.lu_nnz = int(lu.nnz)
-        Y = lu.solve(np.hstack([self.coupling.T.toarray(), self.b[:, None]]))
+        rhs = np.hstack([self.coupling.T.toarray(), self.b[:, None]])
+        Y = lu.solve(rhs)
         del lu
+        E, norm = matrix @ Y - rhs, _norm_inf(matrix)
+        res = np.max([_normalized(E[:, j], Y[:, j], rhs[:, j], norm) for j in range(n_c + 1)])
+        if not res <= LU_RESIDUAL_TOL:
+            raise SolverError(f"Darcy elimination residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
         self.X, self.y = Y[:, :n_c], Y[:, n_c]
         self.schur = -(self.coupling @ self.X).ravel()
 
@@ -488,7 +491,8 @@ class StaticSystem:
 class LinearSolve(NamedTuple):
     """What ``sparse_lu_solve`` returns.
 
-    ``residual`` is the normalized residual on the full free system, ``lu_nnz`` nnz(L+U) of the reduced factor that served,
+    ``residual`` is the normalized residual of the reduced system at the
+    accepted solution, ``lu_nnz`` nnz(L+U) of the reduced factor that served,
     ``refinements`` the refinement steps run, the solves with a factor
     after its first (those with an abandoned held or ordered factor
     included), ``factored`` whether the call computed that factor, and
@@ -535,11 +539,11 @@ def sparse_lu_solve(A, b, static, iterate, held=None):
     than x_k, as in the first steps of some solves; the hold rule
     (HOLD_INCREMENT) keeps a held step's solution close to x_k in size.
 
-    Whichever factor served, the normalized residual on the full system
-    must meet LU_RESIDUAL_TOL.  Raises SingularSystemError on an exactly
-    singular pivot or a non-finite solution and SolverError when the
-    residual misses the bound (a NaN residual does).  Returns a
-    LinearSolve.
+    Whichever factor served, the normalized residual of the reduced
+    system must meet LU_RESIDUAL_TOL (``static`` checked the Darcy part).
+    Raises SingularSystemError on an exactly singular pivot or a
+    non-finite solution and SolverError when the residual misses the
+    bound (a NaN residual does).  Returns a LinearSolve.
     """
     K, rhs = static.reduced(A), static.reduced_rhs(b)
     norm = _norm_inf(K)
@@ -567,11 +571,9 @@ def sparse_lu_solve(A, b, static, iterate, held=None):
         factor.release()
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("sparse LU produced non-finite values")
-    x = static.recover(x)
-    res = _normalized_residual(A, x, b)
     if not res <= LU_RESIDUAL_TOL:
         raise SolverError(f"direct solve residual {res:g} exceeds {LU_RESIDUAL_TOL:g}")
-    return LinearSolve(x, res, factor.nnz, steps, factor is not held, factor, step_res)
+    return LinearSolve(static.recover(x), res, factor.nnz, steps, factor is not held, factor, step_res)
 
 
 @dataclass
@@ -617,7 +619,7 @@ class SolveReport:
     """Outcome of one nonlinear solve.
 
     Per Newton iteration: the relative velocity increment, the normalized
-    residual of the linear solve on the full free system, the normalized
+    residual of the linear solve on the reduced system, the normalized
     residual of the step's reduced system at the iterate the step starts
     from (``step_residuals``: the nonlinear residual on the reduced
     unknowns, normalized as ``_normalized`` does), nnz(L+U) of the factor

@@ -452,7 +452,7 @@ def pointwise_property_suite(n_samples=10000, powers=(3.0, 3.5, 4.0), seed=20260
     |phi(a) - phi(b)| <= (|a| + |b|)^(p-2) |a - b| with constant one, and
     symmetry plus finite-difference consistency of the derivative
     D phi(w) = |w|^(p-2) I + (p-2) |w|^(p-4) w w^T.  Both are the
-    program's own, from ``assembly.forchheimer_map``.
+    program's own, from ``assembly.forchheimer_map`` and its weight.
     """
     rng = np.random.default_rng(seed)
 
@@ -470,7 +470,7 @@ def pointwise_property_suite(n_samples=10000, powers=(3.0, 3.5, 4.0), seed=20260
         eps = 1e-6
         # phi at every point the checks read, from the program's weight.
         points = np.concatenate([a, b, w + eps * v, w - eps * v])
-        weight, _ = asm.forchheimer_map(points, p)
+        weight = asm.forchheimer_weight(points, p)
         phi_a, phi_b, phi_plus, phi_minus = np.split(
             weight[:, None] * points, np.cumsum([a.shape[0], b.shape[0], w.shape[0]])
         )

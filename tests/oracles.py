@@ -1,9 +1,12 @@
 """Test oracles shared by the element, meshing, assembly, error and
 acceptance tests: the Bernardi-Raugel basis tables filled in point by
 point, the velocity kernels and the nonlinear action written as plain
-einsums over them, and the multiplier hats."""
+einsums over them, the multiplier hats, and the graded meshes of the
+study geometry."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -123,3 +126,16 @@ def velocity_action(w, params, ws):
     np.add.at(out, dof.br.l2g, act_B)
     np.add.at(out, dof.off_uD + dof.rt.l2g, act_D)
     return out
+
+
+def x_graded(mesh):
+    """``mesh`` with x mapped to -1/2 + (x + 1/2)^2."""
+    x, y = mesh.vertices.T
+    return replace(mesh, vertices=np.stack([-0.5 + (x + 0.5) ** 2, y], axis=1))
+
+
+def y_graded(mesh):
+    """``mesh`` with y mapped to 1/2 +- (y - 1/2)^2 on either side of the
+    interface y = 1/2, which stays fixed."""
+    x, y = mesh.vertices.T
+    return replace(mesh, vertices=np.stack([x, 0.5 + np.sign(y - 0.5) * (y - 0.5) ** 2], axis=1))

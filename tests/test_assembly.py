@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from bfdarcy import (
     PhysicalParams,
@@ -34,13 +36,21 @@ from bfdarcy.assembly import (
     forchheimer_map,
     forchheimer_terms,
     inverse_tensor_field,
+    static_values,
     tensor_field,
     zero_scalar,
     zero_vector,
 )
 from bfdarcy.elements import rt0_basis
 
-from oracles import einsum_kernels, hat_values, loop_br_basis, velocity_action
+from oracles import (
+    einsum_kernels,
+    hat_values,
+    loop_br_basis,
+    velocity_action,
+    x_graded,
+    y_graded,
+)
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
@@ -470,24 +480,18 @@ def coo(blocks, n):
     ).tocsr()
 
 
-def quadrature_coupling(ws):
-    """(rows, cols, values) blocks of the coupling block, both halves, by
-    quadrature: -(q, div v) on the workspace's rule, with the Brinkman
-    divergence from the loop oracle and the Darcy one from ``rt0_basis``,
-    <v . n, xi> on a 6-point edge rule with the loop oracle's and
-    ``rt0_basis``' values and the multiplier hats of ``hat_values``, and
-    the gauge's (q, 1) on the workspace's rule in a layout with a gauge."""
+def quadrature_multiplier_rows(ws, nodes_x):
+    """(rows, cols, values) blocks of <v_B . n - v_D . n, xi_k> for the
+    hats xi_k of the interface grid ``nodes_x`` (``hat_values``), row k
+    for hat k, on a 6-point edge rule with the loop oracle's and
+    ``rt0_basis``' values."""
     mesh, iface, dof = ws.mesh, ws.interface, ws.dofmap
     br, rt = dof.br, dof.rt
-    _, gphi = loop_br_basis(ws.verts_B, ws.signs_B, ws.rule.bary)
-    div_phi = gphi[..., 0, 0] + gphi[..., 1, 1]
-    _, div_psi = rt0_basis(ws.verts_D, ws.signs_D, ws.qpts_D)
-
     t, w = edge_rule(6)
     xq = iface.x_left[:, None] + t[None, :] * (iface.x_right - iface.x_left)[:, None]
     pts = np.stack([xq, np.full_like(xq, iface.y)], axis=2)
     wq = (iface.x_right - iface.x_left)[:, None] * w[None, :]
-    hats = np.stack([hat_values(iface.nodes_x, xq, k) for k in range(iface.num_nodes)], axis=2)
+    hats = np.stack([hat_values(nodes_x, xq, k) for k in range(nodes_x.size)], axis=2)
     verts_B = mesh.vertices[mesh.triangles[iface.tri_B]]
     # barycentric coordinates of the edge points in the Brinkman triangle
     lhs = np.concatenate([verts_B.transpose(0, 2, 1), np.ones((iface.num_edges, 1, 3))], axis=1)
@@ -497,7 +501,29 @@ def quadrature_coupling(ws):
     psi, _ = rt0_basis(
         mesh.vertices[mesh.triangles[iface.tri_D]], mesh.tri_edge_signs[iface.tri_D], pts
     )
-    nodes = dof.off_lam + np.arange(iface.num_nodes)
+    blocks = []
+    for basis, l2g, sign in (
+        (phi, br.l2g[np.searchsorted(br.tri_ids, iface.tri_B)], 1.0),
+        (psi, dof.off_uD + rt.l2g[np.searchsorted(rt.tri_ids, iface.tri_D)], -1.0),
+    ):
+        trace = np.einsum("maqd,d->maq", basis, iface.normal)
+        vals = sign * np.einsum("maq,mqk,mq->mak", trace, hats, wq)
+        blocks.append((np.arange(nodes_x.size), l2g[:, :, None], vals))
+    return blocks
+
+
+def quadrature_coupling(ws):
+    """(rows, cols, values) blocks of the coupling block, both halves, by
+    quadrature: -(q, div v) on the workspace's rule, with the Brinkman
+    divergence from the loop oracle and the Darcy one from ``rt0_basis``,
+    the multiplier rows of ``quadrature_multiplier_rows`` on the macro
+    grid, and the gauge's (q, 1) on the workspace's rule in a layout with
+    a gauge."""
+    iface, dof = ws.interface, ws.dofmap
+    br, rt = dof.br, dof.rt
+    _, gphi = loop_br_basis(ws.verts_B, ws.signs_B, ws.rule.bary)
+    div_phi = gphi[..., 0, 0] + gphi[..., 1, 1]
+    _, div_psi = rt0_basis(ws.verts_D, ws.signs_D, ws.qpts_D)
     half = [
         (ws.p_dof_B[:, None], br.l2g, -np.einsum("maq,mq->ma", div_phi, ws.wq_B)),
         (ws.p_dof_D[:, None], dof.off_uD + rt.l2g, -np.einsum("ma,mq->ma", div_psi, ws.wq_D)),
@@ -506,12 +532,7 @@ def quadrature_coupling(ws):
         # The mean-zero row: (q, 1) for each pressure.
         half += [(dof.gauge_dof, p_dof, wq.sum(axis=1))
                  for p_dof, wq in ((ws.p_dof_B, ws.wq_B), (ws.p_dof_D, ws.wq_D))]
-    for basis, l2g, sign in (
-        (phi, br.l2g[np.searchsorted(br.tri_ids, iface.tri_B)], 1.0),
-        (psi, dof.off_uD + rt.l2g[np.searchsorted(rt.tri_ids, iface.tri_D)], -1.0),
-    ):
-        trace = np.einsum("maqd,d->maq", basis, iface.normal)
-        half.append((nodes, l2g[:, :, None], sign * np.einsum("maq,mqk,mq->mak", trace, hats, wq)))
+    half += [(dof.off_lam + k, c, v) for k, c, v in quadrature_multiplier_rows(ws, iface.nodes_x)]
     return half + [(c, r, v) for r, c, v in half]
 
 
@@ -580,6 +601,93 @@ def test_coupling_matches_quadrature_on_a_graded_interface(pattern):
     middle = dofmap.br.vertex_local[iface.edge_verts[0::2, 1]]
     lam_rows = B[dofmap.off_lam : dofmap.off_lam + dofmap.n_lam]
     assert np.all(lam_rows[:, 2 * middle + 1].toarray().any(axis=0))
+
+
+# ------------------------------------------------------- inf-sup stability
+
+
+def half_norm(nodes_x):
+    """The H^(1/2) matrix M (M^-1 (A + M))^(1/2) of the continuous
+    piecewise-linear functions on the interface grid ``nodes_x``, with M
+    and A their mass and stiffness matrices."""
+    n, h = nodes_x.size, np.diff(nodes_x)
+    M, A = np.zeros((n, n)), np.zeros((n, n))
+    for i, hi in enumerate(h):
+        M[i : i + 2, i : i + 2] += hi / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        A[i : i + 2, i : i + 2] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / hi
+    mu, V = scipy.linalg.eigh(A + M, M)
+    MV = M @ V
+    return (MV * np.sqrt(mu)) @ MV.T
+
+
+def inf_sup_spectrum(ws, lam_rows, nodes_x):
+    """The two smallest beta^2 of B M_V^-1 B^T y = beta^2 M_Q y.
+
+    B holds the pressure rows of ``ws.b_data`` and the multiplier rows
+    ``lam_rows`` (the hats of the interface grid ``nodes_x``) on the free
+    velocities; M_V is the H^1 matrix on B and the H(div) matrix on D
+    (mass plus s_a s_b / |T|), and M_Q the L^2 mass of the pressures and
+    the H^(1/2) matrix of the multipliers.  The gauge stays out."""
+    dof = ws.dofmap
+    V = ws.free[ws.free < dof.off_p]
+    unit = PhysicalParams(mu=1.0, K_B=1.0, K_D=1.0)
+    div_div = ws.signs_D[:, :, None] * ws.signs_D[:, None, :] / ws.area_D[:, None, None]
+    M_V = ws.csr(static_values(unit, ws) + ws.scatter(ws.slots_D, div_div))[V][:, V]
+    pressures = ws.csr(ws.b_data)[dof.off_p : dof.off_p + dof.n_p]
+    B = sp.vstack([pressures, lam_rows])[:, V].toarray()
+    S = B @ splu(sp.csc_matrix(M_V)).solve(B.T)
+    M_Q = scipy.linalg.block_diag(np.diag(ws.mesh.areas), half_norm(nodes_x))
+    return scipy.linalg.eigh(S, M_Q, eigvals_only=True, subset_by_index=[0, 1])
+
+
+def inf_sup_workspace(grid, nx):
+    """The workspace of the study layout on the mesh ``grid`` at ``nx``,
+    or of the channel layout, whose natural boundaries fix the pressure."""
+    if grid == "channel":
+        _, data, (rect_B, rect_D) = heterogeneous_flow_problem(10.0)
+        mesh = generate_stacked_rect(rect_B, rect_D, nx, nx // 2, nx // 2)
+    else:
+        _, data = manufactured_problem(PhysicalParams(forchheimer=10.0, K_D=0.1))
+        pattern = "crisscross" if grid == "crisscross" else "right"
+        mesh = generate_stacked_rect(RECT_B, RECT_D, nx, nx, nx, pattern=pattern)
+        if grid == "x-graded":
+            mesh = x_graded(mesh)
+        if grid == "y-graded":
+            mesh = y_graded(mesh)
+    iface = build_interface(mesh)
+    return Workspace(mesh, iface, build_dofmap(mesh, iface, data), degree=6)
+
+
+@pytest.mark.parametrize("grid", ["right", "crisscross", "x-graded", "y-graded", "channel"])
+def test_the_coupling_is_inf_sup_stable(grid):
+    # The scheme is stable because the multipliers live on the doubled
+    # interface grid: beta_h stays above a bound independent of h.  Only
+    # the constant pressure with its multiplier escapes B^T, and only
+    # when every boundary condition is essential.
+    kernel = int(grid != "channel")
+    for nx in (4, 8, 16):
+        ws = inf_sup_workspace(grid, nx)
+        dof = ws.dofmap
+        lam_rows = ws.csr(ws.b_data)[dof.off_lam : dof.off_lam + dof.n_lam]
+        beta2 = inf_sup_spectrum(ws, lam_rows, ws.interface.nodes_x)
+        assert np.abs(beta2[:kernel]).max(initial=0.0) <= 1e-10 * beta2[kernel]
+        assert np.sqrt(beta2[kernel]) >= 0.3
+
+
+@pytest.mark.parametrize("grid", ["right", "crisscross", "channel"])
+def test_a_multiplier_hat_at_every_interface_vertex_is_not_inf_sup_stable(grid):
+    # The control that shows the bound above can fail: on the grid of the
+    # interface vertices themselves, beta_h falls like h.
+    kernel = int(grid != "channel")
+    betas = []
+    for nx in (4, 8, 16):
+        ws = inf_sup_workspace(grid, nx)
+        iface = ws.interface
+        nodes_x = np.concatenate([iface.x_left, iface.x_right[-1:]])
+        lam_rows = coo(quadrature_multiplier_rows(ws, nodes_x), ws.dofmap.n_total)[: nodes_x.size]
+        betas.append(np.sqrt(inf_sup_spectrum(ws, lam_rows, nodes_x)[kernel]))
+    assert betas[0] <= 0.1
+    assert all(coarse >= 1.8 * fine for coarse, fine in zip(betas, betas[1:]))
 
 
 # ------------------------------------------------------- nonlinear blocks

@@ -225,6 +225,20 @@ def test_sweep_produces_the_iteration_grid(tmp_path):
     assert all(b >= a for a, b in zip(row1, row2))
 
 
+def test_sweep_writes_a_tensor_K_D_in_the_config_syntax(tmp_path):
+    # Without K_D_list the sweep runs on K_D, which may be a tensor; its
+    # column holds the four entries as the config writes them.
+    cfg = write_config(
+        tmp_path, "problem = example1_variant\nK_D = 1e-3 0 0 1e-3\nF_list = 1, 100\n"
+    )
+    res = run_cli("sweep", "--config", cfg, "--levels", "1", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "F,K_D,iter_nx4"
+    assert [ln.rsplit(",", 1)[0] for ln in lines[1:]] == ["1,0.001 0 0 0.001", "100,0.001 0 0 0.001"]
+    assert all(int(ln.rsplit(",", 1)[1]) >= 1 for ln in lines[1:])
+
+
 def test_sweep_requires_a_forchheimer_list(tmp_path):
     cfg = write_config(tmp_path, "problem = example1_variant\n")
     res = run_cli("sweep", "--config", cfg, "--levels", "2", "--out", str(tmp_path))

@@ -39,6 +39,8 @@ from bfdarcy.solver import (
     NewtonOptions,
 )
 
+from oracles import x_graded
+
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
 
@@ -65,7 +67,8 @@ def refined_solve(A, b):
     """Factor A with LUFactor and refine on it: (x, normalized residual,
     refinement steps, factor)."""
     factor = solver.LUFactor(A)
-    x, res, steps = solver._refine(factor, lambda x: A @ x - b, b, solver._norm_inf(A))
+    norm = solver._norm_inf(sp.csc_matrix(A))
+    x, res, steps = solver._refine(factor, lambda x: A @ x - b, b, norm)
     return x, res, steps, factor
 
 
@@ -635,20 +638,25 @@ def test_newton_rejects_a_non_finite_assembly(monkeypatch):
 def test_each_newton_step_evaluates_the_forchheimer_weights_once(forchheimer, monkeypatch):
     mesh, params, data = channel(forchheimer=forchheimer)
     calls = []
-    forchheimer_map = solver.asm.forchheimer_map
+    for name in ("forchheimer_map", "forchheimer_weight"):
+        original = getattr(solver.asm, name)
 
-    def counted(w, power):
-        calls.append(1)
-        return forchheimer_map(w, power)
+        def counted(w, power, name=name, original=original):
+            calls.append(name)
+            return original(w, power)
 
-    monkeypatch.setattr(solver.asm, "forchheimer_map", counted)
+        monkeypatch.setattr(solver.asm, name, counted)
     _, report = newton_solve(mesh, params, data)
     assert report.converged
-    # One more evaluation for the residual of the last iterate.
+    # Each step evaluates the map, which evaluates the weight; the
+    # residual of the last iterate evaluates the weight alone.
     if forchheimer == 0.0:
         assert report.iterations == 1 and calls == []
     else:
-        assert report.iterations > 1 and len(calls) == report.iterations + 1
+        assert report.iterations > 1
+        assert calls == ["forchheimer_map", "forchheimer_weight"] * report.iterations + [
+            "forchheimer_weight"
+        ]
 
 
 @pytest.mark.parametrize("mode", ["constraint", "mixed"])
@@ -684,9 +692,14 @@ def test_condensed_solve_matches_a_factored_free_system(mode):
     assert np.abs(x_c - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
     assert out.residual <= 1e-14 and out.refinements == 0 and out.factored
     assert 0 < out.lu_nnz and 0 < static.lu_nnz
+    # The reported residual is the reduced system's; the full free
+    # system's, with the Darcy rows, meets the bound as well.
+    K, rhs = static.reduced(A), static.reduced_rhs(b)
+    x_R = x_c[disc.layout.free_R]
+    assert out.residual == solver._normalized(K @ x_R - rhs, x_R, rhs, solver._norm_inf(K))
     full = np.abs(A @ x_c - b).max() / (abs(A).sum(axis=1).max() * np.abs(x_c).max()
                                         + np.abs(b).max())
-    assert full == pytest.approx(out.residual, rel=1e-6, abs=1e-18)
+    assert full <= LU_RESIDUAL_TOL
 
 
 def test_refinement_keeps_the_darcy_factor_released(monkeypatch):
@@ -711,12 +724,37 @@ def test_refinement_keeps_the_darcy_factor_released(monkeypatch):
     assert np.abs(fields.x - exact.x).max() <= 1e-9 * np.abs(exact.x).max()
 
 
+@pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
+def test_an_inaccurate_darcy_elimination_fails_where_it_is_made(problem, monkeypatch):
+    # The Darcy block is factored once and never refined: a factor of
+    # (1 + 1e-6) A_DD leaves X and y off by about 1e-6, which the check at
+    # the elimination rejects before any Newton step.
+    mesh, params, data = problem()
+    disc = solver.Discretization.build(mesh, data)
+    n_D = disc.layout.free_D.size
+    assert n_D != disc.layout.free_R.size
+
+    def perturbed_splu(M, **kwargs):
+        scale = 1.0 + 1e-6 if M.shape[0] == n_D else 1.0
+        return splu(sp.csc_matrix(M * scale), **kwargs)
+
+    monkeypatch.setattr(solver, "splu", perturbed_splu)
+    with pytest.raises(SolverError, match="Darcy elimination residual"):
+        solver.StaticSystem.build(disc, params, data)
+    with pytest.raises(SolverError, match="Darcy elimination residual"):
+        newton_solve(disc, params, data)
+
+
 def test_refinement_runs_when_the_bound_is_tiny(monkeypatch):
     mesh, params, data = channel(nx=8, forchheimer=0.0)
     seen = recording_splu(monkeypatch)
+    # The Darcy elimination is checked when it is made, under the bound
+    # of the module; only the Newton step meets the tiny one.
+    disc = solver.Discretization.build(mesh, data)
+    static = solver.StaticSystem.build(disc, params, data)
     monkeypatch.setattr(solver, "LU_RESIDUAL_TOL", 1e-300)
     with pytest.raises(SolverError, match="Newton iteration 1: direct solve residual"):
-        newton_solve(mesh, params, data)
+        newton_solve(disc, params, data, linear=static)
     # The Darcy block and the reduced block, once each: refinement never
     # factors.
     assert len(seen) == 2 and seen[0].shape != seen[1].shape
@@ -1057,12 +1095,6 @@ def test_crisscross_study_factors_only_in_the_layout_order(nx, monkeypatch):
     assert len(calls) == 1 + sum(report.factored)
     assert not is_ordered(calls[0]) and all(is_ordered(kwargs) for kwargs in calls[1:])
     assert len(set(report.lu_nnz)) == 1
-
-
-def x_graded(mesh):
-    """``mesh`` with x mapped to -1/2 + (x + 1/2)^2."""
-    x, y = mesh.vertices.T
-    return replace(mesh, vertices=np.stack([-0.5 + (x + 0.5) ** 2, y], axis=1))
 
 
 @pytest.mark.parametrize("grading", ["right", "crisscross", "x-graded"])

@@ -8,8 +8,6 @@ discrete convergence failure indicts the solver rather than the data.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -35,7 +33,7 @@ from bfdarcy.elements import (
 )
 from bfdarcy.solver import Discretization, SolutionFields
 from bfdarcy.verification import CSV_HEADER, compute_errors
-from oracles import loop_br_basis
+from oracles import loop_br_basis, y_graded
 
 RECT_B = (-0.5, 0.5, 0.5, 1.5)
 RECT_D = (-0.5, 0.5, -0.5, 0.5)
@@ -455,13 +453,6 @@ def heterogeneous_K_B(pts):
 
 def heterogeneous_K_D(pts):
     return 0.1 * np.exp(pts[:, 0] + pts[:, 1])[:, None, None] * np.diag([1.0, 0.1])
-
-
-def y_graded(mesh):
-    """``mesh`` with y mapped to 1/2 +- (y - 1/2)^2 on either side of the
-    interface y = 1/2, which stays fixed."""
-    x, y = mesh.vertices.T
-    return replace(mesh, vertices=np.stack([x, 0.5 + np.sign(y - 0.5) * (y - 0.5) ** 2], axis=1))
 
 
 @pytest.mark.parametrize("grid", ["right", "crisscross", "y-graded"])
