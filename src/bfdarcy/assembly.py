@@ -17,13 +17,20 @@ F (p-2) (|w|^(p-4) (w . u) w, v).  The linearized step solves for the new
 iterate directly, with the correction F (p-2) (|w|^(p-2) w, v) on the
 right-hand side; ``NewtonSystem`` forms each step's system and the
 residual of an iterate.  ``forchheimer_map`` is the one pointwise form
-of phi(w) = |w|^(p-2) w and of its derivative.
+of phi(w) = |w|^(p-2) w and of its derivative, which it returns in
+factored form, D phi(w) = weight I + c w w^T, as (weight, c) per point.
+``forchheimer_terms`` forms a step's Forchheimer block and right-hand
+side correction chunk by chunk of Brinkman triangles: per chunk the
+iterate's field at the points, its map, the three weighted components
+of F D phi(w) and their element matrices (``_mass_block``), so no
+pointwise array spans the mesh.
 
 Every matrix lives on the one CSR pattern a ``Workspace`` builds per
 mesh, and ``apply_constraints`` restricts it to the free DOFs by index.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,9 +38,10 @@ import scipy.sparse as sp
 from . import elements as el
 from .mesh import GAMMA_B_TAGS, GAMMA_D_TAGS
 
-# Brinkman triangles per chunk of the Forchheimer element matrices: at
-# 256 each per-quadrature-point temporary stays below 0.5 MB on the
-# degree-6 rule.
+# Brinkman triangles per chunk of ``forchheimer_terms``, which forms
+# the iterate's field, its map, the components of F D phi(w) and their
+# Grams one chunk at a time: at 256, on the degree-6 rule, each
+# pointwise temporary stays below 0.1 MB and each Gram below 0.3 MB.
 FORCHHEIMER_CHUNK = 256
 
 # Gauss points per edge of every edge integral: prescribed fluxes, the
@@ -529,27 +537,32 @@ def _inverse_at(K, qpts):
     return inverse_tensor_field(K, qpts.reshape(-1, 2)).reshape(*qpts.shape[:2], 2, 2)
 
 
-def forchheimer_weight(w, power):
-    """|w|^(p-2) (...) at points ``w`` (..., 2): the weight of phi(w)."""
-    return np.linalg.norm(w, axis=-1) ** (power - 2.0)
+def speed(w):
+    """|w| at points ``w`` (..., 2): np.linalg.norm(w, axis=-1) bit for
+    bit, without its slow reduction over an axis of two."""
+    return np.sqrt(w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1])
+
+
+def forchheimer_weight(s, power):
+    """|w|^(p-2) from the speeds s = |w| of points w: the weight of phi(w)."""
+    return s ** (power - 2.0)
 
 
 def forchheimer_map(w, power):
-    """The Forchheimer map phi(w) = |w|^(p-2) w at points ``w`` (..., 2),
-    as its weight (``forchheimer_weight``) and its derivative
-    D phi(w) = |w|^(p-2) I + (p-2) |w|^(p-4) w w^T (..., 2, 2).
+    """The Forchheimer map phi(w) = |w|^(p-2) w at points ``w`` (..., 2)
+    and its derivative D phi(w) = weight I + c w w^T, in factored form:
+    (weight, c), weight = |w|^(p-2) (``forchheimer_weight``) and
+    c = (p-2) |w|^(p-4), both (...,) and from one evaluation of |w|.
 
     For p in [3, 4] the weight is continuous and 0 at w = 0, and so is the
     rank-one term; only |w|^(p-4), infinite at w = 0 for p < 4, needs a
-    guard, and the rank-one term is 0 wherever it is not finite.
+    guard, and c is 0 wherever it is not finite.
     """
-    weight = forchheimer_weight(w, power)
+    s = speed(w)
+    weight = forchheimer_weight(s, power)
     with np.errstate(divide="ignore", over="ignore"):
-        rank_one = (power - 2.0) * np.linalg.norm(w, axis=-1) ** (power - 4.0)
-    rank_one = np.where(np.isfinite(rank_one), rank_one, 0.0)
-    jacobian = rank_one[..., None, None] * w[..., :, None] * w[..., None, :]
-    jacobian += weight[..., None, None] * np.eye(2)
-    return weight, jacobian
+        c = (power - 2.0) * s ** (power - 4.0)
+    return weight, np.where(np.isfinite(c), c, 0.0)
 
 
 def _field(coeffs, basis):
@@ -574,22 +587,46 @@ def _gram(left, right):
     return left.reshape(m, left.shape[1], -1) @ right.transpose(0, 2, 1)
 
 
-def _mass_block(coef, wq, kinv, monomials):
-    """Element matrices sum_q w_q phi_b . K^-1 phi_a, (m, nb, nb), of the
+def _products(monomials):
+    """The products P_t P_s of the monomials (nq, k) at each point, (nq, k^2)."""
+    k = monomials.shape[1]
+    return (monomials[:, :, None] * monomials[:, None, :]).reshape(-1, k * k)
+
+
+@lru_cache(maxsize=None)
+def _gram_index(k, nc):
+    """Positions, in the (nc, k, k) Grams of ``_mass_block``'s components,
+    of the entries of its (2k, 2k) matrix, transposed: row (s, j) and
+    column (t, i) hold sum_q P_t P_s T_ij."""
+    s, j, t, i = np.indices((k, 2, k, 2)).reshape(4, -1)
+    c = np.array([[0, 1], [nc - 2, nc - 1]])[i, j]
+    index = (c * k + t) * k + s
+    index.flags.writeable = False  # every caller shares the cached array
+    return index
+
+
+def _mass_block(coef, comps, products):
+    """Element matrices sum_q phi_b . T phi_a, (m, nb, nb), of the
     functions with coefficients ``coef`` (m, nb, k, 2) on k monomials,
-    from the weights ``wq`` (m, nq), a tensor K^-1 (m, nq, 2, 2) and the
-    monomials (nq, k) at the quadrature points."""
+    for a tensor T at the quadrature points, weights folded in, given by
+    its components ``comps`` (m, nc, nq): (xx, xy, yx, yy), or
+    (xx, xy, yy) when T is symmetric.  ``products`` are the monomials'
+    ``_products`` at the points."""
     m, nb, k = coef.shape[:3]
-    # T = w_q K^-1 at each point; gram[(t, i), (s, j)] = sum_q P_t P_s T_ij.
-    # One small product per triangle: a single (4 m, nq) x (nq, k^2) product
-    # is large enough for BLAS to start its own threads, which then compete
-    # with the solves of the CLI's thread pool.
-    T = (wq[..., None, None] * kinv).reshape(m, -1, 4)
-    gram = T.transpose(0, 2, 1) @ (monomials[:, :, None] * monomials[:, None, :]).reshape(-1, k * k)
-    gram = gram.reshape(m, 2, 2, k, k).transpose(0, 3, 1, 4, 2).reshape(m, 2 * k, 2 * k)
+    # One small product per triangle: a single (nc m, nq) x (nq, k^2)
+    # product is large enough for BLAS to start its own threads, which
+    # then compete with the solves of the CLI's thread pool.
+    gram_t = (comps @ products).reshape(m, -1)[:, _gram_index(k, comps.shape[1])]
+    gram_t = gram_t.reshape(m, 2 * k, 2 * k)
     v = coef.reshape(m, nb, 2 * k)
-    # Row a of v @ gram^T is T phi_a against the monomials.
-    return _gram(v @ gram.transpose(0, 2, 1), v)
+    # Row a of v @ gram_t is T phi_a against the monomials.
+    return _gram(v @ gram_t, v)
+
+
+def _tensor_components(wq, tensor):
+    """The components (xx, xy, yx, yy) of w_q T, (m, 4, nq), for a tensor
+    T (m, nq, 2, 2) at the quadrature points with weights ``wq`` (m, nq)."""
+    return (wq[..., None, None] * tensor).reshape(*wq.shape, 4).transpose(0, 2, 1)
 
 
 def _velocity_linear_local(params, ws):
@@ -605,43 +642,64 @@ def _velocity_linear_local(params, ws):
     grad_eta = el.triangle_geometry(ws.verts_B)[1]
     g = el.br_gradients(ws.coef_B, grad_eta).reshape(-1, 9, 4, 4)
     stiff = _gram((params.mu * 2.0 * ws.area_B)[:, None, None, None] * (ws.grad_gram @ g), g)
-    kblock = _mass_block(ws.coef_B, ws.wq_B, ws.kinv_B(params), ws.monomials)
-    return stiff + kblock, _mass_block(ws.coef_D, ws.wq_D, ws.kinv_D(params), ws.rule.bary)
+    kinv_B = _tensor_components(ws.wq_B, ws.kinv_B(params))
+    stiff += _mass_block(ws.coef_B, kinv_B, _products(ws.monomials))
+    kinv_D = _tensor_components(ws.wq_D, ws.kinv_D(params))
+    return stiff, _mass_block(ws.coef_D, kinv_D, _products(ws.rule.bary))
 
 
-def _iterate_field(w, ws):
+def _iterate_field(w, ws, e=slice(None)):
     """The Brinkman velocity of the full vector ``w`` at the quadrature
-    points, (m, nq, 2)."""
-    return ws.monomials @ _field(w[: ws.dofmap.n_uB][ws.dofmap.br.l2g], ws.coef_B)
+    points of the Brinkman triangles ``e``, (m, nq, 2)."""
+    return ws.monomials @ _field(w[: ws.dofmap.n_uB][ws.dofmap.br.l2g[e]], ws.coef_B[e])
 
 
-def _brinkman_load(g, ws):
-    """The full vector of (g, v_B) for a field ``g`` (m, nq, 2) at the
-    quadrature points with the weights already folded in: a load is the
-    monomial moments of its field against the coefficients."""
-    corr = _load(ws.coef_B, ws.monomials.T @ g)
-    return np.bincount(ws.dofmap.br.l2g.ravel(), corr.ravel(), minlength=ws.dofmap.n_total)
+def _brinkman_loads(g, ws, e=slice(None)):
+    """The element loads (g, v_B), (m, 9), of the Brinkman triangles ``e``
+    for a field ``g`` (m, nq, 2) at their quadrature points with the
+    weights already folded in: a load is the monomial moments of its
+    field against the coefficients."""
+    return _load(ws.coef_B[e], ws.monomials.T @ g)
+
+
+def _brinkman_vector(loads, ws):
+    """The full vector of the element loads (m, 9) of every Brinkman
+    triangle."""
+    return np.bincount(ws.dofmap.br.l2g.ravel(), loads.ravel(), minlength=ws.dofmap.n_total)
 
 
 def forchheimer_terms(w, params, ws):
-    """The Forchheimer terms of the Newton step at iterate ``w``, from one
-    evaluation of its field and of ``forchheimer_map``: the CSR data, on
-    the workspace pattern, of the Forchheimer block of Da(w), the mass
-    block of F D phi(w), and the right-hand-side correction
-    F (p-2) (|w|^(p-2) w, v_B) as a full vector."""
+    """The Forchheimer terms of the Newton step at iterate ``w``: the CSR
+    data, on the workspace pattern, of the Forchheimer block of Da(w),
+    the mass block of F D phi(w), and the right-hand-side correction
+    F (p-2) (|w|^(p-2) w, v_B) as a full vector.
+
+    One pass over chunks of FORCHHEIMER_CHUNK Brinkman triangles forms,
+    per chunk, the iterate's field at the points, ``forchheimer_map`` of
+    it once for both terms, the weighted components (xx, xy, yy) of
+    F D phi(w) = F (weight I + c w w^T), their element matrices
+    (``_mass_block``) and the element loads of the correction; only
+    those are kept for the whole mesh, and each is scattered once.
+    """
     F, p = params.forchheimer, params.power
-    wfield = _iterate_field(w, ws)
-    weight, T = forchheimer_map(wfield, p)
-    loc = np.empty((T.shape[0], 9, 9))
-    # Element chunks bound the temporaries of the mass block, which a
-    # Newton iteration allocates while it holds the previous LU factor;
-    # unchunked, they raise the study benchmark's peak RSS by about 5 MB.
-    for start in range(0, T.shape[0], FORCHHEIMER_CHUNK):
+    m = ws.coef_B.shape[0]
+    products = _products(ws.monomials)
+    loc, loads = np.empty((m, 9, 9)), np.empty((m, 9))
+    for start in range(0, m, FORCHHEIMER_CHUNK):
         e = slice(start, start + FORCHHEIMER_CHUNK)
-        loc[e] = _mass_block(ws.coef_B[e], ws.wq_B[e], F * T[e], ws.monomials)
-    data = ws.scatter(ws.slots_B, loc)
-    g = (F * (p - 2.0) * weight * ws.wq_B)[..., None] * wfield
-    return data, _brinkman_load(g, ws)
+        wfield = _iterate_field(w, ws, e)
+        weight, c = forchheimer_map(wfield, p)
+        wx, wy, wq = wfield[..., 0], wfield[..., 1], ws.wq_B[e]
+        cx = c * wx
+        # F D phi first, then the rule's weight: where F D phi overflows,
+        # the step's system is not finite, however small the weights.
+        comps = np.stack([cx * wx + weight, cx * wy, c * wy * wy + weight], axis=1)
+        comps *= F
+        comps *= wq[:, None, :]
+        loc[e] = _mass_block(ws.coef_B[e], comps, products)
+        g = (F * (p - 2.0) * weight * wq)[..., None] * wfield
+        loads[e] = _brinkman_loads(g, ws, e)
+    return ws.scatter(ws.slots_B, loc), _brinkman_vector(loads, ws)
 
 
 def static_values(params, ws):
@@ -686,8 +744,9 @@ class NewtonSystem:
         r = ws.csr(self.static) @ x - self.load
         if F != 0.0:
             wfield = _iterate_field(x, ws)
-            weight = forchheimer_weight(wfield, self.params.power)
-            r += _brinkman_load((F * weight * ws.wq_B)[..., None] * wfield, ws)
+            weight = forchheimer_weight(speed(wfield), self.params.power)
+            g = (F * weight * ws.wq_B)[..., None] * wfield
+            r += _brinkman_vector(_brinkman_loads(g, ws), ws)
         return r[ws.free]
 
 

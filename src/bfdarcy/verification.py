@@ -452,7 +452,9 @@ def pointwise_property_suite(n_samples=10000, powers=(3.0, 3.5, 4.0), seed=20260
     |phi(a) - phi(b)| <= (|a| + |b|)^(p-2) |a - b| with constant one, and
     symmetry plus finite-difference consistency of the derivative
     D phi(w) = |w|^(p-2) I + (p-2) |w|^(p-4) w w^T.  Both are the
-    program's own, from ``assembly.forchheimer_map`` and its weight.
+    program's own: phi from ``assembly.forchheimer_weight``, and D phi
+    formed here as a 2x2 tensor from the factors (weight, c) that
+    ``assembly.forchheimer_map`` returns, D phi = weight I + c w w^T.
     """
     rng = np.random.default_rng(seed)
 
@@ -470,7 +472,7 @@ def pointwise_property_suite(n_samples=10000, powers=(3.0, 3.5, 4.0), seed=20260
         eps = 1e-6
         # phi at every point the checks read, from the program's weight.
         points = np.concatenate([a, b, w + eps * v, w - eps * v])
-        weight = asm.forchheimer_weight(points, p)
+        weight = asm.forchheimer_weight(asm.speed(points), p)
         phi_a, phi_b, phi_plus, phi_minus = np.split(
             weight[:, None] * points, np.cumsum([a.shape[0], b.shape[0], w.shape[0]])
         )
@@ -497,7 +499,9 @@ def pointwise_property_suite(n_samples=10000, powers=(3.0, 3.5, 4.0), seed=20260
         else:
             gap = 0.0
 
-        _, jac = asm.forchheimer_map(w, p)
+        # D phi(w) = weight I + c w w^T, formed from the map's factors.
+        weight, c = asm.forchheimer_map(w, p)
+        jac = c[:, None, None] * w[:, :, None] * w[:, None, :] + weight[:, None, None] * np.eye(2)
         asym = float(np.abs(jac - jac.transpose(0, 2, 1)).max())
         fd = (phi_plus - phi_minus) / (2.0 * eps)
         fd_err = float(np.abs(np.einsum("nij,nj->ni", jac, v) - fd).max())
