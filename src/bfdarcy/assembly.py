@@ -21,9 +21,9 @@ of phi(w) = |w|^(p-2) w and of its derivative, which it returns in
 factored form, D phi(w) = weight I + c w w^T, as (weight, c) per point.
 ``forchheimer_terms`` forms a step's Forchheimer block and right-hand
 side correction chunk by chunk of Brinkman triangles: per chunk the
-iterate's field at the points, its map, the three weighted components
-of F D phi(w) and their element matrices (``_mass_block``), so no
-pointwise array spans the mesh.
+iterate's field at the points, its map, the three components of
+F D phi(w), their element matrices (``_mass_block``) and the monomial
+moments of the correction, so no pointwise array spans the mesh.
 
 Every matrix lives on the one CSR pattern a ``Workspace`` builds per
 mesh, and ``apply_constraints`` restricts it to the free DOFs by index.
@@ -39,8 +39,8 @@ from . import elements as el
 from .mesh import GAMMA_B_TAGS, GAMMA_D_TAGS
 
 # Brinkman triangles per chunk of ``forchheimer_terms``, which forms
-# the iterate's field, its map, the components of F D phi(w) and their
-# Grams one chunk at a time: at 256, on the degree-6 rule, each
+# the iterate's field, its map, the components of F D phi(w), their
+# Grams and the correction's moments one chunk at a time: at 256, on the degree-6 rule, each
 # pointwise temporary stays below 0.1 MB and each Gram below 0.3 MB.
 FORCHHEIMER_CHUNK = 256
 
@@ -587,17 +587,11 @@ def _gram(left, right):
     return left.reshape(m, left.shape[1], -1) @ right.transpose(0, 2, 1)
 
 
-def _products(monomials):
-    """The products P_t P_s of the monomials (nq, k) at each point, (nq, k^2)."""
-    k = monomials.shape[1]
-    return (monomials[:, :, None] * monomials[:, None, :]).reshape(-1, k * k)
-
-
 @lru_cache(maxsize=None)
 def _gram_index(k, nc):
-    """Positions, in the (nc, k, k) Grams of ``_mass_block``'s components,
-    of the entries of its (2k, 2k) matrix, transposed: row (s, j) and
-    column (t, i) hold sum_q P_t P_s T_ij."""
+    """Positions, in the (nc, k, k) Grams of ``_mass_block``'s tensor
+    components, of the entries of its (2k, 2k) matrix, transposed: row
+    (s, j) and column (t, i) hold sum_q w_q P_t P_s T_ij."""
     s, j, t, i = np.indices((k, 2, k, 2)).reshape(4, -1)
     c = np.array([[0, 1], [nc - 2, nc - 1]])[i, j]
     index = (c * k + t) * k + s
@@ -605,28 +599,24 @@ def _gram_index(k, nc):
     return index
 
 
-def _mass_block(coef, comps, products):
-    """Element matrices sum_q phi_b . T phi_a, (m, nb, nb), of the
+def _mass_block(coef, wq, T, monomials):
+    """Element matrices sum_q w_q phi_b . T phi_a, (m, nb, nb), of the
     functions with coefficients ``coef`` (m, nb, k, 2) on k monomials,
-    for a tensor T at the quadrature points, weights folded in, given by
-    its components ``comps`` (m, nc, nq): (xx, xy, yx, yy), or
-    (xx, xy, yy) when T is symmetric.  ``products`` are the monomials'
-    ``_products`` at the points."""
+    from the weights ``wq`` (m, nq), a tensor T at the quadrature points,
+    (m, nq, 2, 2), or its components (xx, xy, yy), (m, nq, 3), when it is
+    symmetric, and the monomials (nq, k) at the points."""
     m, nb, k = coef.shape[:3]
-    # One small product per triangle: a single (nc m, nq) x (nq, k^2)
-    # product is large enough for BLAS to start its own threads, which
-    # then compete with the solves of the CLI's thread pool.
-    gram_t = (comps @ products).reshape(m, -1)[:, _gram_index(k, comps.shape[1])]
-    gram_t = gram_t.reshape(m, 2 * k, 2 * k)
+    # The Grams sum_q w_q P_t P_s T_c of the components c, gathered into
+    # one matrix by ``_gram_index``.  One small product per triangle: a
+    # single (4 m, nq) x (nq, k^2) product is large enough for BLAS to
+    # start its own threads, which then compete with the solves of the
+    # CLI's thread pool.
+    T = wq[..., None] * T.reshape(*wq.shape, -1)
+    gram = T.transpose(0, 2, 1) @ (monomials[:, :, None] * monomials[:, None, :]).reshape(-1, k * k)
+    gram_t = gram.reshape(m, -1)[:, _gram_index(k, gram.shape[1])].reshape(m, 2 * k, 2 * k)
     v = coef.reshape(m, nb, 2 * k)
     # Row a of v @ gram_t is T phi_a against the monomials.
     return _gram(v @ gram_t, v)
-
-
-def _tensor_components(wq, tensor):
-    """The components (xx, xy, yx, yy) of w_q T, (m, 4, nq), for a tensor
-    T (m, nq, 2, 2) at the quadrature points with weights ``wq`` (m, nq)."""
-    return (wq[..., None, None] * tensor).reshape(*wq.shape, 4).transpose(0, 2, 1)
 
 
 def _velocity_linear_local(params, ws):
@@ -642,10 +632,8 @@ def _velocity_linear_local(params, ws):
     grad_eta = el.triangle_geometry(ws.verts_B)[1]
     g = el.br_gradients(ws.coef_B, grad_eta).reshape(-1, 9, 4, 4)
     stiff = _gram((params.mu * 2.0 * ws.area_B)[:, None, None, None] * (ws.grad_gram @ g), g)
-    kinv_B = _tensor_components(ws.wq_B, ws.kinv_B(params))
-    stiff += _mass_block(ws.coef_B, kinv_B, _products(ws.monomials))
-    kinv_D = _tensor_components(ws.wq_D, ws.kinv_D(params))
-    return stiff, _mass_block(ws.coef_D, kinv_D, _products(ws.rule.bary))
+    kblock = _mass_block(ws.coef_B, ws.wq_B, ws.kinv_B(params), ws.monomials)
+    return stiff + kblock, _mass_block(ws.coef_D, ws.wq_D, ws.kinv_D(params), ws.rule.bary)
 
 
 def _iterate_field(w, ws, e=slice(None)):
@@ -654,18 +642,12 @@ def _iterate_field(w, ws, e=slice(None)):
     return ws.monomials @ _field(w[: ws.dofmap.n_uB][ws.dofmap.br.l2g[e]], ws.coef_B[e])
 
 
-def _brinkman_loads(g, ws, e=slice(None)):
-    """The element loads (g, v_B), (m, 9), of the Brinkman triangles ``e``
-    for a field ``g`` (m, nq, 2) at their quadrature points with the
-    weights already folded in: a load is the monomial moments of its
-    field against the coefficients."""
-    return _load(ws.coef_B[e], ws.monomials.T @ g)
-
-
-def _brinkman_vector(loads, ws):
-    """The full vector of the element loads (m, 9) of every Brinkman
-    triangle."""
-    return np.bincount(ws.dofmap.br.l2g.ravel(), loads.ravel(), minlength=ws.dofmap.n_total)
+def _brinkman_load(moments, ws):
+    """The full vector of (g, v_B) for a field g at the quadrature points,
+    weights folded in, from its monomial moments ``monomials.T @ g``,
+    (m, k, 2): a load is the moments contracted with the coefficients."""
+    corr = _load(ws.coef_B, moments)
+    return np.bincount(ws.dofmap.br.l2g.ravel(), corr.ravel(), minlength=ws.dofmap.n_total)
 
 
 def forchheimer_terms(w, params, ws):
@@ -676,30 +658,28 @@ def forchheimer_terms(w, params, ws):
 
     One pass over chunks of FORCHHEIMER_CHUNK Brinkman triangles forms,
     per chunk, the iterate's field at the points, ``forchheimer_map`` of
-    it once for both terms, the weighted components (xx, xy, yy) of
+    it once for both terms, the components (xx, xy, yy) of
     F D phi(w) = F (weight I + c w w^T), their element matrices
-    (``_mass_block``) and the element loads of the correction; only
+    (``_mass_block``) and the monomial moments of the correction; only
     those are kept for the whole mesh, and each is scattered once.
     """
     F, p = params.forchheimer, params.power
     m = ws.coef_B.shape[0]
-    products = _products(ws.monomials)
-    loc, loads = np.empty((m, 9, 9)), np.empty((m, 9))
+    loc, moments = np.empty((m, 9, 9)), np.empty((m, ws.monomials.shape[1], 2))
     for start in range(0, m, FORCHHEIMER_CHUNK):
         e = slice(start, start + FORCHHEIMER_CHUNK)
         wfield = _iterate_field(w, ws, e)
         weight, c = forchheimer_map(wfield, p)
-        wx, wy, wq = wfield[..., 0], wfield[..., 1], ws.wq_B[e]
+        wx, wy = wfield[..., 0], wfield[..., 1]
         cx = c * wx
-        # F D phi first, then the rule's weight: where F D phi overflows,
-        # the step's system is not finite, however small the weights.
-        comps = np.stack([cx * wx + weight, cx * wy, c * wy * wy + weight], axis=1)
-        comps *= F
-        comps *= wq[:, None, :]
-        loc[e] = _mass_block(ws.coef_B[e], comps, products)
-        g = (F * (p - 2.0) * weight * wq)[..., None] * wfield
-        loads[e] = _brinkman_loads(g, ws, e)
-    return ws.scatter(ws.slots_B, loc), _brinkman_vector(loads, ws)
+        # F D phi first, then the rule's weight (in ``_mass_block``): where
+        # F D phi overflows, the step's system is not finite, however
+        # small the weights.
+        T = np.stack([cx * wx + weight, cx * wy, c * wy * wy + weight], axis=-1)
+        T *= F
+        loc[e] = _mass_block(ws.coef_B[e], ws.wq_B[e], T, ws.monomials)
+        moments[e] = ws.monomials.T @ ((F * (p - 2.0) * weight * ws.wq_B[e])[..., None] * wfield)
+    return ws.scatter(ws.slots_B, loc), _brinkman_load(moments, ws)
 
 
 def static_values(params, ws):
@@ -745,8 +725,7 @@ class NewtonSystem:
         if F != 0.0:
             wfield = _iterate_field(x, ws)
             weight = forchheimer_weight(speed(wfield), self.params.power)
-            g = (F * weight * ws.wq_B)[..., None] * wfield
-            r += _brinkman_vector(_brinkman_loads(g, ws), ws)
+            r += _brinkman_load(ws.monomials.T @ ((F * weight * ws.wq_B)[..., None] * wfield), ws)
         return r[ws.free]
 
 

@@ -111,41 +111,21 @@ def _normalized(r, x, b, norm):
     return num / den if den > 0.0 else num
 
 
-def _factor(M, permc_spec="COLAMD", diagonal=False):
-    """SuperLU of the CSC matrix M with its columns in ``permc_spec``'s
-    order (COLAMD's, or M's own with "NATURAL"), with partial pivoting
-    or, when ``diagonal``, M's diagonal pivots.  Every factor is on tight
-    supernodes (SUPERLU_RELAX, SUPERLU_PANEL_SIZE), so nnz(L+U) counts no
-    padding."""
-    pivots = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True}) if diagonal else {}
+def _factor(M, ordered=False):
+    """SuperLU of the CSC matrix M: with COLAMD and partial pivoting, or,
+    when ``ordered``, in M's own order with diagonal pivots.  Either way
+    on tight supernodes (SUPERLU_RELAX, SUPERLU_PANEL_SIZE), so nnz(L+U)
+    counts no padding."""
+    tight = dict(relax=SUPERLU_RELAX, panel_size=SUPERLU_PANEL_SIZE)
     try:
-        return splu(
-            M, permc_spec=permc_spec, relax=SUPERLU_RELAX, panel_size=SUPERLU_PANEL_SIZE, **pivots
-        )
+        if ordered:
+            return splu(
+                M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True}, **tight,
+            )
+        return splu(M, **tight)
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
-
-
-def _pattern_order(rows, cols, n, permc_spec):
-    """The columns of the n x n pattern with entries (rows, cols) in the
-    order SuperLU's ``permc_spec`` eliminates them, read from an
-    incomplete factor of a diagonally dominant matrix with that pattern
-    and a full diagonal, on single-column supernodes: such a matrix has
-    no zero pivot, whatever the pattern."""
-    keep = rows != cols
-    rows, cols = rows[keep], cols[keep]
-    diag = np.arange(n)
-    dominant = sp.csc_matrix(
-        (
-            np.concatenate([-np.ones(rows.size), np.bincount(cols, minlength=n) + 1.0]),
-            (np.concatenate([rows, diag]), np.concatenate([cols, diag])),
-        ),
-        shape=(n, n),
-    )
-    perm_c = spilu(
-        dominant, drop_tol=1.0, fill_factor=1.0, permc_spec=permc_spec, relax=1, panel_size=1,
-    ).perm_c
-    return np.argsort(perm_c)
 
 
 class LUFactor:
@@ -157,33 +137,15 @@ class LUFactor:
     its diagonal pivots: the order of a CondensedLayout's reduced block,
     which pairs every zero pressure diagonal with a bubble eliminated
     before it.  Only a solve with it shows whether such a factor is
-    accurate.  With ``last`` (column positions, such as a layout's
-    ``coupled`` gauge and multipliers, whose columns are dense after the
-    Darcy elimination) the factor pivots partially on the columns in
-    COLAMD's order of the block without the rows and columns ``last``,
-    then ``last``: COLAMD over every column may place a dense column
-    early and fill L and U with it.  ``nnz`` is nnz(L+U).
+    accurate.  ``nnz`` is nnz(L+U).
     """
 
-    def __init__(self, A, ordered=False, last=None):
-        A = sp.csc_matrix(A)
-        self.cols = None
-        if last is not None:
-            head = np.setdiff1d(np.arange(A.shape[1]), last)
-            block = A[head][:, head].tocoo()
-            order = _pattern_order(block.row, block.col, head.size, "COLAMD")
-            self.cols = np.concatenate([head[order], last])
-            A = A[:, self.cols]
-        self.lu = _factor(A, "NATURAL" if ordered or last is not None else "COLAMD", ordered)
+    def __init__(self, A, ordered=False):
+        self.lu = _factor(sp.csc_matrix(A), ordered)
         self.nnz = int(self.lu.nnz)
 
     def solve(self, rhs):
-        y = self.lu.solve(rhs)
-        if self.cols is None:
-            return y
-        x = np.empty_like(y)
-        x[self.cols] = y
-        return x
+        return self.lu.solve(rhs)
 
     def release(self):
         """Free the factor, whoever still refers to this object; it cannot
@@ -288,8 +250,9 @@ def _saddle_order(ws, reduced, rows, cols):
     matched bubbles on a cycle of triangles would make the pairs' leading
     block singular, as the signed incidence of a cycle is.  The velocity
     and pressure graph, each pair merged into one node, is ordered by
-    minimum degree (SuperLU's MMD on A^T + A, ``_pattern_order``), and
-    each pair is expanded bubble first.
+    minimum degree (SuperLU's MMD on A^T + A, read from an incomplete
+    factor of a diagonally dominant matrix with that graph, on
+    single-column supernodes), and each pair is expanded bubble first.
     Eliminating the bubble first makes the pressure's pivot nonzero, so
     the factor can take its diagonal pivots in this order.  The gauge,
     if the layout has one, and then the multipliers come last: the rows
@@ -318,9 +281,22 @@ def _saddle_order(ws, reduced, rows, cols):
     node_of = np.full(ws.free.size, -1)
     node_of[reduced] = node
     r, c = node_of[rows], node_of[cols]
-    keep = (r >= 0) & (c >= 0)
+    keep = (r >= 0) & (c >= 0) & (r != c)
+    r, c = r[keep], c[keep]
     m = heads.size
-    order = _pattern_order(r[keep], c[keep], m, "MMD_AT_PLUS_A")
+    diag = np.arange(m)
+    dominant = sp.csc_matrix(
+        (
+            np.concatenate([-np.ones(r.size), np.bincount(c, minlength=m) + 1.0]),
+            (np.concatenate([r, diag]), np.concatenate([c, diag])),
+        ),
+        shape=(m, m),
+    )
+    perm_c = spilu(
+        dominant, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+        relax=1, panel_size=1,
+    ).perm_c
+    order = np.argsort(perm_c)
 
     partner = np.full(m, -1)
     partner[node[pressures[paired]]] = pressures[paired]
@@ -553,10 +529,9 @@ def sparse_lu_solve(A, b, static, iterate, held=None):
     releases it and factors the reduced system in the layout's
     elimination order with diagonal pivots, which keeps its fill fixed by
     the pattern.  That factor is held to the same rule, and when it
-    misses it is released and the system factored with partial pivoting,
-    in COLAMD's order of every column but the layout's ``coupled`` ones,
-    which stay last (``LUFactor``'s ``last``).  The factor that served is
-    returned as ``LinearSolve.factor``.
+    misses it is released and the system factored with COLAMD and
+    partial pivoting.  The factor that served is returned as
+    ``LinearSolve.factor``.
 
     Fresh factors refine from M^-1 rhs.  A correction from x_k leaves
     round-off of the size of x_k, which the normalized residual, scaled
@@ -584,7 +559,7 @@ def sparse_lu_solve(A, b, static, iterate, held=None):
     tries = [] if held is None else [(lambda: held, (iterate, step_res, r_k))]
     tries += [
         (lambda: LUFactor(K, ordered=True), None),
-        (lambda: LUFactor(K, last=static.disc.layout.coupled), None),
+        (lambda: LUFactor(K), None),
     ]
     steps = 0
     for make, first in tries:

@@ -789,7 +789,7 @@ def test_the_forchheimer_terms_peak_below_a_whole_mesh_tensor_kernel():
     holds little beyond its outputs and the element matrices.  Measured
     with tracemalloc on numpy 2.4.6 at study nx=32 (2048 Brinkman
     triangles): 4.00 MiB, against 4.94 MiB for a kernel that formed
-    D phi as an (m, nq, 2, 2) tensor over the whole mesh (15.3 against
+    D phi as an (m, nq, 2, 2) tensor over the whole mesh (15.4 against
     19.7 MiB at nx=64).  The bound lies between the two."""
     mesh, iface, _, dofmap = setup(nx=32, ny_B=32, ny_D=32)
     params = PhysicalParams(forchheimer=10.0, power=3.0)

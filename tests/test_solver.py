@@ -337,6 +337,11 @@ def is_tight(kwargs):
     )
 
 
+def unordered(kwargs):
+    """The keywords of a factor call without those of the ordered one."""
+    return {k: v for k, v in kwargs.items() if k not in ("permc_spec", "diag_pivot_thresh", "options")}
+
+
 def check_factors(report, seen, calls, dofmap):
     """The Darcy block is factored once per solve with partial pivoting,
     the reduced block once per iteration that factored, on one fixed CSC
@@ -468,17 +473,12 @@ def test_refinement_from_the_iterate_needs_fewer_corrections():
 
 
 def newton_system(problem, nx=8, forchheimer=1e3, seed=5):
-    """One Newton system with a Forchheimer block at a random iterate (or,
-    with ``seed`` None, the first Newton step's system, at the zero
-    iterate), the StaticSystem of its solve and the iterate's reduced
-    unknowns."""
+    """One Newton system with a Forchheimer block at a random iterate, the
+    StaticSystem of its solve and the iterate's reduced unknowns."""
     mesh, params, data = problem(nx=nx, forchheimer=forchheimer)
     disc = solver.Discretization.build(mesh, data)
     ws, dofmap = disc.workspace, disc.dofmap
-    if seed is None:
-        x = np.zeros(dofmap.n_total)
-    else:
-        x = np.random.default_rng(seed).normal(size=dofmap.n_total)
+    x = np.random.default_rng(seed).normal(size=dofmap.n_total)
     x[dofmap.constrained] = prescribed_values(dofmap, mesh, data)
     A, b = apply_constraints(ws, *NewtonSystem(params, data, ws).at(x), x)
     return disc, A, b, solver.StaticSystem.build(disc, params, data), x[ws.free][disc.layout.free_R]
@@ -511,14 +511,10 @@ def test_a_failing_held_factor_falls_back_to_a_fresh_factor(problem):
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
 def test_an_inaccurate_ordered_factor_falls_back_to_partial_pivoting(problem, monkeypatch):
     disc, A, b, static, x_R = newton_system(problem)
-    coupled = disc.layout.coupled
-    # The reference: the ordered call makes the fallback factor, with
-    # partial pivoting and the coupled columns last, and that factor
-    # serves at once.
-    lu_factor = solver.LUFactor
-    with monkeypatch.context() as m:
-        m.setattr(solver, "LUFactor", lambda K, ordered=False, last=None: lu_factor(K, last=coupled))
-        ref = solver.sparse_lu_solve(A, b, static, x_R)
+    # The reference: the ordered call factors with partial pivoting, on
+    # the same supernodes, and that factor serves at once.
+    monkeypatch.setattr(solver, "splu", lambda M, **kwargs: splu(M, **unordered(kwargs)))
+    ref = solver.sparse_lu_solve(A, b, static, x_R)
     assert ref.factored and ref.refinements == 0
 
     # An ordered factor of three times the matrix cuts the residual by
@@ -543,16 +539,6 @@ def test_an_inaccurate_ordered_factor_falls_back_to_partial_pivoting(problem, mo
     assert out.factored and out.refinements >= 1
     np.testing.assert_array_equal(out.x, ref.x)
     assert out.residual == ref.residual and out.lu_nnz == ref.lu_nnz
-    np.testing.assert_array_equal(out.factor.cols[-coupled.size:], coupled)
-    if problem is manufactured:
-        # On the first Newton step's system COLAMD over every column
-        # places the dense gauge column where it fills; kept last, it
-        # fills less (42,060 against 48,464).  Partial pivoting follows
-        # the values, so at the random iterate above the fallback may
-        # fill more than COLAMD (51,229 against 44,376).
-        first = newton_system(problem, seed=None)
-        K = first[3].reduced(first[1])
-        assert solver.LUFactor(K, last=coupled).nnz < 0.9 * solver.LUFactor(K).nnz
 
 
 @pytest.mark.parametrize("problem", [manufactured, channel], ids=["gauge", "mixed"])
